@@ -1,0 +1,84 @@
+"""Golden outputs: sha256 digests of CLI outputs for fixed seeds.
+
+The digests pin the exact bytes of ``explain`` JSON, the ``evaluate``
+reports and the SVG figures. A change that moves any of them by a single
+ulp fails here; such a change has to say why and re-record the digest.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+
+import pytest
+
+from prolime.cli import main
+
+EXPLAIN_POINT = ["0.41", "-0.51"]
+
+EXPLAIN_VARIANTS = {
+    "standard-gaussian": ["--sampler", "standard"],
+    "standard-lhs": ["--sampler", "standard", "--noise", "lhs"],
+    "standard-mean": ["--sampler", "standard", "--center", "mean"],
+    "process-aware": ["--sampler", "process-aware"],
+}
+
+EXPLAIN_DIGESTS = {
+    ("standard-gaussian", 7): "a2f48bf95b7ba4449848202ab99da7b54ef7778dfe05bd0649b1b6d988677028",
+    ("standard-gaussian", 24): "32c69434bce232dac14070428544b5fb7019e21c6fd02a59a7facc2f5ed63004",
+    ("standard-lhs", 7): "940f4db5aad80519b4aa628d21c506bf7ba1f0b270a8eeee30933b08fd94c948",
+    ("standard-lhs", 24): "c3289aa429a185f7558655f6e7a05eb060118a8b1337dcf0c9d7a3d014b585bc",
+    ("standard-mean", 7): "17a07f33de26fc5f8aefeff3f31321b28b1d7e4acecf364fc0cf2494f203a2d7",
+    ("standard-mean", 24): "96b68cb1d1ca31ca833593ff37d83facf0a96d8c01802594f22420a8479b1832",
+    ("process-aware", 7): "bdc091b7d00d690e972743299d1c410762b12879ddc217325a79d007f51f0a4a",
+    ("process-aware", 24): "df793fbd9da7f833a66e271296bd5818b11ffc39fb28ac3614b1705ec08cb77c",
+}
+
+EVALUATE_DIGESTS = {
+    (3, "csv"): "6188eb8942b5cc412ebdb5b7c74e45baa6f0ddf86ad8eb79db781d68bd8a32d6",
+    (3, "json"): "f06614f09a96b2dc80fe95b910b2e3f88b8e577daff1ee7da9cee5827db0931d",
+    (11, "csv"): "b0ad48a3cd9bdd1ac76046b57749ae99b00475c138118f72caa618113d18eb14",
+    (11, "json"): "473a30144795c91ed629f73c10fa74dd8c5b10615fc611cb0f4b0cda9ac30ebe",
+}
+
+PLOT_DIGESTS = {
+    "model-grid": "fd8594cebc8a13be85f0532095a2c606e9efeb664838b0a5ce7e375b5df4bfc5",
+    "neighborhood": "42a33bb2e35816e87ec8e3768e12d9650afcfa268aa0a25ea5aaa6015910368d",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _quiet(argv: list[str]) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv) == 0
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("variant, seed", sorted(EXPLAIN_DIGESTS))
+def test_explain_json_matches_golden_digest(variant, seed):
+    text = _quiet(["explain", *EXPLAIN_POINT, "--seed", str(seed), *EXPLAIN_VARIANTS[variant]])
+    assert _sha256(text.encode("utf-8")) == EXPLAIN_DIGESTS[(variant, seed)]
+
+
+@pytest.mark.parametrize("seed", sorted({seed for seed, _ in EVALUATE_DIGESTS}))
+def test_evaluate_reports_match_golden_digests(seed, tmp_path):
+    out = tmp_path / "report.csv"
+    _quiet(["evaluate", "--trials", "3", "--seed", str(seed), "--out", str(out)])
+    assert _sha256(out.read_bytes()) == EVALUATE_DIGESTS[(seed, "csv")]
+    assert _sha256(out.with_suffix(".json").read_bytes()) == EVALUATE_DIGESTS[(seed, "json")]
+
+
+@pytest.mark.parametrize("kind", sorted(PLOT_DIGESTS))
+def test_plot_svg_matches_golden_digest(kind, tmp_path):
+    out = tmp_path / f"{kind}.svg"
+    extra = {
+        "model-grid": ["--resolution", "40"],
+        "neighborhood": ["--credit", "0.41", "--risk", "-0.51", "--neighborhood-size", "300"],
+    }[kind]
+    _quiet(["plot", kind, "--seed", "5", *extra, "--out", str(out)])
+    assert _sha256(out.read_bytes()) == PLOT_DIGESTS[kind]
