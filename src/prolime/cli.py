@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from pathlib import Path
@@ -18,18 +17,19 @@ from typing import Callable, Mapping
 
 from .core import (
     CenterMode,
-    ClassProbabilities,
     ConstantModel,
-    Distance,
     FeatureVector,
     LimeHyperparameters,
     NoiseMode,
+    default_kernel_width,
 )
 from .evaluation import (
+    SAMPLER_NAMES,
     ExperimentConfig,
     report_to_csv,
     report_to_json,
     run_experiment,
+    sampler_spec,
     summary_table,
 )
 from .explainer import (
@@ -39,7 +39,7 @@ from .explainer import (
     draw_neighborhood,
     explain,
 )
-from .samplers import ProcessAwareSpec, RngStream, SamplerSpec, StandardSpec
+from .samplers import RngStream
 from .simulation import (
     BenchmarkDistribution,
     DatasetFormatError,
@@ -53,9 +53,6 @@ from .surrogate import KernelSpec, neighborhood_weights
 from .plots import plot_dataset, plot_model_grid, plot_neighborhood
 
 __all__ = ["main"]
-
-_SAMPLER_CHOICES = ("standard", "process-aware")
-_DEFAULT_KERNEL_WIDTH = 0.75 * math.sqrt(2.0)
 
 
 class UsageError(Exception):
@@ -148,7 +145,7 @@ def _hyperparameters(
 ) -> LimeHyperparameters:
     center = _setting(args, config, "center", _as_choice(("sample", "mean")), "sample")
     noise = _setting(args, config, "noise", _as_choice(("gaussian", "lhs")), "gaussian")
-    kernel_width = _setting(args, config, "kernel-width", _as_float, _DEFAULT_KERNEL_WIDTH)
+    kernel_width = _setting(args, config, "kernel-width", _as_float, default_kernel_width(2))
     ridge = _setting(args, config, "ridge", _as_float, 1.0)
     try:
         return LimeHyperparameters(
@@ -160,22 +157,6 @@ def _hyperparameters(
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _sampler_spec(
-    name: str,
-    hyper: LimeHyperparameters,
-    dist: BenchmarkDistribution,
-) -> SamplerSpec:
-    if name == "standard":
-        scales = tuple(math.sqrt(dist.covariance[j][j]) for j in range(2))
-        return StandardSpec(
-            center_mode=hyper.center_mode,
-            noise_mode=hyper.noise_mode,
-            per_feature_scale=scales,
-            training_mean=dist.mean,
-        )
-    return ProcessAwareSpec(mean=dist.mean, covariance=dist.covariance)
 
 
 def _cmd_generate(args: argparse.Namespace, config: Mapping[str, str]) -> int:
@@ -210,7 +191,7 @@ def _cmd_explain(args: argparse.Namespace, config: Mapping[str, str]) -> int:
          "ridge", "rho", "constant-model", "out"},
     )
     seed = _resolve_seed(args, config)
-    sampler_name = _setting(args, config, "sampler", _as_choice(_SAMPLER_CHOICES), "standard")
+    sampler_name = _setting(args, config, "sampler", _as_choice(SAMPLER_NAMES), "standard")
     size = _setting(args, config, "neighborhood-size", _as_int, 1000)
     rho = _setting(args, config, "rho", _as_float, -0.9)
     constant = _setting(args, config, "constant-model", str, None)
@@ -226,7 +207,7 @@ def _cmd_explain(args: argparse.Namespace, config: Mapping[str, str]) -> int:
         sample=sample,
         model=model,
         hyper=hyper,
-        sampler=_sampler_spec(sampler_name, hyper, dist),
+        sampler=sampler_spec(sampler_name, hyper, dist),
         rng=RngStream(seed, 0),
     )
     text = explain(request).to_json(indent=2)
@@ -307,14 +288,14 @@ def _cmd_plot(args: argparse.Namespace, config: Mapping[str, str]) -> int:
         risk = _setting(args, config, "risk", _as_float, None)
         if credit is None or risk is None:
             raise UsageError("the neighborhood plot requires --credit and --risk")
-        sampler_name = _setting(args, config, "sampler", _as_choice(_SAMPLER_CHOICES), "standard")
+        sampler_name = _setting(args, config, "sampler", _as_choice(SAMPLER_NAMES), "standard")
         size = _setting(args, config, "neighborhood-size", _as_int, 1000)
         hyper = _hyperparameters(args, config, size)
         try:
             origin = FeatureVector((credit, risk), FEATURE_NAMES)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
-        spec = _sampler_spec(sampler_name, hyper, dist)
+        spec = sampler_spec(sampler_name, hyper, dist)
         nbhd = draw_neighborhood(origin, spec, hyper.neighborhood_size, RngStream(seed, 0))
         weights = neighborhood_weights(origin, nbhd, KernelSpec(hyper.kernel_width))
         svg = plot_neighborhood(origin, nbhd, weights.tolist())
@@ -358,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_flags(exp)
     exp.add_argument("credit", type=float, help="credit value of the explained point")
     exp.add_argument("risk", type=float, help="risk value of the explained point")
-    exp.add_argument("--sampler", choices=list(_SAMPLER_CHOICES), default=None,
+    exp.add_argument("--sampler", choices=list(SAMPLER_NAMES), default=None,
                      help="neighborhood sampler (default standard)")
     exp.add_argument("--neighborhood-size", type=int, default=None,
                      help="points per neighborhood (default 1000)")
@@ -388,7 +369,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="grid points per axis for the model-grid plot (default 200)")
     pl.add_argument("--credit", type=float, default=None, help="explained point for the neighborhood plot")
     pl.add_argument("--risk", type=float, default=None, help="explained point for the neighborhood plot")
-    pl.add_argument("--sampler", choices=list(_SAMPLER_CHOICES), default=None,
+    pl.add_argument("--sampler", choices=list(SAMPLER_NAMES), default=None,
                     help="sampler for the neighborhood plot (default standard)")
     pl.add_argument("--neighborhood-size", type=int, default=None,
                     help="points for the neighborhood plot (default 1000)")

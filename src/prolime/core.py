@@ -125,25 +125,39 @@ class ModelEvaluationError(RuntimeError):
 
 
 class BlackBoxModel(abc.ABC):
-    """Opaque classifier contract: feature vector in, class probabilities out.
+    """Opaque classifier contract: feature rows in, class probabilities out.
 
-    Implementations set ``n_classes`` and declare through ``concurrency_safe``
-    whether ``predict`` may be invoked from several threads at once.
+    Implementations set ``n_classes`` and implement the per-point
+    :meth:`predict`; models that can label many points at once should also
+    override :meth:`predict_proba`, which the explanation pipeline calls.
     Predictions must be deterministic for identical inputs.
     """
 
     n_classes: int = 2
-    concurrency_safe: bool = False
 
     @abc.abstractmethod
     def predict(self, x: FeatureVector) -> ClassProbabilities:
         raise NotImplementedError
 
-    def predict_batch(self, points: Sequence[FeatureVector]) -> list[ClassProbabilities]:
-        out: list[ClassProbabilities] = []
-        for index, point in enumerate(points):
+    def predict_proba(self, X: np.ndarray, feature_names: Sequence[str] | None = None) -> np.ndarray:
+        """Class probabilities of every row of an ``(n, d)`` array, shape ``(n, n_classes)``.
+
+        The default calls :meth:`predict` on each row, named by
+        ``feature_names`` (``x0``, ``x1``, ... when omitted). The first row
+        that fails, or yields anything but ``ClassProbabilities`` of
+        ``n_classes`` entries, raises :class:`ModelEvaluationError` with its index.
+        """
+        rows = np.asarray(X, dtype=float)
+        if rows.ndim != 2:
+            raise ValueError(f"X must be an (n, d) array, got shape {rows.shape}")
+        names = feature_names or tuple(f"x{j}" for j in range(rows.shape[1]))
+        out = np.empty((rows.shape[0], self.n_classes))
+        for index, row in enumerate(rows.tolist()):
             try:
-                out.append(self.predict(point))
+                probabilities = self.predict(FeatureVector(row, names))
+                if not isinstance(probabilities, ClassProbabilities) or len(probabilities.p) != self.n_classes:
+                    raise ValueError(f"predict must return ClassProbabilities of {self.n_classes} classes")
+                out[index] = probabilities.p
             except ModelEvaluationError:
                 raise
             except Exception as exc:
@@ -153,8 +167,6 @@ class BlackBoxModel(abc.ABC):
 
 class ConstantModel(BlackBoxModel):
     """Returns the same probabilities everywhere; useful as a null reference."""
-
-    concurrency_safe = True
 
     def __init__(self, probabilities: Sequence[float]):
         self._output = ClassProbabilities(tuple(probabilities))
@@ -178,7 +190,7 @@ class LimeHyperparameters:
     neighborhood_size: int = 1000
     center_mode: CenterMode = CenterMode.SAMPLE
     noise_mode: NoiseMode = NoiseMode.GAUSSIAN
-    kernel_width: float = 0.75 * math.sqrt(2.0)
+    kernel_width: float = default_kernel_width(2)
     distance: Distance = Distance.EUCLIDEAN
     ridge_strength: float = 1.0
     explained_class: int = 1
@@ -187,10 +199,10 @@ class LimeHyperparameters:
     def __post_init__(self) -> None:
         if self.neighborhood_size < 2:
             raise ValueError("neighborhood_size must be at least 2")
-        if not self.kernel_width > 0:
-            raise ValueError("kernel_width must be positive")
-        if self.ridge_strength < 0:
-            raise ValueError("ridge_strength must be nonnegative")
+        if not (math.isfinite(self.kernel_width) and self.kernel_width > 0):
+            raise ValueError(f"kernel_width must be positive and finite, got {self.kernel_width!r}")
+        if not (math.isfinite(self.ridge_strength) and self.ridge_strength >= 0):
+            raise ValueError(f"ridge_strength must be nonnegative and finite, got {self.ridge_strength!r}")
         if self.explained_class < 0:
             raise ValueError("explained_class must be a valid class index")
 

@@ -5,7 +5,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -23,6 +22,7 @@ from .simulation import (
 )
 
 __all__ = [
+    "SAMPLER_NAMES",
     "CellFailure",
     "CellStats",
     "ExperimentConfig",
@@ -33,10 +33,11 @@ __all__ = [
     "report_to_csv",
     "report_to_json",
     "run_experiment",
+    "sampler_spec",
     "summary_table",
 ]
 
-_SAMPLER_NAMES = ("standard", "process-aware")
+SAMPLER_NAMES = ("standard", "process-aware")
 
 
 @dataclass(frozen=True)
@@ -75,7 +76,7 @@ class ExperimentConfig:
     master_seed: int
     trials: int = 100
     neighborhood_sizes: tuple[int, ...] = (1000, 5000)
-    samplers: tuple[str, ...] = _SAMPLER_NAMES
+    samplers: tuple[str, ...] = SAMPLER_NAMES
     hyper: LimeHyperparameters = LimeHyperparameters()
     distribution: BenchmarkDistribution = BenchmarkDistribution()
 
@@ -90,7 +91,7 @@ class ExperimentConfig:
             raise ValueError("neighborhood sizes must be at least 2")
         if not self.samplers:
             raise ValueError("at least one sampler is required")
-        unknown = [s for s in self.samplers if s not in _SAMPLER_NAMES]
+        unknown = [s for s in self.samplers if s not in SAMPLER_NAMES]
         if unknown:
             raise ValueError(f"unknown sampler name(s): {unknown}")
         if len(set(self.samplers)) != len(self.samplers):
@@ -142,13 +143,15 @@ def draw_test_point(dist: BenchmarkDistribution, rng: RngStream) -> FeatureVecto
             return point
 
 
-def _sampler_spec(name: str, config: ExperimentConfig) -> SamplerSpec:
-    dist = config.distribution
+def sampler_spec(name: str, hyper: LimeHyperparameters, dist: BenchmarkDistribution) -> SamplerSpec:
+    """The named benchmark sampler: ``standard`` perturbs at the features'
+    scales under the hyperparameters' center and noise modes; ``process-aware``
+    draws from the benchmark distribution itself."""
     if name == "standard":
         scales = tuple(math.sqrt(dist.covariance[j][j]) for j in range(2))
         return StandardSpec(
-            center_mode=config.hyper.center_mode,
-            noise_mode=config.hyper.noise_mode,
+            center_mode=hyper.center_mode,
+            noise_mode=hyper.noise_mode,
             per_feature_scale=scales,
             training_mean=dist.mean,
         )
@@ -169,7 +172,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     dist = config.distribution
     model = oracle_model(dist, model_seed=config.master_seed)
-    specs = {name: _sampler_spec(name, config) for name in config.samplers}
+    specs = {name: sampler_spec(name, config.hyper, dist) for name in config.samplers}
     cells = [(name, size) for name in config.samplers for size in config.neighborhood_sizes]
     stride = len(cells) + 1
     values: dict[tuple[str, int], dict[str, list[float]]] = {

@@ -70,12 +70,6 @@ class BatchExplainError(RuntimeError):
         self.completed = dict(completed)
 
 
-def _sampler_dim(sampler: SamplerSpec) -> int:
-    if isinstance(sampler, StandardSpec):
-        return len(sampler.per_feature_scale)
-    return len(sampler.mean)
-
-
 def sampler_scales(sampler: SamplerSpec) -> tuple[float, ...]:
     """Per-feature scale implied by a sampler.
 
@@ -98,7 +92,7 @@ class ExplainRequest:
     rng: RngStream
 
     def __post_init__(self) -> None:
-        if _sampler_dim(self.sampler) != self.sample.dim:
+        if len(sampler_scales(self.sampler)) != self.sample.dim:
             raise ValueError("sampler dimension does not match the explained sample")
 
 
@@ -110,7 +104,7 @@ def draw_neighborhood(
 ) -> Neighborhood:
     """Dispatch neighborhood generation to the configured strategy."""
     if isinstance(sampler, StandardSpec):
-        return sample_standard(sample, sampler.training_mean, sampler, n, rng)
+        return sample_standard(sample, sampler, n, rng)
     if isinstance(sampler, ProcessAwareSpec):
         return sample_process_aware(sampler, n, rng, origin=sample)
     raise TypeError(f"unknown sampler spec: {type(sampler).__name__}")
@@ -135,7 +129,7 @@ def explain(req: ExplainRequest) -> Explanation:
         raise ExplainStageError("labeling", exc) from exc
     kernel = KernelSpec(width=hyper.kernel_width, distance=hyper.distance)
     weights = neighborhood_weights(req.sample, nbhd, kernel)
-    features = np.array([p.values for p in nbhd.points], dtype=float)
+    features = nbhd.points
     if hyper.standardize_features:
         features = features / np.asarray(sampler_scales(req.sampler))
     design_args = (features, targets, weights, req.sample.feature_names)

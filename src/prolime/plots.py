@@ -119,17 +119,16 @@ def plot_model_grid(
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     axis = np.linspace(-limit, limit, resolution)
-    points = [
-        FeatureVector((float(cx), float(cy)), ("credit", "risk")) for cy in axis for cx in axis
-    ]
-    predictions = model.predict_batch(points)
+    credit, risk = np.meshgrid(axis, axis)
+    grid = np.column_stack((credit.ravel(), risk.ravel()))
+    labels = np.argmax(model.predict_proba(grid, feature_names=("credit", "risk")), axis=1)
     pad = 0.2
     span = (_WIDTH - 2 * _MARGIN) * (2 * limit) / (2 * limit + 2 * pad)
     radius = max(1.0, 0.45 * span / (resolution - 1))
-    markers = []
-    for point, probs in zip(points, predictions):
-        label = max(range(len(probs.p)), key=probs.p.__getitem__)
-        markers.append((point.values[0], point.values[1], radius, _LABEL_COLORS[label], 0.85))
+    markers = [
+        (x, y, radius, _LABEL_COLORS[label], 0.85)
+        for (x, y), label in zip(grid.tolist(), labels.tolist())
+    ]
     return svg_scatter(markers, xlim=(-limit - pad, limit + pad), ylim=(-limit - pad, limit + pad), title=title)
 
 
@@ -140,14 +139,14 @@ def plot_neighborhood(
     title: str = "sampled neighborhood",
 ) -> str:
     """Neighborhood points sized by proximity weight, with the origin on top."""
-    points = list(nbhd.points)
+    points = nbhd.points
     if len(points) != len(weights):
         raise ValueError("weights must match the neighborhood size")
-    coords = [abs(v) for p in points for v in p.values] + [abs(v) for v in origin.values]
-    limit = max(4.0, math.ceil(max(coords) + 0.5)) if coords else 4.0
+    extent = max(float(np.max(np.abs(points))), *(abs(v) for v in origin.values))
+    limit = max(4.0, math.ceil(extent + 0.5))
     markers: list[Marker] = [
-        (p.values[0], p.values[1], 1.0 + 4.0 * float(w), "#777777", 0.6)
-        for p, w in zip(points, weights)
+        (x, y, 1.0 + 4.0 * float(w), "#777777", 0.6)
+        for (x, y), w in zip(points[:, :2].tolist(), weights)
     ]
     markers.append((origin.values[0], origin.values[1], 6.0, "#c0392b", 1.0))
     return svg_scatter(markers, xlim=(-limit, limit), ylim=(-limit, limit), title=title)

@@ -121,18 +121,29 @@ class ProcessAwareSpec:
 SamplerSpec = Union[StandardSpec, ProcessAwareSpec]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Neighborhood:
-    """Perturbed points around an explained origin sample."""
+    """Perturbed points around an explained origin sample, as a read-only,
+    finite ``(n, d)`` float array with ``n >= 1`` and ``d == origin.dim``."""
 
-    points: tuple[FeatureVector, ...]
+    points: np.ndarray
     origin: FeatureVector
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(self.points))
-        for point in self.points:
-            if point.dim != self.origin.dim:
-                raise ValueError("every neighborhood point must match the origin's dimension")
+        points = np.array(self.points, dtype=float, order="C")
+        if points.ndim != 2 or points.shape[0] == 0:
+            raise ValueError(f"points must be a nonempty (n, d) array, got shape {points.shape}")
+        if points.shape[1] != self.origin.dim:
+            raise ValueError("every neighborhood point must match the origin's dimension")
+        if not np.all(np.isfinite(points)):
+            raise ValueError("neighborhood points must be finite")
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Neighborhood):
+            return NotImplemented
+        return self.origin == other.origin and np.array_equal(self.points, other.points)
 
 
 def cholesky(matrix: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
@@ -267,13 +278,8 @@ def latin_hypercube_uniforms(n: int, n_features: int, gen: np.random.Generator) 
     return u
 
 
-def _points_from_rows(rows: np.ndarray, names: tuple[str, ...]) -> tuple[FeatureVector, ...]:
-    return tuple(FeatureVector(tuple(row), names) for row in rows.tolist())
-
-
 def sample_standard(
     origin: FeatureVector,
-    training_mean: Sequence[float] | None,
     spec: StandardSpec,
     n: int,
     rng: RngStream,
@@ -284,10 +290,9 @@ def sample_standard(
     ----------
     origin : FeatureVector
         The explained sample; also the center under sample-centered mode.
-    training_mean : sequence of float or None
-        Center under mean-centered mode; ignored otherwise.
     spec : StandardSpec
-        Center, noise mode, and per-feature noise scales.
+        Center, noise mode, per-feature noise scales, and the training mean
+        that mean-centered mode centers on.
     n : int
         Number of points to draw.
     rng : RngStream
@@ -308,11 +313,9 @@ def sample_standard(
     if len(spec.per_feature_scale) != d:
         raise ValueError("per_feature_scale must match the origin's dimension")
     if spec.center_mode is CenterMode.MEAN:
-        if training_mean is None:
+        if spec.training_mean is None:
             raise ValueError("mean-centered sampling requires a training mean")
-        center = np.asarray([float(m) for m in training_mean])
-        if center.shape != (d,):
-            raise ValueError("training_mean must match the origin's dimension")
+        center = np.asarray(spec.training_mean)
     else:
         center = origin.as_array()
     gen = rng.generator()
@@ -325,7 +328,7 @@ def sample_standard(
             [[inverse_normal_cdf(u) for u in row] for row in uniforms.tolist()]
         )
         noise = normals * scales
-    return Neighborhood(_points_from_rows(center + noise, origin.feature_names), origin)
+    return Neighborhood(center + noise, origin)
 
 
 def sample_process_aware(
@@ -350,4 +353,4 @@ def sample_process_aware(
     lower = cholesky(spec.covariance)
     gen = rng.generator()
     rows = np.asarray(spec.mean) + gen.standard_normal((n, d)) @ lower.T
-    return Neighborhood(_points_from_rows(rows, origin.feature_names), origin)
+    return Neighborhood(rows, origin)

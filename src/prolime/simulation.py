@@ -40,9 +40,6 @@ __all__ = [
 
 FEATURE_NAMES = ("credit", "risk")
 
-_PROB_DENIED = ClassProbabilities((1.0, 0.0))
-_PROB_APPROVED = ClassProbabilities((0.0, 1.0))
-
 
 @dataclass(frozen=True)
 class BenchmarkDistribution:
@@ -70,6 +67,12 @@ class BenchmarkDistribution:
             raise ValueError("correlation magnitude must be below 1")
         if not self.density_threshold > 0:
             raise ValueError("density_threshold must be positive")
+        peak = 1.0 / (2.0 * math.pi * math.sqrt(1.0 - cov[0][1] ** 2))
+        if not self.density_threshold < peak:
+            raise ValueError(
+                f"density_threshold must lie below the peak density {peak!r}; "
+                "no point would clear it"
+            )
 
     @property
     def rho(self) -> float:
@@ -165,34 +168,36 @@ class OracleModel(BlackBoxModel):
     """
 
     n_classes = 2
-    concurrency_safe = True
 
     def __init__(self, dist: BenchmarkDistribution, model_seed: int):
         self._dist = dist
         self._seed_bytes = struct.pack("<Q", int(model_seed) % 2**64)
 
-    def _coin(self, credit: float, risk: float) -> int:
-        payload = self._seed_bytes + struct.pack("<dd", credit, risk)
-        return hashlib.blake2b(payload, digest_size=8).digest()[0] & 1
+    def _coins(self, rows: np.ndarray) -> np.ndarray:
+        """Per row: low bit of the first byte of blake2b(seed bytes + the row as two "<f8")."""
+        data = np.asarray(rows, dtype="<f8").tobytes()
+        seeded = hashlib.blake2b(self._seed_bytes, digest_size=8)
+        first_bytes = []
+        for start in range(0, len(data), 16):
+            h = seeded.copy()
+            h.update(data[start:start + 16])
+            first_bytes.append(h.digest()[0])
+        return np.frombuffer(bytes(first_bytes), dtype=np.uint8) & 1
 
     def predict(self, x: FeatureVector) -> ClassProbabilities:
-        return self.predict_batch([x])[0]
+        return ClassProbabilities(self.predict_proba(x.as_array()[None, :])[0].tolist())
 
-    def predict_batch(self, points: Sequence[FeatureVector]) -> list[ClassProbabilities]:
-        for index, point in enumerate(points):
-            if point.dim != 2:
-                raise ModelEvaluationError(index, "expected a bivariate point")
-        rows = np.array([p.values for p in points], dtype=float)
-        densities = _pdf_values(rows, self._dist)
-        in_diamond = _diamond_mask(rows)
-        out: list[ClassProbabilities] = []
-        for i in range(rows.shape[0]):
-            if densities[i] >= self._dist.density_threshold:
-                label = int(in_diamond[i])
-            else:
-                label = self._coin(rows[i, 0], rows[i, 1])
-            out.append(_PROB_APPROVED if label == 1 else _PROB_DENIED)
-        return out
+    def predict_proba(self, X: np.ndarray, feature_names: Sequence[str] | None = None) -> np.ndarray:
+        rows = np.asarray(X, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != 2:
+            raise ValueError(f"expected an (n, 2) array of (credit, risk) rows, got shape {rows.shape}")
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise ModelEvaluationError(int(np.argmin(finite)), "feature values must be finite")
+        labels = _diamond_mask(rows).astype(float)
+        off = ~(_pdf_values(rows, self._dist) >= self._dist.density_threshold)
+        labels[off] = self._coins(rows[off])
+        return np.column_stack((1.0 - labels, labels))
 
 
 def oracle_model(dist: BenchmarkDistribution, model_seed: int) -> BlackBoxModel:

@@ -33,8 +33,8 @@ class KernelSpec:
     distance: Distance = Distance.EUCLIDEAN
 
     def __post_init__(self) -> None:
-        if not self.width > 0:
-            raise ValueError("kernel width must be positive")
+        if not (math.isfinite(self.width) and self.width > 0):
+            raise ValueError("kernel width must be positive and finite")
         if not isinstance(self.distance, Distance):
             raise ValueError("distance must be a Distance enum member")
 
@@ -86,21 +86,23 @@ def kernel_weight(x: FeatureVector, z: FeatureVector, spec: KernelSpec) -> float
 
 def neighborhood_weights(origin: FeatureVector, nbhd: Neighborhood, spec: KernelSpec) -> np.ndarray:
     """Proximity weight of every neighborhood point, anchored at the origin."""
-    if not nbhd.points:
-        raise ValueError("neighborhood is empty")
-    points = np.array([p.values for p in nbhd.points], dtype=float)
-    d2 = np.sum((points - origin.as_array()) ** 2, axis=1)
+    d2 = np.sum((nbhd.points - origin.as_array()) ** 2, axis=1)
     return np.exp(-d2 / (spec.width * spec.width))
 
 
 def label_neighborhood(model: BlackBoxModel, nbhd: Neighborhood, explained_class: int) -> np.ndarray:
     """Model probability of the explained class for every neighborhood point."""
-    if not nbhd.points:
-        raise ValueError("neighborhood is empty")
     if not 0 <= explained_class < model.n_classes:
         raise ValueError(f"explained_class {explained_class} out of range for {model.n_classes} classes")
-    probabilities = model.predict_batch(nbhd.points)
-    return np.array([cp.p[explained_class] for cp in probabilities], dtype=float)
+    probabilities = np.asarray(
+        model.predict_proba(nbhd.points, feature_names=nbhd.origin.feature_names), dtype=float
+    )
+    expected = (nbhd.points.shape[0], model.n_classes)
+    if probabilities.shape != expected:
+        raise ValueError(f"predict_proba returned shape {probabilities.shape}, expected {expected}")
+    # A contiguous copy, not a strided view: the fit's BLAS reductions sum in
+    # a layout-dependent order, and reports are pinned to the last bit.
+    return np.ascontiguousarray(probabilities[:, explained_class])
 
 
 def fit_weighted_ridge(design: WeightedDesign, ridge_strength: float) -> LocalSurrogate:
@@ -112,8 +114,8 @@ def fit_weighted_ridge(design: WeightedDesign, ridge_strength: float) -> LocalSu
     means eliminates the intercept, a (d x d) solve yields the coefficients,
     and the intercept is recovered as ``tbar - b . xbar``.
     """
-    if ridge_strength < 0:
-        raise ValueError("ridge_strength must be nonnegative")
+    if not (math.isfinite(ridge_strength) and ridge_strength >= 0):
+        raise ValueError("ridge_strength must be nonnegative and finite")
     features = design.features
     targets = design.targets
     weights = design.weights

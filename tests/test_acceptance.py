@@ -97,13 +97,13 @@ def test_criterion_3_sampler_distributions():
         RngStream(2026, 0),
         origin=origin,
     )
-    rows = np.array([p.values for p in aware.points])
+    rows = aware.points
     correlation = float(np.corrcoef(rows.T)[0, 1])
     corr_ok = -0.95 <= correlation <= -0.85
     means_ok = abs(float(rows[:, 0].mean())) <= 0.05 and abs(float(rows[:, 1].mean())) <= 0.05
 
-    standard = sample_standard(origin, None, StandardSpec(), 10000, RngStream(2026, 1))
-    srows = np.array([p.values for p in standard.points])
+    standard = sample_standard(origin, StandardSpec(), 10000, RngStream(2026, 1))
+    srows = standard.points
     cross = float(np.corrcoef(srows.T)[0, 1])
     cross_ok = abs(cross) <= 0.05
     ok = corr_ok and means_ok and cross_ok
@@ -118,14 +118,14 @@ def test_criterion_4_oracle_grid_behavior():
     model = oracle_model(dist, model_seed=0)
     axis = np.linspace(-3.0, 3.0, 200)
     points = [_fv(c, r) for c in axis for r in axis]
-    first = model.predict_batch(points)
-    second = model.predict_batch(points)
-    repeat_ok = first == second
+    first = model.predict_proba(np.array([p.values for p in points]))
+    second = model.predict_proba(np.array([p.values for p in points]))
+    repeat_ok = np.array_equal(first, second)
 
     exact_ok = True
     ood_labels = []
     for point, prob in zip(points, first):
-        label = int(prob.p[1])
+        label = int(prob[1])
         if gaussian_pdf(point, dist) >= dist.density_threshold:
             if label != approval_label(point.values[0], point.values[1]):
                 exact_ok = False
@@ -267,12 +267,11 @@ def test_criterion_8_latin_hypercube_stratification():
         boundaries = [inverse_normal_cdf(k / n) for k in range(1, n)]
         nbhd = sample_standard(
             _fv(0.0, 0.0),
-            None,
             StandardSpec(noise_mode=NoiseMode.LATIN_HYPERCUBE),
             n,
             RngStream(2026, 0),
         )
-        rows = np.array([p.values for p in nbhd.points])
+        rows = nbhd.points
         for column in range(2):
             strata = np.searchsorted(boundaries, rows[:, column])
             if sorted(strata.tolist()) != list(range(n)):

@@ -136,6 +136,36 @@ def test_explain_rejects_bad_constant_model(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--ridge", "nan", "ridge_strength"),
+        ("--ridge", "inf", "ridge_strength"),
+        ("--kernel-width", "inf", "kernel_width"),
+        ("--kernel-width", "nan", "kernel_width"),
+    ],
+)
+def test_explain_rejects_non_finite_hyperparameters(flag, value, field, capsys):
+    code, stdout, stderr = _run(["explain", "0.4", "-0.5", flag, value], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error:")
+    assert field in stderr and "finite" in stderr
+    assert "above zero" not in stderr
+
+
+def test_non_finite_hyperparameters_from_config_are_usage_errors(tmp_path, capsys):
+    config = tmp_path / "nan.cfg"
+    config.write_text("ridge=nan\n", encoding="utf-8")
+    out = tmp_path / "report.csv"
+    code, _, stderr = _run(
+        ["evaluate", "--trials", "1", "--config", str(config), "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert "ridge_strength must be nonnegative and finite" in stderr
+    assert not out.exists()
+
+
 def test_evaluate_small_run_is_deterministic(tmp_path, capsys):
     out = tmp_path / "report.csv"
     argv = [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from prolime.core import (
@@ -87,11 +88,10 @@ class _FailsAt(BlackBoxModel):
         return ClassProbabilities((1.0, 0.0))
 
 
-def test_predict_batch_wraps_failures_with_point_index():
-    fv = FeatureVector((0.0, 0.0), ("credit", "risk"))
+def test_predict_proba_wraps_failures_with_point_index():
     model = _FailsAt(2)
     with pytest.raises(ModelEvaluationError) as info:
-        model.predict_batch([fv, fv, fv, fv])
+        model.predict_proba(np.zeros((4, 2)))
     assert info.value.index == 2
     assert "point 2" in str(info.value)
 
@@ -101,7 +101,7 @@ def test_constant_model_predicts_everywhere():
     fv = FeatureVector((5.0, -5.0), ("credit", "risk"))
     assert model.predict(fv).p == (0.3, 0.7)
     assert model.n_classes == 2
-    assert [cp.p for cp in model.predict_batch([fv, fv])] == [(0.3, 0.7), (0.3, 0.7)]
+    assert model.predict_proba(np.array([fv.values, fv.values])).tolist() == [[0.3, 0.7], [0.3, 0.7]]
 
 
 def test_hyperparameter_defaults():
@@ -123,6 +123,11 @@ def test_hyperparameter_validation():
         LimeHyperparameters(kernel_width=0.0)
     with pytest.raises(ValueError):
         LimeHyperparameters(ridge_strength=-0.1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LimeHyperparameters(kernel_width=bad)
+        with pytest.raises(ValueError, match="finite"):
+            LimeHyperparameters(ridge_strength=bad)
     with pytest.raises(ValueError):
         LimeHyperparameters(explained_class=-1)
 

@@ -49,8 +49,6 @@ def _fv(credit: float, risk: float) -> FeatureVector:
 class _LinearProbabilityModel(BlackBoxModel):
     """Class-1 probability is an affine function of the features, clipped."""
 
-    concurrency_safe = True
-
     def __init__(self, intercept: float, credit_coef: float, risk_coef: float):
         self._params = (intercept, credit_coef, risk_coef)
 
@@ -61,8 +59,6 @@ class _LinearProbabilityModel(BlackBoxModel):
 
 
 class _RejectsLargeCredit(BlackBoxModel):
-
-    concurrency_safe = True
 
     def predict(self, x: FeatureVector) -> ClassProbabilities:
         if abs(x.values[0]) > 9.0:
@@ -91,7 +87,7 @@ def test_request_rejects_dimension_mismatch():
 def test_draw_neighborhood_dispatches_to_the_matching_sampler():
     origin = _fv(0.41, -0.51)
     standard = StandardSpec()
-    direct = sample_standard(origin, None, standard, 32, RngStream(5, 1))
+    direct = sample_standard(origin, standard, 32, RngStream(5, 1))
     assert draw_neighborhood(origin, standard, 32, RngStream(5, 1)) == direct
     process = ProcessAwareSpec(mean=(0.0, 0.0), covariance=BENCH_COV)
     direct = sample_process_aware(process, 32, RngStream(5, 2), origin=origin)
@@ -186,9 +182,8 @@ def test_labeling_failure_is_stage_labeled():
 
 
 def test_fitting_failure_is_stage_labeled(monkeypatch):
-    def degenerate(origin, training_mean, spec, n, rng):
-        point = FeatureVector((0.1, 0.2), origin.feature_names)
-        return Neighborhood((point,) * 4, origin)
+    def degenerate(origin, spec, n, rng):
+        return Neighborhood(np.tile([0.1, 0.2], (4, 1)), origin)
 
     monkeypatch.setattr("prolime.explainer.sample_standard", degenerate)
     hyper = LimeHyperparameters(neighborhood_size=4, ridge_strength=0.0)

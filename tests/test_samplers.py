@@ -190,22 +190,32 @@ def test_process_aware_spec_requires_positive_definite_covariance():
 
 def test_neighborhood_requires_matching_dimensions():
     origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
-    stray = FeatureVector((0.0,), ("credit",))
     with pytest.raises(ValueError):
-        Neighborhood((stray,), origin)
+        Neighborhood(np.zeros((3, 1)), origin)
 
 
-def _nbhd_matrix(nbhd: Neighborhood) -> np.ndarray:
-    return np.array([p.values for p in nbhd.points])
+def test_neighborhood_holds_a_validated_read_only_copy():
+    origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
+    for bad in (np.zeros((0, 2)), np.zeros(2), np.array([[0.0, np.nan]]), np.array([[np.inf, 0.0]])):
+        with pytest.raises(ValueError):
+            Neighborhood(bad, origin)
+    rows = np.arange(6.0).reshape(3, 2)
+    nbhd = Neighborhood(rows, origin)
+    rows[0, 0] = np.nan
+    assert nbhd.points.tolist() == [[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]]
+    with pytest.raises(ValueError):
+        nbhd.points[0, 0] = 1.0
+    assert nbhd == Neighborhood(nbhd.points, origin)
+    assert nbhd != Neighborhood(nbhd.points + 1.0, origin)
 
 
 def test_sample_centered_perturbation_statistics():
     origin = FeatureVector((0.41, -0.51), ("credit", "risk"))
     spec = StandardSpec()
-    nbhd = sample_standard(origin, None, spec, 1000, RngStream(0))
+    nbhd = sample_standard(origin, spec, 1000, RngStream(0))
     assert len(nbhd.points) == 1000
     assert nbhd.origin == origin
-    rows = _nbhd_matrix(nbhd)
+    rows = nbhd.points
     assert abs(rows[:, 0].mean() - 0.41) < 0.1
     assert abs(rows[:, 1].mean() + 0.51) < 0.1
     assert abs(np.corrcoef(rows.T)[0, 1]) < 0.1
@@ -214,7 +224,7 @@ def test_sample_centered_perturbation_statistics():
 def test_gaussian_noise_matches_declared_scales():
     origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
     spec = StandardSpec(per_feature_scale=(0.7, 1.3))
-    rows = _nbhd_matrix(sample_standard(origin, None, spec, 10000, RngStream(1)))
+    rows = sample_standard(origin, spec, 10000, RngStream(1)).points
     for j, scale in enumerate((0.7, 1.3)):
         variance = rows[:, j].var()
         assert abs(variance - scale * scale) < 0.1 * scale * scale
@@ -223,14 +233,14 @@ def test_gaussian_noise_matches_declared_scales():
 def test_vanishing_noise_collapses_onto_the_center():
     origin = FeatureVector((0.41, -0.51), ("credit", "risk"))
     spec = StandardSpec(per_feature_scale=(1e-12, 1e-12))
-    rows = _nbhd_matrix(sample_standard(origin, None, spec, 100, RngStream(2)))
+    rows = sample_standard(origin, spec, 100, RngStream(2)).points
     assert np.max(np.abs(rows - origin.as_array())) < 1e-10
 
 
 def test_mean_centered_perturbation_centers_on_training_mean():
     origin = FeatureVector((10.0, -10.0), ("credit", "risk"))
-    spec = StandardSpec(center_mode=CenterMode.MEAN)
-    rows = _nbhd_matrix(sample_standard(origin, (0.0, 0.0), spec, 5000, RngStream(3)))
+    spec = StandardSpec(center_mode=CenterMode.MEAN, training_mean=(0.0, 0.0))
+    rows = sample_standard(origin, spec, 5000, RngStream(3)).points
     assert abs(rows[:, 0].mean()) < 0.1
     assert abs(rows[:, 1].mean()) < 0.1
 
@@ -239,16 +249,17 @@ def test_mean_centered_mode_requires_a_training_mean():
     origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
     spec = StandardSpec(center_mode=CenterMode.MEAN)
     with pytest.raises(ValueError):
-        sample_standard(origin, None, spec, 10, RngStream(0))
+        sample_standard(origin, spec, 10, RngStream(0))
     with pytest.raises(ValueError):
-        sample_standard(origin, (0.0,), spec, 10, RngStream(0))
+        mismatched = StandardSpec(center_mode=CenterMode.MEAN, training_mean=(0.0,))
+        sample_standard(origin, mismatched, 10, RngStream(0))
 
 
 def test_latin_hypercube_noise_keeps_stratified_preimages():
     origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
     spec = StandardSpec(noise_mode=NoiseMode.LATIN_HYPERCUBE)
     n = 500
-    rows = _nbhd_matrix(sample_standard(origin, None, spec, n, RngStream(4)))
+    rows = sample_standard(origin, spec, n, RngStream(4)).points
     for j in range(2):
         preimages = np.array([_phi(z) for z in rows[:, j]])
         strata = np.floor(preimages * n).astype(int)
@@ -258,7 +269,7 @@ def test_latin_hypercube_noise_keeps_stratified_preimages():
 def test_latin_hypercube_noise_respects_scales():
     origin = FeatureVector((1.0, -1.0), ("credit", "risk"))
     spec = StandardSpec(noise_mode=NoiseMode.LATIN_HYPERCUBE, per_feature_scale=(0.5, 2.0))
-    rows = _nbhd_matrix(sample_standard(origin, None, spec, 10000, RngStream(5)))
+    rows = sample_standard(origin, spec, 10000, RngStream(5)).points
     assert abs(rows[:, 0].mean() - 1.0) < 0.05
     assert abs(rows[:, 1].mean() + 1.0) < 0.2
     assert abs(rows[:, 0].var() - 0.25) < 0.025
@@ -268,16 +279,16 @@ def test_latin_hypercube_noise_respects_scales():
 def test_sample_standard_validates_inputs():
     origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
     with pytest.raises(ValueError):
-        sample_standard(origin, None, StandardSpec(per_feature_scale=(1.0,)), 10, RngStream(0))
+        sample_standard(origin, StandardSpec(per_feature_scale=(1.0,)), 10, RngStream(0))
     with pytest.raises(ValueError):
-        sample_standard(origin, None, StandardSpec(), 0, RngStream(0))
+        sample_standard(origin, StandardSpec(), 0, RngStream(0))
 
 
 def test_sample_standard_is_bitwise_deterministic():
     origin = FeatureVector((0.41, -0.51), ("credit", "risk"))
     for spec in (StandardSpec(), StandardSpec(noise_mode=NoiseMode.LATIN_HYPERCUBE)):
-        first = sample_standard(origin, None, spec, 64, RngStream(6, 2))
-        second = sample_standard(origin, None, spec, 64, RngStream(6, 2))
+        first = sample_standard(origin, spec, 64, RngStream(6, 2))
+        second = sample_standard(origin, spec, 64, RngStream(6, 2))
         assert first == second
 
 
@@ -286,7 +297,7 @@ def test_process_aware_sampling_matches_the_declared_distribution():
     spec = ProcessAwareSpec(mean=(0.0, 0.0), covariance=BENCH_COV)
     nbhd = sample_process_aware(spec, 10000, RngStream(7), origin=origin)
     assert nbhd.origin == origin
-    rows = _nbhd_matrix(nbhd)
+    rows = nbhd.points
     corr = np.corrcoef(rows.T)[0, 1]
     assert -0.95 <= corr <= -0.85
     assert abs(rows[:, 0].mean()) < 0.05
@@ -298,7 +309,7 @@ def test_process_aware_sampling_matches_the_declared_distribution():
 def test_process_aware_sampling_uncorrelated_case():
     origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
     spec = ProcessAwareSpec(mean=(5.0, 5.0), covariance=((1.0, 0.0), (0.0, 1.0)))
-    rows = _nbhd_matrix(sample_process_aware(spec, 10000, RngStream(8), origin=origin))
+    rows = sample_process_aware(spec, 10000, RngStream(8), origin=origin).points
     assert abs(np.corrcoef(rows.T)[0, 1]) < 0.05
     assert abs(rows[:, 0].mean() - 5.0) < 0.05
     assert abs(rows[:, 1].mean() - 5.0) < 0.05

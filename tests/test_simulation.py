@@ -32,6 +32,10 @@ def _fv(credit: float, risk: float) -> FeatureVector:
     return FeatureVector((credit, risk), NAMES)
 
 
+def _rows(points) -> np.ndarray:
+    return np.array([p.values for p in points])
+
+
 def test_distribution_defaults():
     dist = BenchmarkDistribution()
     assert dist.mean == (0.0, 0.0)
@@ -55,6 +59,20 @@ def test_distribution_validation():
         BenchmarkDistribution(covariance=((1.0, 0.3), (0.2, 1.0)))
     with pytest.raises(ValueError):
         BenchmarkDistribution(density_threshold=0.0)
+
+
+def test_density_threshold_must_lie_below_the_peak_density():
+    # At or above the peak no point clears the threshold, and the rejection
+    # loop of draw_test_point would never return; construction refuses it.
+    for rho in (-0.9, 0.0, 0.5):
+        peak = 1.0 / (2.0 * math.pi * math.sqrt(1.0 - rho * rho))
+        for threshold in (peak, 1.0, math.inf):
+            with pytest.raises(ValueError, match="peak density"):
+                BenchmarkDistribution.with_correlation(rho, density_threshold=threshold)
+        dist = BenchmarkDistribution.with_correlation(rho, density_threshold=0.999 * peak)
+        assert gaussian_pdf(_fv(0.0, 0.0), dist) >= dist.density_threshold
+    with pytest.raises(ValueError):
+        BenchmarkDistribution(density_threshold=math.nan)
 
 
 def test_approval_label_examples():
@@ -159,14 +177,14 @@ def test_oracle_is_exact_wherever_density_clears_the_threshold():
     model = oracle_model(dist, model_seed=5)
     axis = np.linspace(-3.0, 3.0, 60)
     points = [_fv(c, r) for c in axis for r in axis]
-    probabilities = model.predict_batch(points)
+    probabilities = model.predict_proba(_rows(points))
     checked = 0
     for point, prob in zip(points, probabilities):
         if gaussian_pdf(point, dist) < dist.density_threshold:
             continue
         checked += 1
         expected = approval_label(point.values[0], point.values[1])
-        assert prob.p == ((0.0, 1.0) if expected == 1 else (1.0, 0.0))
+        assert prob.tolist() == ([0.0, 1.0] if expected == 1 else [1.0, 0.0])
     assert checked > 100
 
 
@@ -177,24 +195,24 @@ def test_oracle_far_out_coin_is_roughly_fair():
     points = [_fv(c, r) for c in axis for r in axis]
     ood = [p for p in points if gaussian_pdf(p, dist) < dist.density_threshold]
     assert len(ood) >= 10000
-    ones = sum(prob.p[1] for prob in model.predict_batch(ood))
+    ones = float(model.predict_proba(_rows(ood))[:, 1].sum())
     assert 0.45 <= ones / len(ood) <= 0.55
 
 
 def test_oracle_repeat_queries_are_identical():
     model = oracle_model(BenchmarkDistribution(), model_seed=9)
     points = [_fv(7.3, -4.1), _fv(0.41, -0.51), _fv(-6.0, -6.0)]
-    first = model.predict_batch(points)
-    second = model.predict_batch(points)
-    assert first == second
+    first = model.predict_proba(_rows(points))
+    second = model.predict_proba(_rows(points))
+    assert np.array_equal(first, second)
     for point in points:
         assert model.predict(point) == model.predict(point)
 
 
-def test_oracle_predict_matches_predict_batch():
+def test_oracle_predict_matches_predict_proba():
     model = oracle_model(BenchmarkDistribution(), model_seed=2)
     points = [_fv(0.0, 0.0), _fv(5.0, 5.0), _fv(-0.3, 0.2), _fv(-9.9, 3.3)]
-    assert [model.predict(p) for p in points] == model.predict_batch(points)
+    assert [list(model.predict(p).p) for p in points] == model.predict_proba(_rows(points)).tolist()
 
 
 def test_oracle_coin_depends_on_the_model_seed():
@@ -202,16 +220,17 @@ def test_oracle_coin_depends_on_the_model_seed():
     a = oracle_model(dist, model_seed=0)
     b = oracle_model(dist, model_seed=1)
     points = [_fv(5.0 + 0.1 * k, 5.0 - 0.1 * k) for k in range(64)]
-    assert a.predict_batch(points) != b.predict_batch(points)
+    assert not np.array_equal(a.predict_proba(_rows(points)), b.predict_proba(_rows(points)))
 
 
 def test_oracle_reports_the_failing_point_index():
     model = oracle_model(BenchmarkDistribution(), model_seed=0)
-    bad = FeatureVector((1.0,), ("credit",))
     with pytest.raises(ModelEvaluationError) as info:
-        model.predict_batch([_fv(0.0, 0.0), bad])
+        model.predict_proba(np.array([[0.0, 0.0], [math.nan, 0.0]]))
     assert info.value.index == 1
     assert "point 1" in str(info.value)
+    with pytest.raises(ValueError):
+        model.predict_proba(np.zeros((2, 1)))
 
 
 def test_ground_truth_examples():

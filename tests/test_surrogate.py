@@ -35,8 +35,7 @@ def _fv(*values: float) -> FeatureVector:
 
 
 def _nbhd(rows) -> Neighborhood:
-    points = tuple(_fv(*row) for row in rows)
-    return Neighborhood(points, _fv(0.0, 0.0))
+    return Neighborhood(np.array(rows, dtype=float), _fv(0.0, 0.0))
 
 
 def test_kernel_spec_requires_positive_width():
@@ -94,15 +93,14 @@ def test_neighborhood_weights_match_the_scalar_kernel():
     origin = _fv(0.3, -0.2)
     spec = KernelSpec(width=0.9)
     vector = neighborhood_weights(origin, nbhd, spec)
-    scalar = [kernel_weight(origin, p, spec) for p in nbhd.points]
+    scalar = [kernel_weight(origin, _fv(*p), spec) for p in nbhd.points.tolist()]
     assert np.max(np.abs(vector - np.array(scalar))) <= 1e-15
     assert np.all(vector > 0.0) and np.all(vector <= 1.0)
 
 
 def test_neighborhood_weights_reject_empty_neighborhoods():
-    empty = Neighborhood((), _fv(0.0, 0.0))
     with pytest.raises(ValueError):
-        neighborhood_weights(_fv(0.0, 0.0), empty, KernelSpec(width=1.0))
+        neighborhood_weights(_fv(0.0, 0.0), _nbhd(np.empty((0, 2))), KernelSpec(width=1.0))
 
 
 def test_weighted_design_validation():
@@ -128,8 +126,6 @@ def test_weighted_design_validation():
 
 class _FirstCoordinateModel(BlackBoxModel):
     """Class-1 probability read off the first coordinate; order-sensitive."""
-
-    concurrency_safe = True
 
     def predict(self, x: FeatureVector) -> ClassProbabilities:
         p = x.values[0]
@@ -158,7 +154,7 @@ def test_label_neighborhood_with_constant_model():
 def test_label_neighborhood_validation_and_error_index():
     model = _FirstCoordinateModel()
     with pytest.raises(ValueError):
-        label_neighborhood(model, Neighborhood((), _fv(0.0, 0.0)), 1)
+        label_neighborhood(model, _nbhd(np.empty((0, 2))), 1)
     with pytest.raises(ValueError):
         label_neighborhood(model, _nbhd([(0.5, 0.0)]), 2)
     bad = _nbhd([(0.5, 0.0), (7.0, 0.0)])
