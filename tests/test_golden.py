@@ -82,3 +82,24 @@ def test_plot_svg_matches_golden_digest(kind, tmp_path):
     }[kind]
     _quiet(["plot", kind, "--seed", "5", *extra, "--out", str(out)])
     assert _sha256(out.read_bytes()) == PLOT_DIGESTS[kind]
+
+# ``generate --n 3000`` writes ``dataset.csv`` in the working directory, so
+# the stdout (which names the path) is pinned too; ``plot data`` draws it.
+DATASET_DIGESTS = {
+    (0, "csv"): "40417a06c94a22c8181b07521d0bb807ab64d7a3338ee8c03c6c82395abe42bc",
+    (0, "stdout"): "2832b6e09a12b2cd4075658898cd2a61a7b6fc995622de3cb2f1030e30c1bdfa",
+    (0, "svg"): "047959e2ef7bd34aa9d79f958ca8af89800fa637c07fadf645cb1118bc299463",
+    (9, "csv"): "7366bd0e4bf58fe0afb66b3586cd0ab818a406929155770dd4cdb3eae02c73e0",
+    (9, "stdout"): "461ccbe6400dc29982e33bb33d5e1dc97fcbe0a3950839e004d2ab5b2d6ee85a",
+    (9, "svg"): "230d476234e34f448e7b10f51ce89090f49faacb77aad38764fa9718b290ea49",
+}
+
+
+@pytest.mark.parametrize("seed", sorted({seed for seed, _ in DATASET_DIGESTS}))
+def test_generate_and_data_plot_match_golden_digests(seed, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    stdout = _quiet(["generate", "--n", "3000", "--seed", str(seed), "--out", "dataset.csv"])
+    _quiet(["plot", "data", "--data", "dataset.csv", "--out", "data.svg"])
+    assert _sha256((tmp_path / "dataset.csv").read_bytes()) == DATASET_DIGESTS[(seed, "csv")]
+    assert _sha256(stdout.encode("utf-8")) == DATASET_DIGESTS[(seed, "stdout")]
+    assert _sha256((tmp_path / "data.svg").read_bytes()) == DATASET_DIGESTS[(seed, "svg")]
