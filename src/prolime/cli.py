@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 runtime failure, 2 usage or config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -168,10 +169,10 @@ def _cmd_generate(args: argparse.Namespace, config: Mapping[str, str]) -> int:
     if n < 1:
         raise UsageError("n must be at least 1")
     dist = _distribution(rho)
-    samples = generate_dataset(n, RngStream(seed, 0), dist)
-    write_dataset_csv(samples, out)
-    fraction = sum(s.y for s in samples) / len(samples)
-    print(f"wrote {len(samples)} samples to {out}")
+    dataset = generate_dataset(n, RngStream(seed, 0), dist)
+    write_dataset_csv(dataset, out)
+    fraction = int(dataset.labels.sum()) / n
+    print(f"wrote {n} samples to {out}")
     print(f"label-1 fraction: {fraction:.6f}")
     return 0
 
@@ -274,10 +275,10 @@ def _cmd_plot(args: argparse.Namespace, config: Mapping[str, str]) -> int:
         if data is None:
             raise UsageError("the data plot requires --data pointing to a dataset CSV")
         try:
-            samples = read_dataset_csv(data)
+            dataset = read_dataset_csv(data)
         except FileNotFoundError as exc:
             raise UsageError(f"cannot read dataset {data!r}: {exc}") from exc
-        svg = plot_dataset(samples)
+        svg = plot_dataset(dataset)
     elif args.kind == "model-grid":
         resolution = _setting(args, config, "resolution", _as_int, 200)
         if resolution < 2:
@@ -320,7 +321,9 @@ def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
                         help="L2 penalty on surrogate coefficients (default 1.0)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="prolime",
         description="Local surrogate explanations with swappable neighborhood sampling, "

@@ -19,7 +19,6 @@ __all__ = [
     "Distance",
     "Explanation",
     "FeatureVector",
-    "LabeledSample",
     "LimeHyperparameters",
     "LocalSurrogate",
     "ModelEvaluationError",
@@ -84,18 +83,6 @@ class FeatureVector:
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
-
-
-@dataclass(frozen=True)
-class LabeledSample:
-    """A feature vector together with its binary outcome."""
-
-    x: FeatureVector
-    y: int
-
-    def __post_init__(self) -> None:
-        if self.y not in (0, 1):
-            raise ValueError(f"label must be 0 or 1, got {self.y!r}")
 
 
 @dataclass(frozen=True)

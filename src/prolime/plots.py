@@ -7,8 +7,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import BlackBoxModel, FeatureVector, LabeledSample
+from .core import BlackBoxModel, FeatureVector
 from .samplers import Neighborhood
+from .simulation import Dataset
 
 __all__ = [
     "plot_dataset",
@@ -25,6 +26,18 @@ _LABEL_COLORS = {0: "#e07a3f", 1: "#3566a8"}
 Marker = tuple[float, float, float, str, float]
 
 
+def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:
+    """Axis ticks as (position, label): every integer while the span is at
+    most 20, else the multiples of the power of ten that leaves at most 20
+    intervals, so the count stays bounded for any finite limits."""
+    half_span = hi * 0.5 - lo * 0.5
+    if half_span <= 10:
+        return [(tick, str(tick)) for tick in range(math.ceil(lo), math.floor(hi) + 1)]
+    step = 10.0 ** math.ceil(math.log10(half_span / 10))
+    multiples = range(math.ceil(lo / step), math.floor(hi / step) + 1)
+    return [(k * step, f"{k * step:g}") for k in multiples]
+
+
 def svg_scatter(
     markers: Iterable[Marker],
     xlim: tuple[float, float] = (-4.0, 4.0),
@@ -38,18 +51,25 @@ def svg_scatter(
     Each marker is (x, y, radius, fill, opacity); points outside the limits
     are omitted. Returns a complete standalone SVG document.
     """
-    x0, x1 = xlim
-    y0, y1 = ylim
+    x0, x1 = float(xlim[0]), float(xlim[1])
+    y0, y1 = float(ylim[0]), float(ylim[1])
+    if not all(map(math.isfinite, (x0, x1, y0, y1))):
+        raise ValueError("axis limits must be finite")
     if not (x1 > x0 and y1 > y0):
         raise ValueError("axis limits must be increasing")
     inner_w = _WIDTH - 2 * _MARGIN
     inner_h = _HEIGHT - 2 * _MARGIN
+    # Halving is exact, so differences of halves are the halved differences
+    # bit for bit, yet they stay finite across the whole float range.
+    half_x0, half_y0 = x0 * 0.5, y0 * 0.5
+    half_w = x1 * 0.5 - half_x0
+    half_h = y1 * 0.5 - half_y0
 
     def px(x: float) -> float:
-        return _MARGIN + (x - x0) / (x1 - x0) * inner_w
+        return _MARGIN + (x * 0.5 - half_x0) / half_w * inner_w
 
     def py(y: float) -> float:
-        return _HEIGHT - _MARGIN - (y - y0) / (y1 - y0) * inner_h
+        return _HEIGHT - _MARGIN - (y * 0.5 - half_y0) / half_h * inner_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
@@ -63,7 +83,7 @@ def svg_scatter(
             f'<text x="{_WIDTH / 2:.1f}" y="{_MARGIN - 22}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="16">{title}</text>'
         )
-    for tick in range(math.ceil(x0), math.floor(x1) + 1):
+    for tick, label in _ticks(x0, x1):
         x = px(tick)
         parts.append(
             f'<line x1="{x:.2f}" y1="{_HEIGHT - _MARGIN}" x2="{x:.2f}" '
@@ -71,16 +91,16 @@ def svg_scatter(
         )
         parts.append(
             f'<text x="{x:.2f}" y="{_HEIGHT - _MARGIN + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{tick}</text>'
+            f'font-family="sans-serif" font-size="11">{label}</text>'
         )
-    for tick in range(math.ceil(y0), math.floor(y1) + 1):
+    for tick, label in _ticks(y0, y1):
         y = py(tick)
         parts.append(
             f'<line x1="{_MARGIN - 6}" y1="{y:.2f}" x2="{_MARGIN}" y2="{y:.2f}" stroke="#444444"/>'
         )
         parts.append(
             f'<text x="{_MARGIN - 10}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{tick}</text>'
+            f'font-family="sans-serif" font-size="11">{label}</text>'
         )
     parts.append(
         f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT - 14}" text-anchor="middle" '
@@ -90,21 +110,27 @@ def svg_scatter(
         f'<text x="16" y="{_HEIGHT / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
         f'font-size="13" transform="rotate(-90 16 {_HEIGHT / 2:.1f})">{ylabel}</text>'
     )
+    # Markers mostly share a style, so each style's text is formatted once.
+    styles: dict[tuple[float, str, float], str] = {}
     for x, y, radius, fill, opacity in markers:
         if not (x0 <= x <= x1 and y0 <= y <= y1):
             continue
-        parts.append(
-            f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="{radius:.2f}" '
-            f'fill="{fill}" fill-opacity="{opacity:.2f}"/>'
-        )
+        key = (radius, fill, opacity)
+        style = styles.get(key)
+        if style is None:
+            style = f'r="{radius:.2f}" fill="{fill}" fill-opacity="{opacity:.2f}"/>'
+            if radius and opacity:  # 0.0 == -0.0 as keys, but they format apart
+                styles[key] = style
+        parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" {style}')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
 
-def plot_dataset(samples: Sequence[LabeledSample], title: str = "benchmark dataset") -> str:
+def plot_dataset(dataset: Dataset, title: str = "benchmark dataset") -> str:
     """Scatter of a labeled dataset, colored by label."""
     markers = (
-        (s.x.values[0], s.x.values[1], 2.4, _LABEL_COLORS[s.y], 0.75) for s in samples
+        (x, y, 2.4, _LABEL_COLORS[label], 0.75)
+        for (x, y), label in zip(dataset.features.tolist(), dataset.labels.tolist())
     )
     return svg_scatter(markers, title=title)
 

@@ -18,11 +18,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BlackBoxModel, ClassProbabilities, FeatureVector, LabeledSample, ModelEvaluationError
+from .core import BlackBoxModel, ClassProbabilities, FeatureVector, ModelEvaluationError
 from .samplers import RngStream, cholesky
 
 __all__ = [
     "BenchmarkDistribution",
+    "Dataset",
     "DatasetFormatError",
     "FEATURE_NAMES",
     "GroundTruthBoundary",
@@ -137,23 +138,65 @@ def gaussian_pdf(x: FeatureVector, dist: BenchmarkDistribution) -> float:
     return float(_pdf_values(np.array([x.values]), dist)[0])
 
 
+def _first_invalid_row(features: np.ndarray, labels: np.ndarray) -> tuple[int, str] | None:
+    """Index of the first row with a non-finite feature or a label other than
+    0/1, with the reason; the feature check comes first within a row."""
+    bad_features = ~np.isfinite(features).all(axis=1)
+    bad_labels = ~((labels == 0) | (labels == 1))
+    bad = bad_features | bad_labels
+    if not bad.any():
+        return None
+    index = int(np.argmax(bad))
+    if bad_features[index]:
+        row = features[index]
+        return index, f"feature values must be finite, got {row[~np.isfinite(row)][0].item()!r}"
+    return index, f"label must be 0 or 1, got {labels[index:index + 1].tolist()[0]!r}"
+
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Labeled benchmark rows: a read-only, finite ``(n, 2)`` float ``features``
+    array of (credit, risk) and a read-only ``(n,)`` int array of 0/1
+    ``labels``. ``n`` may be 0. Both arrays are copied and validated once."""
+
+    features: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self) -> None:
+        features = np.array(self.features, dtype=float, order="C")
+        labels = np.array(self.labels)
+        if features.ndim != 2 or features.shape[1] != 2:
+            raise ValueError(f"features must be an (n, 2) array, got shape {features.shape}")
+        if labels.shape != (features.shape[0],):
+            raise ValueError(f"labels must have shape ({features.shape[0]},), got {labels.shape}")
+        invalid = _first_invalid_row(features, labels)
+        if invalid is not None:
+            raise ValueError(f"row {invalid[0]}: {invalid[1]}")
+        labels = labels.astype(np.int64)
+        features.flags.writeable = False
+        labels.flags.writeable = False
+        object.__setattr__(self, "features", features)
+        object.__setattr__(self, "labels", labels)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return np.array_equal(self.features, other.features) and np.array_equal(self.labels, other.labels)
+
+
 def generate_dataset(
     n: int,
     rng: RngStream,
     dist: BenchmarkDistribution = BenchmarkDistribution(),
-) -> list[LabeledSample]:
-    """Draw n labeled samples from the benchmark distribution."""
+) -> Dataset:
+    """Draw n labeled rows from the benchmark distribution."""
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     lower = cholesky(dist.covariance)
     gen = rng.generator()
     rows = np.asarray(dist.mean) + gen.standard_normal((n, 2)) @ lower.T
-    labels = _diamond_mask(rows)
-    return [
-        LabeledSample(FeatureVector(tuple(row), FEATURE_NAMES), int(label))
-        for row, label in zip(rows.tolist(), labels.tolist())
-    ]
+    return Dataset(rows, _diamond_mask(rows))
 
 
 class OracleModel(BlackBoxModel):
@@ -225,35 +268,45 @@ class DatasetFormatError(ValueError):
         self.line_number = line_number
 
 
-def write_dataset_csv(samples: Sequence[LabeledSample], path: str) -> None:
-    """Write samples as CSV with header credit,risk,label, full float precision."""
+def write_dataset_csv(dataset: Dataset, path: str) -> None:
+    """Write a dataset as CSV with header credit,risk,label, full float precision."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("credit,risk,label\n")
-        for sample in samples:
-            credit, risk = sample.x.values
-            fh.write(f"{credit!r},{risk!r},{sample.y}\n")
+        for (credit, risk), label in zip(dataset.features.tolist(), dataset.labels.tolist()):
+            fh.write(f"{credit!r},{risk!r},{label}\n")
 
 
-def read_dataset_csv(path: str) -> list[LabeledSample]:
-    """Read a dataset written by :func:`write_dataset_csv`."""
-    samples: list[LabeledSample] = []
+def read_dataset_csv(path: str) -> Dataset:
+    """Read a dataset written by :func:`write_dataset_csv`.
+
+    An empty file reads as an empty dataset. Raises
+    :class:`DatasetFormatError` naming the first line that fails.
+    """
+    values: list[float] = []
+    labels: list[int] = []
+    failure = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        for line_number, row in enumerate(reader, start=1):
-            if line_number == 1:
-                if row != ["credit", "risk", "label"]:
-                    raise DatasetFormatError(line_number, "expected header credit,risk,label")
-                continue
-            if len(row) != 3:
-                raise DatasetFormatError(line_number, f"expected 3 columns, got {len(row)}")
+        header = next(reader, None)
+        if header is not None and header != ["credit", "risk", "label"]:
+            raise DatasetFormatError(1, "expected header credit,risk,label")
+        for line_number, row in enumerate(reader, start=2):
             try:
-                credit = float(row[0])
-                risk = float(row[1])
-                label = int(row[2])
+                if len(row) != 3:
+                    raise ValueError(f"expected 3 columns, got {len(row)}")
+                credit, risk, label = float(row[0]), float(row[1]), int(row[2])
             except ValueError as exc:
-                raise DatasetFormatError(line_number, str(exc)) from exc
-            try:
-                samples.append(LabeledSample(FeatureVector((credit, risk), FEATURE_NAMES), label))
-            except ValueError as exc:
-                raise DatasetFormatError(line_number, str(exc)) from exc
-    return samples
+                failure = line_number, exc
+                break
+            values += (credit, risk)
+            labels.append(label)
+    features = np.array(values, dtype=float).reshape(-1, 2)
+    label_array = np.array(labels)
+    # Rows before a parse failure may hold an earlier non-finite value or bad label.
+    invalid = _first_invalid_row(features, label_array)
+    if invalid is not None:
+        raise DatasetFormatError(invalid[0] + 2, invalid[1])
+    if failure is not None:
+        line_number, exc = failure
+        raise DatasetFormatError(line_number, str(exc)) from exc
+    return Dataset(features, label_array)

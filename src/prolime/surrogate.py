@@ -22,7 +22,8 @@ __all__ = [
 
 
 class SingularFitError(RuntimeError):
-    """The normal equations were singular; a positive ridge strength fixes this."""
+    """The normal equations could not be solved: they overflowed, or they were
+    singular, which a positive ridge strength fixes."""
 
 
 @dataclass(frozen=True)
@@ -127,15 +128,17 @@ def fit_weighted_ridge(design: WeightedDesign, ridge_strength: float) -> LocalSu
     d = features.shape[1]
     gram = centered_x.T @ (centered_x * weights[:, None]) + ridge_strength * np.eye(d)
     moment = centered_x.T @ (weights * centered_t)
+    # An overflowing weighted mean makes the Gram matrix non-finite too.
+    if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
+        raise SingularFitError(
+            "feature values are too large to fit: the weighted normal equations overflow"
+        )
+    advice = "; set ridge_strength above zero to regularize" if ridge_strength == 0 else ""
     try:
         beta = np.linalg.solve(gram, moment)
     except np.linalg.LinAlgError as exc:
-        raise SingularFitError(
-            "normal equations are singular; set ridge_strength above zero to regularize"
-        ) from exc
+        raise SingularFitError(f"normal equations are singular{advice}") from exc
     if not np.all(np.isfinite(beta)):
-        raise SingularFitError(
-            "normal equations produced non-finite coefficients; set ridge_strength above zero"
-        )
+        raise SingularFitError(f"normal equations produced non-finite coefficients{advice}")
     intercept = tbar - float(beta @ xbar)
     return LocalSurrogate(intercept, tuple(beta.tolist()), design.feature_names)

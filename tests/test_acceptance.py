@@ -241,7 +241,7 @@ def test_criterion_7_deterministic_commands(tmp_path):
     commands_ok = outputs[0] == outputs[1]
 
     dist = BenchmarkDistribution()
-    samples = [s.x for s in generate_dataset(6, RngStream(1), dist)]
+    samples = [_fv(credit, risk) for credit, risk in generate_dataset(6, RngStream(1), dist).features.tolist()]
     shared = BatchConfig(
         model=oracle_model(dist, model_seed=1),
         hyper=LimeHyperparameters(neighborhood_size=300),
@@ -281,8 +281,8 @@ def test_criterion_8_latin_hypercube_stratification():
 
 
 def test_criterion_9_dataset_mass_matches_independent_monte_carlo():
-    samples = generate_dataset(10000, RngStream(2026))
-    fraction = sum(s.y for s in samples) / len(samples)
+    labels = generate_dataset(10000, RngStream(2026)).labels
+    fraction = int(labels.sum()) / len(labels)
 
     gen = np.random.default_rng(99)
     lower = np.asarray(cholesky(((1.0, -0.9), (-0.9, 1.0))))

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import signal
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import prolime
 import prolime.evaluation as evaluation_module
 from prolime.cli import main
 from prolime.explainer import ExplainStageError
@@ -73,7 +80,7 @@ def test_generate_respects_rho(tmp_path, capsys):
         ["generate", "--n", "4000", "--rho", "0.9", "--seed", "1", "--out", str(out)], capsys
     )
     assert code == 0
-    rows = np.array([s.x.values for s in read_dataset_csv(str(out))])
+    rows = read_dataset_csv(str(out)).features
     assert float(np.corrcoef(rows.T)[0, 1]) > 0.8
 
 
@@ -152,6 +159,17 @@ def test_explain_rejects_non_finite_hyperparameters(flag, value, field, capsys):
     assert stderr.startswith("error:")
     assert field in stderr and "finite" in stderr
     assert "above zero" not in stderr
+
+
+def test_explain_at_overflowing_coordinates_names_the_overflow(capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, stdout, stderr = _run(["explain", "1.7e308", "1.7e308"], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr == (
+        "error: fitting stage failed: feature values are too large to fit: "
+        "the weighted normal equations overflow\n"
+    )
 
 
 def test_non_finite_hyperparameters_from_config_are_usage_errors(tmp_path, capsys):
@@ -274,6 +292,39 @@ def test_plot_neighborhood(tmp_path, capsys):
     assert _circle_count(figure.read_text(encoding="utf-8")) == 201
 
 
+@contextlib.contextmanager
+def _time_limit(seconds: float):
+    """Raise TimeoutError in this process if the block runs longer than ``seconds``."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("credit, risk", [
+    ("1.7e308", "1.7e308"),
+    ("-1.7976931348623157e308", "1.7976931348623157e308"),
+    ("1e300", "-3"),
+])
+def test_plot_neighborhood_at_extreme_coordinates_is_fast_and_finite(credit, risk, tmp_path, capsys):
+    figure = tmp_path / "nbhd.svg"
+    with _time_limit(2.0):
+        code, _, _ = _run(
+            ["plot", "neighborhood", f"--credit={credit}", f"--risk={risk}", "--out", str(figure)], capsys
+        )
+    assert code == 0
+    text = figure.read_text(encoding="utf-8")
+    assert _circle_count(text) == 1001
+    assert "nan" not in text and "inf" not in text
+
+
 def test_plot_neighborhood_requires_the_point(capsys):
     code, _, stderr = _run(["plot", "neighborhood", "--credit", "0.1"], capsys)
     assert code == 2
@@ -378,3 +429,32 @@ def test_config_kernel_width_equals_flag(tmp_path, capsys, monkeypatch):
     _, default_width, _ = _run(["explain", "0.2", "0.1"], capsys)
     assert via_config == via_flag
     assert via_config != default_width
+
+
+def test_one_process_runs_many_commands_like_fresh_processes(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process; a usage error must not leave
+    # state behind that changes later commands. COLUMNS fixes argparse's
+    # wrapping width in both processes.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        ["explain", "0.41", "--seed", "nope"],
+        ["explain", "0.41", "-0.51", "--seed", "3", "--neighborhood-size", "200"],
+        ["plot", "model-grid", "--resolution", "6", "--seed", "3", "--out", "grid.svg"],
+    ]
+    in_process = []
+    for argv in commands:
+        in_process.append(_run(argv, capsys))
+        if argv[0] == "plot":
+            in_process.append(Path("grid.svg").read_bytes())
+    assert [result[0] for result in in_process[:3]] == [2, 0, 0]
+    env = dict(os.environ, PYTHONPATH=str(Path(prolime.__file__).parents[1]))
+    fresh = []
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "prolime", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+        if argv[0] == "plot":
+            fresh.append(Path("grid.svg").read_bytes())
+    assert in_process == fresh

@@ -16,7 +16,6 @@ from prolime.core import (
     Distance,
     Explanation,
     FeatureVector,
-    LabeledSample,
     LimeHyperparameters,
     LocalSurrogate,
     ModelEvaluationError,
@@ -43,16 +42,6 @@ def test_feature_vector_rejects_bad_shapes_and_values():
         FeatureVector((float("nan"), 0.0), ("a", "b"))
     with pytest.raises(ValueError):
         FeatureVector((float("inf"), 0.0), ("a", "b"))
-
-
-def test_labeled_sample_requires_binary_label():
-    fv = FeatureVector((0.0, 0.0), ("credit", "risk"))
-    assert LabeledSample(fv, 0).y == 0
-    assert LabeledSample(fv, 1).y == 1
-    with pytest.raises(ValueError):
-        LabeledSample(fv, 2)
-    with pytest.raises(ValueError):
-        LabeledSample(fv, -1)
 
 
 def test_class_probabilities_accepts_tolerant_sum():

@@ -290,7 +290,7 @@ def test_batch_rejects_empty_input():
 
 def test_batch_reruns_are_bitwise_identical():
     dist = BenchmarkDistribution()
-    samples = [s.x for s in generate_dataset(100, RngStream(55), dist)]
+    samples = [_fv(credit, risk) for credit, risk in generate_dataset(100, RngStream(55), dist).features.tolist()]
     shared = BatchConfig(
         model=oracle_model(dist, model_seed=55),
         hyper=LimeHyperparameters(neighborhood_size=200),

@@ -1,0 +1,54 @@
+"""SVG scatter axes: tick placement and limits."""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+
+from prolime.plots import svg_scatter
+
+MAX_FLOAT = 1.7976931348623157e308
+
+
+def _tick_labels(svg: str) -> list[str]:
+    return re.findall(r'font-size="11">([^<]*)</text>', svg)
+
+
+def test_spans_up_to_twenty_get_a_tick_per_integer():
+    labels = _tick_labels(svg_scatter([], xlim=(-10.0, 10.0), ylim=(-4.0, 4.0)))
+    assert labels == [str(k) for k in range(-10, 11)] + [str(k) for k in range(-4, 5)]
+
+
+def test_wider_spans_get_power_of_ten_ticks():
+    labels = _tick_labels(svg_scatter([], xlim=(-26.0, 26.0), ylim=(0.0, 2000.0)))
+    assert labels == ["-20", "-10", "0", "10", "20"] + [f"{k * 100}" for k in range(21)]
+
+
+@pytest.mark.parametrize("lo, hi", [(-MAX_FLOAT, MAX_FLOAT), (0.0, MAX_FLOAT), (-1e300, 3.0)])
+def test_tick_count_stays_bounded_at_extreme_limits(lo, hi):
+    svg = svg_scatter([(hi, hi, 2.0, "#000000", 1.0)], xlim=(lo, hi), ylim=(lo, hi))
+    assert 2 <= svg.count("<line") <= 2 * 21
+    assert "nan" not in svg and "inf" not in svg
+    assert svg.count("<circle") == 1
+
+
+@pytest.mark.parametrize("xlim", [(0.0, float("inf")), (float("nan"), 1.0), (1.0, 1.0), (2.0, 1.0)])
+def test_limits_must_be_finite_and_increasing(xlim):
+    with pytest.raises(ValueError):
+        svg_scatter([], xlim=xlim)
+
+
+def test_each_marker_keeps_its_own_style_text():
+    markers = [(0.0, 0.0, 2.0, "#111111", 0.5), (1.0, 1.0, 0.0, "#111111", 0.5),
+               (2.0, 2.0, -0.0, "#111111", 0.5), (3.0, 3.0, 2.0, "#111111", -0.0),
+               (-1.0, -1.0, 2.0, "#111111", 0.0), (-2.0, -2.0, 2.0, "#222222", 0.5)]
+    styles = re.findall(r'<circle cx="[^"]*" cy="[^"]*" (r=.*)/>', svg_scatter(markers))
+    assert styles == [
+        'r="2.00" fill="#111111" fill-opacity="0.50"',
+        'r="0.00" fill="#111111" fill-opacity="0.50"',
+        'r="-0.00" fill="#111111" fill-opacity="0.50"',
+        'r="2.00" fill="#111111" fill-opacity="-0.00"',
+        'r="2.00" fill="#111111" fill-opacity="0.00"',
+        'r="2.00" fill="#222222" fill-opacity="0.50"',
+    ]

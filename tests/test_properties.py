@@ -1,4 +1,5 @@
-"""Property tests of the array model contract against per-row references."""
+"""Property tests of the array model contract against per-row references,
+and of the dataset CSV round trip."""
 
 from __future__ import annotations
 
@@ -13,7 +14,15 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from prolime.core import BlackBoxModel, ClassProbabilities, FeatureVector, ModelEvaluationError
-from prolime.simulation import BenchmarkDistribution, OracleModel, _diamond_mask, _pdf_values
+from prolime.simulation import (
+    BenchmarkDistribution,
+    Dataset,
+    OracleModel,
+    _diamond_mask,
+    _pdf_values,
+    read_dataset_csv,
+    write_dataset_csv,
+)
 
 coordinates = st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False)
 far_coordinates = st.floats(4.0, 1e6, allow_nan=False, allow_infinity=False)
@@ -137,3 +146,25 @@ def test_default_predict_proba_passes_feature_names_and_rejects_non_finite_rows(
     assert info.value.index == 1
     with pytest.raises(ValueError):
         _Records().predict_proba(np.zeros(3))
+
+
+# Signed zeros, subnormals and the ends of the float range, besides any finite float.
+edge_floats = st.sampled_from(
+    (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308)
+)
+csv_floats = st.one_of(edge_floats, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(deadline=None)
+@given(
+    features=arrays(float, st.tuples(st.integers(0, 30), st.just(2)), elements=csv_floats),
+    data=st.data(),
+)
+def test_dataset_csv_round_trip_is_bit_exact(features, data, tmp_path_factory):
+    labels = data.draw(arrays(np.int64, features.shape[0], elements=st.integers(0, 1)))
+    path = tmp_path_factory.mktemp("csv") / "dataset.csv"
+    write_dataset_csv(Dataset(features, labels), str(path))
+    back = read_dataset_csv(str(path))
+    assert back.features.shape == features.shape
+    assert np.array_equal(back.features.view("<u8"), features.astype("<f8").view("<u8"))
+    assert back.labels.tolist() == labels.tolist()

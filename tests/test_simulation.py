@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from prolime.core import FeatureVector, LabeledSample, ModelEvaluationError
+from prolime.core import FeatureVector, ModelEvaluationError
 from prolime.samplers import RngStream
 from prolime.simulation import (
     QUADRANT_BOUNDARIES,
     BenchmarkDistribution,
+    Dataset,
     DatasetFormatError,
     OracleModel,
     Quadrant,
@@ -89,10 +90,9 @@ def test_approval_boundary_is_exclusive():
 
 
 def test_denied_points_have_a_rotated_coordinate_at_least_one():
-    samples = generate_dataset(2000, RngStream(11))
-    for sample in samples:
-        credit, risk = sample.x.values
-        if sample.y == 0:
+    dataset = generate_dataset(2000, RngStream(11))
+    for (credit, risk), label in zip(dataset.features.tolist(), dataset.labels.tolist()):
+        if label == 0:
             assert max(abs(credit + risk), abs(credit - risk)) >= 1.0
         else:
             assert max(abs(credit + risk), abs(credit - risk)) < 1.0
@@ -140,15 +140,15 @@ def test_generate_dataset_is_deterministic():
 
 
 def test_generate_dataset_labels_follow_the_diamond_rule():
-    for sample in generate_dataset(3000, RngStream(21)):
-        credit, risk = sample.x.values
-        assert sample.y == approval_label(credit, risk)
+    dataset = generate_dataset(3000, RngStream(21))
+    for (credit, risk), label in zip(dataset.features.tolist(), dataset.labels.tolist()):
+        assert label == approval_label(credit, risk)
 
 
 def test_generate_dataset_statistics():
-    samples = generate_dataset(10000, RngStream(8))
-    rows = np.array([s.x.values for s in samples])
-    labels = np.array([s.y for s in samples])
+    dataset = generate_dataset(10000, RngStream(8))
+    rows = dataset.features
+    labels = dataset.labels
     assert abs(labels.mean() - 0.3821) < 0.02
     assert abs(float(np.corrcoef(rows.T)[0, 1]) + 0.9) < 0.05
     assert abs(float(rows[:, 0].mean())) < 0.05
@@ -157,7 +157,7 @@ def test_generate_dataset_statistics():
 
 def test_generate_dataset_honors_the_correlation_parameter():
     dist = BenchmarkDistribution.with_correlation(0.5)
-    rows = np.array([s.x.values for s in generate_dataset(10000, RngStream(8), dist)])
+    rows = generate_dataset(10000, RngStream(8), dist).features
     assert abs(float(np.corrcoef(rows.T)[0, 1]) - 0.5) < 0.05
 
 
@@ -265,17 +265,17 @@ def _line_distances(credit: float, risk: float) -> dict[Quadrant, float]:
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="tail points beyond the unit square sit closer to a neighboring quadrant's edge",
 )
 def test_own_quadrant_edge_is_strictly_nearest_on_distribution():
     dist = BenchmarkDistribution()
     checked = 0
-    for sample in generate_dataset(4000, RngStream(7), dist):
-        if gaussian_pdf(sample.x, dist) < dist.density_threshold:
+    for credit, risk in generate_dataset(4000, RngStream(7), dist).features.tolist():
+        if gaussian_pdf(_fv(credit, risk), dist) < dist.density_threshold:
             continue
         checked += 1
-        credit, risk = sample.x.values
-        own = ground_truth_for(sample.x).quadrant
+        own = ground_truth_for(_fv(credit, risk)).quadrant
         distances = _line_distances(credit, risk)
         assert all(distances[own] < d for q, d in distances.items() if q != own)
     assert checked > 0
@@ -284,25 +284,53 @@ def test_own_quadrant_edge_is_strictly_nearest_on_distribution():
 def test_strict_nearest_edge_holds_exactly_inside_the_unit_square():
     dist = BenchmarkDistribution()
     on_distribution_violations = 0
-    for sample in generate_dataset(4000, RngStream(7), dist):
-        credit, risk = sample.x.values
+    for credit, risk in generate_dataset(4000, RngStream(7), dist).features.tolist():
         low, high = sorted((abs(credit), abs(risk)))
         if low < 1e-9 or abs(high - 1.0) < 1e-9:
             continue
-        own = ground_truth_for(sample.x).quadrant
+        own = ground_truth_for(_fv(credit, risk)).quadrant
         distances = _line_distances(credit, risk)
         strictly_nearest = all(distances[own] < d for q, d in distances.items() if q != own)
         assert strictly_nearest == (high < 1.0)
-        if not strictly_nearest and gaussian_pdf(sample.x, dist) >= dist.density_threshold:
+        if not strictly_nearest and gaussian_pdf(_fv(credit, risk), dist) >= dist.density_threshold:
             on_distribution_violations += 1
     assert on_distribution_violations > 0
 
 
+def test_dataset_requires_binary_labels():
+    features = np.zeros((1, 2))
+    assert Dataset(features, [0]).labels.tolist() == [0]
+    assert Dataset(features, [1]).labels.tolist() == [1]
+    with pytest.raises(ValueError, match="label must be 0 or 1, got 2"):
+        Dataset(features, [2])
+    with pytest.raises(ValueError, match="label must be 0 or 1, got -1"):
+        Dataset(features, [-1])
+
+
+def test_dataset_holds_validated_read_only_copies():
+    features = np.array([[0.1, 0.2], [0.3, 0.4]])
+    labels = np.array([True, False])
+    dataset = Dataset(features, labels)
+    features[0, 0] = 9.0
+    labels[0] = False
+    assert dataset.features.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+    assert dataset.labels.tolist() == [1, 0]
+    assert dataset.labels.dtype == np.int64
+    assert not dataset.features.flags.writeable and not dataset.labels.flags.writeable
+    assert Dataset(np.empty((0, 2)), []).features.shape == (0, 2)
+    with pytest.raises(ValueError, match="row 1: feature values must be finite, got nan"):
+        Dataset([[0.0, 0.0], [0.0, float("nan")]], [0, 1])
+    with pytest.raises(ValueError, match="shape"):
+        Dataset(np.zeros((2, 3)), [0, 1])
+    with pytest.raises(ValueError, match="shape"):
+        Dataset(np.zeros((2, 2)), [0])
+
+
 def test_dataset_csv_round_trip_is_exact(tmp_path):
-    samples = generate_dataset(200, RngStream(13))
+    dataset = generate_dataset(200, RngStream(13))
     path = tmp_path / "round_trip.csv"
-    write_dataset_csv(samples, str(path))
-    assert read_dataset_csv(str(path)) == samples
+    write_dataset_csv(dataset, str(path))
+    assert read_dataset_csv(str(path)) == dataset
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "credit,risk,label"
 
@@ -325,6 +353,22 @@ def test_dataset_csv_reports_the_failing_line(tmp_path):
     assert "3 columns" in str(info.value)
 
 
+def test_dataset_csv_reports_the_first_failing_line_of_any_kind(tmp_path):
+    path = tmp_path / "bad_rows.csv"
+    path.write_text("credit,risk,label\n0.1,0.2,1\nnan,0.4,0\n0.5,0.6,7\n0.7\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="line 3: feature values must be finite, got nan"):
+        read_dataset_csv(str(path))
+    path.write_text("credit,risk,label\n0.1,0.2,1\n0.3,0.4,2\n0.5,inf,0\n0.7\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="line 3: label must be 0 or 1, got 2"):
+        read_dataset_csv(str(path))
+    path.write_text("credit,risk,label\n0.1,0.2,1\n0.3,-inf,2\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="line 3: feature values must be finite, got -inf"):
+        read_dataset_csv(str(path))
+    path.write_text("credit,risk,label\n0.1,0.2,1\n0.3,0.4,x\n0.5,nan,0\n", encoding="utf-8")
+    with pytest.raises(DatasetFormatError, match="line 3: invalid literal for int"):
+        read_dataset_csv(str(path))
+
+
 def test_dataset_csv_rejects_non_numeric_values(tmp_path):
     path = tmp_path / "bad_value.csv"
     path.write_text("credit,risk,label\nabc,0.2,1\n", encoding="utf-8")
@@ -339,11 +383,13 @@ def test_dataset_csv_rejects_non_binary_labels(tmp_path):
     with pytest.raises(DatasetFormatError) as info:
         read_dataset_csv(str(path))
     assert info.value.line_number == 2
+    assert str(info.value) == "line 2: label must be 0 or 1, got 2"
 
 
 def test_dataset_csv_empty_file_yields_no_samples(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("", encoding="utf-8")
-    assert read_dataset_csv(str(path)) == []
+    assert len(read_dataset_csv(str(path)).labels) == 0
     path.write_text("credit,risk,label\n", encoding="utf-8")
-    assert read_dataset_csv(str(path)) == []
+    assert read_dataset_csv(str(path)).features.shape == (0, 2)
+    assert len(read_dataset_csv(str(path)).labels) == 0

@@ -256,11 +256,21 @@ def test_singular_system_without_ridge_raises_advice():
     fit_weighted_ridge(design, 1.0)
 
 
+def test_overflowing_design_names_the_overflow_not_the_ridge():
+    features = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
+    design = WeightedDesign(features, np.array([0.0, 1.0, 0.0]), np.ones(3), NAMES)
+    for ridge in (0.0, 1.0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SingularFitError, match="too large to fit") as info:
+                fit_weighted_ridge(design, ridge)
+        assert "ridge_strength" not in str(info.value)
+
+
 def test_degenerate_feature_column_is_singular_at_zero_ridge():
     features = np.array([[0.0, 3.0], [1.0, 3.0], [2.0, 3.0]])
     targets = np.array([0.0, 0.5, 1.0])
     weights = np.full(3, 1.0)
-    with pytest.raises(SingularFitError):
+    with pytest.raises(SingularFitError, match="set ridge_strength above zero"):
         fit_weighted_ridge(WeightedDesign(features, targets, weights, NAMES), 0.0)
 
 
