@@ -16,7 +16,6 @@ __all__ = [
     "CenterMode",
     "ClassProbabilities",
     "ConstantModel",
-    "Distance",
     "Explanation",
     "FeatureVector",
     "LimeHyperparameters",
@@ -40,12 +39,6 @@ class NoiseMode(Enum):
 
     GAUSSIAN = "gaussian"
     LATIN_HYPERCUBE = "lhs"
-
-
-class Distance(Enum):
-    """Distance function used inside the proximity kernel."""
-
-    EUCLIDEAN = "euclidean"
 
 
 def default_kernel_width(n_features: int) -> float:
@@ -178,7 +171,6 @@ class LimeHyperparameters:
     center_mode: CenterMode = CenterMode.SAMPLE
     noise_mode: NoiseMode = NoiseMode.GAUSSIAN
     kernel_width: float = default_kernel_width(2)
-    distance: Distance = Distance.EUCLIDEAN
     ridge_strength: float = 1.0
     explained_class: int = 1
     standardize_features: bool = False

@@ -235,7 +235,7 @@ def _hyper_dict(hyper: LimeHyperparameters) -> dict:
         "center_mode": hyper.center_mode.value,
         "noise_mode": hyper.noise_mode.value,
         "kernel_width": hyper.kernel_width,
-        "distance": hyper.distance.value,
+        "distance": "euclidean",
         "ridge_strength": hyper.ridge_strength,
         "explained_class": hyper.explained_class,
         "standardize_features": hyper.standardize_features,

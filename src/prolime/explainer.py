@@ -127,7 +127,7 @@ def explain(req: ExplainRequest) -> Explanation:
         targets = label_neighborhood(req.model, nbhd, hyper.explained_class)
     except Exception as exc:
         raise ExplainStageError("labeling", exc) from exc
-    kernel = KernelSpec(width=hyper.kernel_width, distance=hyper.distance)
+    kernel = KernelSpec(width=hyper.kernel_width)
     weights = neighborhood_weights(req.sample, nbhd, kernel)
     features = nbhd.points
     if hyper.standardize_features:

@@ -172,19 +172,18 @@ def cholesky(matrix: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     if a.size and float(np.max(np.abs(a - a.T))) > 1e-12:
         raise ValueError("matrix must be symmetric within 1e-12")
-    n = a.shape[0]
-    lower = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            acc = float(lower[i, :j] @ lower[j, :j])
-            if i == j:
-                pivot = a[i, i] - acc
-                if pivot <= 0.0:
-                    raise NotPositiveDefiniteError(i + 1)
-                lower[i, i] = math.sqrt(pivot)
-            else:
-                lower[i, j] = (a[i, j] - acc) / lower[j, j]
-    return lower
+    try:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        pass
+    # numpy does not say which pivot failed; the first leading minor that
+    # does not factor names it.
+    for order in range(1, a.shape[0]):
+        try:
+            np.linalg.cholesky(a[:order, :order])
+        except np.linalg.LinAlgError:
+            raise NotPositiveDefiniteError(order) from None
+    raise NotPositiveDefiniteError(a.shape[0])
 
 
 # Rational approximation after P. Acklam; relative error below 1.15e-9 over

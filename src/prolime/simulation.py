@@ -119,7 +119,9 @@ def approval_label(credit: float, risk: float) -> int:
 def _diamond_mask(points: np.ndarray) -> np.ndarray:
     c = points[:, 0]
     r = points[:, 1]
-    return (np.abs(c + r) < 1.0) & (np.abs(c - r) < 1.0)
+    # Far out, c + r may overflow to inf, which correctly fails the test.
+    with np.errstate(over="ignore"):
+        return (np.abs(c + r) < 1.0) & (np.abs(c - r) < 1.0)
 
 
 def _pdf_values(points: np.ndarray, dist: BenchmarkDistribution) -> np.ndarray:
@@ -127,7 +129,10 @@ def _pdf_values(points: np.ndarray, dist: BenchmarkDistribution) -> np.ndarray:
     det = 1.0 - rho * rho
     c = points[:, 0] - dist.mean[0]
     r = points[:, 1] - dist.mean[1]
-    quad = (c * c - 2.0 * rho * c * r + r * r) / det
+    # Far out, the quadratic form overflows to inf (or inf - inf = nan); both
+    # fail every density-threshold comparison, as a density of ~0 should.
+    with np.errstate(over="ignore", invalid="ignore"):
+        quad = (c * c - 2.0 * rho * c * r + r * r) / det
     return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
 
 

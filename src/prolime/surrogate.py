@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlackBoxModel, Distance, FeatureVector, LocalSurrogate
+from .core import BlackBoxModel, FeatureVector, LocalSurrogate
 from .samplers import Neighborhood
 
 __all__ = [
@@ -28,16 +28,13 @@ class SingularFitError(RuntimeError):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Width and distance function of the exponential proximity kernel."""
+    """Width of the exponential proximity kernel over Euclidean distance."""
 
     width: float
-    distance: Distance = Distance.EUCLIDEAN
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.width) and self.width > 0):
             raise ValueError("kernel width must be positive and finite")
-        if not isinstance(self.distance, Distance):
-            raise ValueError("distance must be a Distance enum member")
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,9 @@ def kernel_weight(x: FeatureVector, z: FeatureVector, spec: KernelSpec) -> float
 
 def neighborhood_weights(origin: FeatureVector, nbhd: Neighborhood, spec: KernelSpec) -> np.ndarray:
     """Proximity weight of every neighborhood point, anchored at the origin."""
-    d2 = np.sum((nbhd.points - origin.as_array()) ** 2, axis=1)
+    # A squared distance that overflows to inf gets weight exp(-inf) = 0.
+    with np.errstate(over="ignore"):
+        d2 = np.sum((nbhd.points - origin.as_array()) ** 2, axis=1)
     return np.exp(-d2 / (spec.width * spec.width))
 
 
@@ -121,14 +120,16 @@ def fit_weighted_ridge(design: WeightedDesign, ridge_strength: float) -> LocalSu
     targets = design.targets
     weights = design.weights
     weight_sum = float(weights.sum())
-    xbar = (weights @ features) / weight_sum
     tbar = float(weights @ targets) / weight_sum
-    centered_x = features - xbar
     centered_t = targets - tbar
     d = features.shape[1]
-    gram = centered_x.T @ (centered_x * weights[:, None]) + ridge_strength * np.eye(d)
-    moment = centered_x.T @ (weights * centered_t)
-    # An overflowing weighted mean makes the Gram matrix non-finite too.
+    # Overflow is checked below; an overflowing weighted mean makes the Gram
+    # matrix non-finite too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        xbar = (weights @ features) / weight_sum
+        centered_x = features - xbar
+        gram = centered_x.T @ (centered_x * weights[:, None]) + ridge_strength * np.eye(d)
+        moment = centered_x.T @ (weights * centered_t)
     if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
         raise SingularFitError(
             "feature values are too large to fit: the weighted normal equations overflow"

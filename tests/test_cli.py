@@ -162,14 +162,22 @@ def test_explain_rejects_non_finite_hyperparameters(flag, value, field, capsys):
 
 
 def test_explain_at_overflowing_coordinates_names_the_overflow(capsys):
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, stdout, stderr = _run(["explain", "1.7e308", "1.7e308"], capsys)
+    code, stdout, stderr = _run(["explain", "1.7e308", "1.7e308"], capsys)
     assert code == 1
     assert stdout == ""
     assert stderr == (
         "error: fitting stage failed: feature values are too large to fit: "
         "the weighted normal equations overflow\n"
     )
+
+
+def test_negative_coordinates_with_an_exponent_are_values(capsys):
+    spelled_out = _run(["explain", "-0.001", "0.5"], capsys)
+    assert spelled_out[0] == 0
+    assert _run(["explain", "-1e-3", "0.5"], capsys) == spelled_out
+    code, _, stderr = _run(["explain", "0", "0", "--seed", "-1e3"], capsys)
+    assert code == 2
+    assert "argument --seed: invalid int value: '-1e3'" in stderr
 
 
 def test_non_finite_hyperparameters_from_config_are_usage_errors(tmp_path, capsys):
@@ -308,18 +316,24 @@ def _time_limit(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.mark.parametrize("credit, risk", [
-    ("1.7e308", "1.7e308"),
-    ("-1.7976931348623157e308", "1.7976931348623157e308"),
-    ("1e300", "-3"),
+@pytest.mark.parametrize("point", [
+    pytest.param(["--credit=1.7e308", "--risk=1.7e308"], id="1.7e308-1.7e308"),
+    pytest.param(
+        ["--credit=-1.7976931348623157e308", "--risk=1.7976931348623157e308"],
+        id="-1.7976931348623157e308-1.7976931348623157e308",
+    ),
+    pytest.param(["--credit=1e300", "--risk=-3"], id="1e300--3"),
+    pytest.param(["--credit", "0", "--risk", "-1.7976931348623157e308"], id="space-separated-exponent"),
+    pytest.param(
+        ["--credit=1.7e308", "--risk=1.7e308", "--sampler", "process-aware"], id="process-aware-1.7e308"
+    ),
 ])
-def test_plot_neighborhood_at_extreme_coordinates_is_fast_and_finite(credit, risk, tmp_path, capsys):
+def test_plot_neighborhood_at_extreme_coordinates_is_fast_and_finite(point, tmp_path, capsys):
     figure = tmp_path / "nbhd.svg"
     with _time_limit(2.0):
-        code, _, _ = _run(
-            ["plot", "neighborhood", f"--credit={credit}", f"--risk={risk}", "--out", str(figure)], capsys
-        )
+        code, _, stderr = _run(["plot", "neighborhood", *point, "--out", str(figure)], capsys)
     assert code == 0
+    assert stderr == ""
     text = figure.read_text(encoding="utf-8")
     assert _circle_count(text) == 1001
     assert "nan" not in text and "inf" not in text

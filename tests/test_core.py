@@ -13,7 +13,6 @@ from prolime.core import (
     CenterMode,
     ClassProbabilities,
     ConstantModel,
-    Distance,
     Explanation,
     FeatureVector,
     LimeHyperparameters,
@@ -99,7 +98,6 @@ def test_hyperparameter_defaults():
     assert hyper.center_mode is CenterMode.SAMPLE
     assert hyper.noise_mode is NoiseMode.GAUSSIAN
     assert hyper.kernel_width == 0.75 * math.sqrt(2.0)
-    assert hyper.distance is Distance.EUCLIDEAN
     assert hyper.ridge_strength == 1.0
     assert hyper.explained_class == 1
     assert hyper.standardize_features is False

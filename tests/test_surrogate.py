@@ -260,9 +260,8 @@ def test_overflowing_design_names_the_overflow_not_the_ridge():
     features = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
     design = WeightedDesign(features, np.array([0.0, 1.0, 0.0]), np.ones(3), NAMES)
     for ridge in (0.0, 1.0):
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SingularFitError, match="too large to fit") as info:
-                fit_weighted_ridge(design, ridge)
+        with pytest.raises(SingularFitError, match="too large to fit") as info:
+            fit_weighted_ridge(design, ridge)
         assert "ridge_strength" not in str(info.value)
 
 
