@@ -45,6 +45,23 @@ EVALUATE_DIGESTS = {
 PLOT_DIGESTS = {
     "model-grid": "fd8594cebc8a13be85f0532095a2c606e9efeb664838b0a5ce7e375b5df4bfc5",
     "neighborhood": "42a33bb2e35816e87ec8e3768e12d9650afcfa268aa0a25ea5aaa6015910368d",
+    "model-grid-50-seed0": "eeaef2f97ff7ad279b25b6f983db2c94f5c89c9737a134fa075b455a516a66e7",
+    "model-grid-50-seed9": "f019688a29efb9fe555fbd5dfd285b60beb8bfa724b78d1f3625a0b8c65d75f9",
+    "neighborhood-process-aware": "b1c452324a2e27011aebfea275d8e9aef063c31c64c87659cea4965a8bb3421d",
+    "neighborhood-lhs": "743661dd3f548dbd87cccf5ee5ccd1df97ec0283ba5df107b4d9913a1ac4b093",
+}
+
+_NEIGHBORHOOD = ["neighborhood", "--seed", "5", "--credit", "0.41", "--risk", "-0.51", "--neighborhood-size", "300"]
+
+# The 50-point model grid at seeds 0 and 9 is the model-grid plot of one
+# benchmark ``figures`` op.
+PLOT_ARGS = {
+    "model-grid": ["model-grid", "--seed", "5", "--resolution", "40"],
+    "neighborhood": _NEIGHBORHOOD,
+    "model-grid-50-seed0": ["model-grid", "--seed", "0", "--resolution", "50"],
+    "model-grid-50-seed9": ["model-grid", "--seed", "9", "--resolution", "50"],
+    "neighborhood-process-aware": [*_NEIGHBORHOOD, "--sampler", "process-aware"],
+    "neighborhood-lhs": [*_NEIGHBORHOOD, "--noise", "lhs"],
 }
 
 
@@ -76,12 +93,9 @@ def test_evaluate_reports_match_golden_digests(seed, tmp_path):
 @pytest.mark.parametrize("kind", sorted(PLOT_DIGESTS))
 def test_plot_svg_matches_golden_digest(kind, tmp_path):
     out = tmp_path / f"{kind}.svg"
-    extra = {
-        "model-grid": ["--resolution", "40"],
-        "neighborhood": ["--credit", "0.41", "--risk", "-0.51", "--neighborhood-size", "300"],
-    }[kind]
-    _quiet(["plot", kind, "--seed", "5", *extra, "--out", str(out)])
+    _quiet(["plot", *PLOT_ARGS[kind], "--out", str(out)])
     assert _sha256(out.read_bytes()) == PLOT_DIGESTS[kind]
+
 
 # ``generate --n 3000`` writes ``dataset.csv`` in the working directory, so
 # the stdout (which names the path) is pinned too; ``plot data`` draws it.
