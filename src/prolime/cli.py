@@ -65,6 +65,25 @@ class UsageError(Exception):
 # argparse's own pattern takes "-1e-3" for an option; exponents are allowed here.
 _NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 
+# Size caps, so that a typo fails at once instead of exhausting memory.
+MAX_SAMPLES = 1_000_000
+MAX_NEIGHBORHOOD_SIZE = 1_000_000
+MAX_TRIALS = 100_000
+MAX_RESOLUTION = 1000
+
+
+def _int_at_most(maximum: int):
+    """An argparse type: an int no larger than ``maximum``."""
+
+    def parse(raw: str) -> int:
+        value = int(raw)
+        if value > maximum:
+            raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
+    return parse
+
 
 def _load_config(path: str) -> dict[str, str]:
     try:
@@ -104,7 +123,7 @@ def _parse_with_config(
             value = (action.type or str)(raw)
             if action.choices is not None and value not in action.choices:
                 raise ValueError(f"expected one of {', '.join(action.choices)}")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"bad config value for {key!r}: {raw!r} ({exc})") from exc
         setattr(values, action.dest, value)
     # Parsing into a namespace keeps the attributes it already has unless a
@@ -190,9 +209,14 @@ def _cmd_explain(args: argparse.Namespace) -> int:
 
 def _parse_sizes(raw: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in raw.split(","))
+        sizes = tuple(int(part) for part in raw.split(","))
     except ValueError as exc:
         raise ValueError(f"expected comma-separated integers, got {raw!r}") from exc
+    if max(sizes) > MAX_NEIGHBORHOOD_SIZE:
+        raise argparse.ArgumentTypeError(
+            f"each size must be at most {MAX_NEIGHBORHOOD_SIZE}, got {max(sizes)}"
+        )
+    return sizes
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -250,7 +274,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         spec = sampler_spec(args.sampler, hyper, dist)
         nbhd = draw_neighborhood(origin, spec, hyper.neighborhood_size, RngStream(seed, 0))
         weights = neighborhood_weights(origin, nbhd, KernelSpec(hyper.kernel_width))
-        svg = plot_neighborhood(origin, nbhd, weights.tolist())
+        svg = plot_neighborhood(origin, nbhd, weights)
     Path(out).write_text(svg, encoding="utf-8")
     print(f"wrote {out}")
     return 0
@@ -276,8 +300,9 @@ def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
 def _add_neighborhood_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sampler", choices=list(SAMPLER_NAMES), default="standard",
                         help="neighborhood sampler (default %(default)s)")
-    parser.add_argument("--neighborhood-size", type=int, default=1000,
-                        help="points per neighborhood (default %(default)s)")
+    parser.add_argument("--neighborhood-size", type=_int_at_most(MAX_NEIGHBORHOOD_SIZE), default=1000,
+                        help="points per neighborhood "
+                        f"(default %(default)s, at most {MAX_NEIGHBORHOOD_SIZE})")
     _add_hyper_flags(parser)
 
 
@@ -293,7 +318,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     gen = sub.add_parser("generate", help="draw a labeled benchmark dataset as CSV")
     _add_common_flags(gen)
-    gen.add_argument("--n", type=int, default=10000, help="number of samples (default %(default)s)")
+    gen.add_argument("--n", type=_int_at_most(MAX_SAMPLES), default=10000,
+                     help=f"number of samples (default %(default)s, at most {MAX_SAMPLES})")
     gen.add_argument("--out", default="dataset.csv", help="output CSV path (default %(default)s)")
     gen.set_defaults(handler=_cmd_generate)
 
@@ -309,9 +335,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     ev = sub.add_parser("evaluate", help="run the paired sampler comparison")
     _add_common_flags(ev)
-    ev.add_argument("--trials", type=int, default=100, help="trial count (default %(default)s)")
+    ev.add_argument("--trials", type=_int_at_most(MAX_TRIALS), default=100,
+                    help=f"trial count (default %(default)s, at most {MAX_TRIALS})")
     ev.add_argument("--sizes", type=_parse_sizes, default="1000,5000", metavar="N1,N2,...",
-                    help="neighborhood sizes (default %(default)s)")
+                    help=f"neighborhood sizes (default %(default)s, each at most {MAX_NEIGHBORHOOD_SIZE})")
     _add_hyper_flags(ev)
     ev.add_argument("--out", default="report.csv",
                     help="report CSV path (default %(default)s); JSON lands beside it")
@@ -322,8 +349,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     pl.add_argument("kind", choices=["data", "model-grid", "neighborhood"],
                     help="what to draw")
     pl.add_argument("--data", default=None, help="dataset CSV for the data plot")
-    pl.add_argument("--resolution", type=int, default=200,
-                    help="grid points per axis for the model-grid plot (default %(default)s)")
+    pl.add_argument("--resolution", type=_int_at_most(MAX_RESOLUTION), default=200,
+                    help="grid points per axis for the model-grid plot "
+                    f"(default %(default)s, at most {MAX_RESOLUTION})")
     pl.add_argument("--credit", type=float, default=None, help="explained point for the neighborhood plot")
     pl.add_argument("--risk", type=float, default=None, help="explained point for the neighborhood plot")
     _add_neighborhood_flags(pl)

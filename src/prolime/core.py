@@ -5,6 +5,7 @@ from __future__ import annotations
 import abc
 import json
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -46,6 +47,21 @@ def default_kernel_width(n_features: int) -> float:
     if n_features < 1:
         raise ValueError("n_features must be positive")
     return 0.75 * math.sqrt(n_features)
+
+
+# The smallest width whose square is a normal float. The kernel divides by
+# the square, and a square that underflows to 0 or a subnormal gives inf or nan.
+_MIN_KERNEL_WIDTH = math.sqrt(sys.float_info.min)
+
+
+def _require_kernel_width(width: float, what: str) -> None:
+    if not (math.isfinite(width) and width > 0):
+        raise ValueError(f"{what} must be positive and finite, got {width!r}")
+    if width < _MIN_KERNEL_WIDTH:
+        raise ValueError(
+            f"{what} must be at least {_MIN_KERNEL_WIDTH!r}, where its square stops underflowing, "
+            f"got {width!r}"
+        )
 
 
 def _require_finite(values: Iterable[float], what: str) -> None:
@@ -178,8 +194,7 @@ class LimeHyperparameters:
     def __post_init__(self) -> None:
         if self.neighborhood_size < 2:
             raise ValueError("neighborhood_size must be at least 2")
-        if not (math.isfinite(self.kernel_width) and self.kernel_width > 0):
-            raise ValueError(f"kernel_width must be positive and finite, got {self.kernel_width!r}")
+        _require_kernel_width(self.kernel_width, "kernel_width")
         if not (math.isfinite(self.ridge_strength) and self.ridge_strength >= 0):
             raise ValueError(f"ridge_strength must be nonnegative and finite, got {self.ridge_strength!r}")
         if self.explained_class < 0:

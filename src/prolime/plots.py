@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,9 +21,8 @@ __all__ = [
 _WIDTH = 640
 _HEIGHT = 640
 _MARGIN = 56
-_LABEL_COLORS = {0: "#e07a3f", 1: "#3566a8"}
-
-Marker = tuple[float, float, float, str, float]
+_INNER = _WIDTH - 2 * _MARGIN
+_LABEL_COLORS = ("#e07a3f", "#3566a8")
 
 
 def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:
@@ -38,8 +37,91 @@ def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:
     return [(k * step, f"{k * step:g}") for k in multiples]
 
 
+# The digits of format(v, ".2f") are exact below for normal floats in
+# [_FIXED2_LO, _FIXED2_HI): 100 * mantissa < 2**60 fits in uint64, the
+# shift is 40 to 52 bits, and the result has at most four integer digits.
+_FIXED2_LO, _FIXED2_HI = 1.0, 8192.0
+
+
+def _digit_text(count: int, width: int) -> np.ndarray:
+    """ASCII digits of 0 .. count - 1, one zero-padded row of ``width`` bytes each."""
+    powers = 10 ** np.arange(width - 1, -1, -1)
+    return (np.arange(count)[:, None] // powers % 10 + ord("0")).astype(np.uint8)
+
+
+# Integer parts up to 9999 (values just below _FIXED2_HI round up to it)
+# with their leading zeros as NUL, and two-digit fractions. Each row is held
+# as one 4- or 2-byte word, so a lookup gathers words instead of bytes.
+_INTEGER_DIGITS = _digit_text(10000, 4)
+_INTEGER_DIGITS[:, :3][np.arange(10000)[:, None] < np.array([1000, 100, 10])] = 0
+_INTEGER_TEXT = _INTEGER_DIGITS.view(np.uint32).ravel()
+_FRACTION_TEXT = _digit_text(100, 2).view(np.uint16).ravel()
+
+
+def _fixed2(values: np.ndarray) -> np.ndarray:
+    """``format(v, ".2f")`` of each value as a row of 7 ASCII bytes, with the
+    leading zero digits replaced by NUL.
+
+    Works on the float's bits: ``100 * v`` is ``100 * mantissa`` shifted right
+    by ``52 - exponent``, rounded half to even on exact ties, which is how the
+    correctly rounded decimal conversion of ``format`` rounds.
+    """
+    if values.size and not (values.min() >= _FIXED2_LO and values.max() < _FIXED2_HI):
+        raise ValueError(f"fixed-point formatting is exact only in [{_FIXED2_LO}, {_FIXED2_HI})")
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    shift = np.uint64(1075) - (bits >> np.uint64(52))
+    scaled = ((bits & np.uint64(2**52 - 1)) | np.uint64(2**52)) * np.uint64(100)
+    quotient = scaled >> shift
+    remainder = scaled & ((np.uint64(1) << shift) - np.uint64(1))
+    half = np.uint64(1) << (shift - np.uint64(1))
+    round_up = (remainder > half) | ((remainder == half) & (quotient & np.uint64(1) == 1))
+    integer, fraction = np.divmod((quotient + round_up).astype(np.intp), 100)
+    out = np.empty((values.size, 7), dtype=np.uint8)
+    out[:, :4] = _INTEGER_TEXT[integer].view(np.uint8).reshape(-1, 4)
+    out[:, 4] = ord(".")
+    out[:, 5:] = _FRACTION_TEXT[fraction].view(np.uint8).reshape(-1, 2)
+    return out
+
+
+def _offsets(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """Pixel distance of each value from the ``lo`` edge of the plot box.
+
+    Halving is exact, so differences of halves are the halved differences
+    bit for bit, yet they stay finite across the whole float range.
+    """
+    half_lo = lo * 0.5
+    return (values * 0.5 - half_lo) / (hi * 0.5 - half_lo) * _INNER
+
+
+def _ascii_columns(text: str, rows: int) -> np.ndarray:
+    return np.broadcast_to(np.frombuffer(text.encode("ascii"), dtype=np.uint8), (rows, len(text)))
+
+
+def _circles(cx: np.ndarray, cy: np.ndarray, style_text: list[str], index: np.ndarray) -> str:
+    """One ``<circle .../>`` line per marker, each ending in a newline.
+
+    Rows are laid out as a NUL-padded byte matrix, so the NULs are stripped
+    in one pass instead of formatting each marker apart.
+    """
+    encoded = [text.encode("utf-8") for text in style_text]
+    width = max(map(len, encoded), default=0)
+    styles = np.frombuffer(b"".join(text.ljust(width, b"\0") for text in encoded), dtype=np.uint8)
+    columns = [
+        _ascii_columns('<circle cx="', len(index)),
+        _fixed2(cx),
+        _ascii_columns('" cy="', len(index)),
+        _fixed2(cy),
+        _ascii_columns('" ', len(index)),
+        styles.reshape(len(encoded), width)[index],
+        _ascii_columns("\n", len(index)),
+    ]
+    return np.hstack(columns).tobytes().replace(b"\0", b"").decode("utf-8")
+
+
 def svg_scatter(
-    markers: Iterable[Marker],
+    centers: np.ndarray,
+    styles: Sequence[tuple[float, str, float]],
+    style_index: np.ndarray,
     xlim: tuple[float, float] = (-4.0, 4.0),
     ylim: tuple[float, float] = (-4.0, 4.0),
     title: str = "",
@@ -48,34 +130,35 @@ def svg_scatter(
 ) -> str:
     """Render circles at data coordinates inside a framed, ticked axis box.
 
-    Each marker is (x, y, radius, fill, opacity); points outside the limits
-    are omitted. Returns a complete standalone SVG document.
+    ``centers`` is an ``(n, 2)`` array of marker positions, ``styles`` a list
+    of (radius, fill, opacity) and ``style_index`` an ``(n,)`` int array
+    giving each marker's style. Markers outside the limits are omitted; later
+    markers are drawn on top. Returns a complete standalone SVG document.
     """
+    points = np.asarray(centers, dtype=float)
+    index = np.asarray(style_index)
+    if points.ndim != 2 or points.shape[1] != 2:
+        raise ValueError(f"centers must be an (n, 2) array, got shape {points.shape}")
+    if index.shape != (len(points),):
+        raise ValueError(f"style_index must have shape ({len(points)},), got {index.shape}")
+    if index.size and not (index.dtype.kind in "iu" and index.min() >= 0 and index.max() < len(styles)):
+        raise ValueError(f"style_index entries must be integers in [0, {len(styles)})")
+    index = index.astype(np.intp, copy=False)
+    if any("\0" in fill for _, fill, _ in styles):
+        raise ValueError("fill must not contain NUL characters")
     x0, x1 = float(xlim[0]), float(xlim[1])
     y0, y1 = float(ylim[0]), float(ylim[1])
     if not all(map(math.isfinite, (x0, x1, y0, y1))):
         raise ValueError("axis limits must be finite")
     if not (x1 > x0 and y1 > y0):
         raise ValueError("axis limits must be increasing")
-    inner_w = _WIDTH - 2 * _MARGIN
-    inner_h = _HEIGHT - 2 * _MARGIN
-    # Halving is exact, so differences of halves are the halved differences
-    # bit for bit, yet they stay finite across the whole float range.
-    half_x0, half_y0 = x0 * 0.5, y0 * 0.5
-    half_w = x1 * 0.5 - half_x0
-    half_h = y1 * 0.5 - half_y0
-
-    def px(x: float) -> float:
-        return _MARGIN + (x * 0.5 - half_x0) / half_w * inner_w
-
-    def py(y: float) -> float:
-        return _HEIGHT - _MARGIN - (y * 0.5 - half_y0) / half_h * inner_h
-
+    if not (x1 * 0.5 - x0 * 0.5 > 0 and y1 * 0.5 - y0 * 0.5 > 0):
+        raise ValueError("axis limits must be more than one subnormal step apart")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
-        f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{inner_w}" height="{inner_h}" '
+        f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_INNER}" height="{_INNER}" '
         f'fill="none" stroke="#444444" stroke-width="1"/>',
     ]
     if title:
@@ -83,8 +166,9 @@ def svg_scatter(
             f'<text x="{_WIDTH / 2:.1f}" y="{_MARGIN - 22}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="16">{title}</text>'
         )
-    for tick, label in _ticks(x0, x1):
-        x = px(tick)
+    x_ticks = _ticks(x0, x1)
+    x_pixels = _MARGIN + _offsets(np.array([tick for tick, _ in x_ticks], dtype=float), x0, x1)
+    for x, (_, label) in zip(x_pixels.tolist(), x_ticks):
         parts.append(
             f'<line x1="{x:.2f}" y1="{_HEIGHT - _MARGIN}" x2="{x:.2f}" '
             f'y2="{_HEIGHT - _MARGIN + 6}" stroke="#444444"/>'
@@ -93,8 +177,9 @@ def svg_scatter(
             f'<text x="{x:.2f}" y="{_HEIGHT - _MARGIN + 20}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="11">{label}</text>'
         )
-    for tick, label in _ticks(y0, y1):
-        y = py(tick)
+    y_ticks = _ticks(y0, y1)
+    y_pixels = _HEIGHT - _MARGIN - _offsets(np.array([tick for tick, _ in y_ticks], dtype=float), y0, y1)
+    for y, (_, label) in zip(y_pixels.tolist(), y_ticks):
         parts.append(
             f'<line x1="{_MARGIN - 6}" y1="{y:.2f}" x2="{_MARGIN}" y2="{y:.2f}" stroke="#444444"/>'
         )
@@ -110,29 +195,23 @@ def svg_scatter(
         f'<text x="16" y="{_HEIGHT / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
         f'font-size="13" transform="rotate(-90 16 {_HEIGHT / 2:.1f})">{ylabel}</text>'
     )
-    # Markers mostly share a style, so each style's text is formatted once.
-    styles: dict[tuple[float, str, float], str] = {}
-    for x, y, radius, fill, opacity in markers:
-        if not (x0 <= x <= x1 and y0 <= y <= y1):
-            continue
-        key = (radius, fill, opacity)
-        style = styles.get(key)
-        if style is None:
-            style = f'r="{radius:.2f}" fill="{fill}" fill-opacity="{opacity:.2f}"/>'
-            if radius and opacity:  # 0.0 == -0.0 as keys, but they format apart
-                styles[key] = style
-        parts.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" {style}')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    x, y = points[:, 0], points[:, 1]
+    keep = (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
+    # Rounding is monotonic, so kept markers land in [_MARGIN, _HEIGHT - _MARGIN]
+    # = [56, 584], inside the exact range that _fixed2 checks.
+    cx = _MARGIN + _offsets(x[keep], x0, x1)
+    cy = _HEIGHT - _MARGIN - _offsets(y[keep], y0, y1)
+    style_text = [
+        f'r="{radius:.2f}" fill="{fill}" fill-opacity="{opacity:.2f}"/>' for radius, fill, opacity in styles
+    ]
+    circles = _circles(cx, cy, style_text, index[keep])
+    return "\n".join(parts) + "\n" + circles + "</svg>\n"
 
 
 def plot_dataset(dataset: Dataset, title: str = "benchmark dataset") -> str:
     """Scatter of a labeled dataset, colored by label."""
-    markers = (
-        (x, y, 2.4, _LABEL_COLORS[label], 0.75)
-        for (x, y), label in zip(dataset.features.tolist(), dataset.labels.tolist())
-    )
-    return svg_scatter(markers, title=title)
+    styles = [(2.4, color, 0.75) for color in _LABEL_COLORS]
+    return svg_scatter(dataset.features, styles, dataset.labels, title=title)
 
 
 def plot_model_grid(
@@ -151,28 +230,26 @@ def plot_model_grid(
     pad = 0.2
     span = (_WIDTH - 2 * _MARGIN) * (2 * limit) / (2 * limit + 2 * pad)
     radius = max(1.0, 0.45 * span / (resolution - 1))
-    markers = [
-        (x, y, radius, _LABEL_COLORS[label], 0.85)
-        for (x, y), label in zip(grid.tolist(), labels.tolist())
-    ]
-    return svg_scatter(markers, xlim=(-limit - pad, limit + pad), ylim=(-limit - pad, limit + pad), title=title)
+    styles = [(radius, color, 0.85) for color in _LABEL_COLORS]
+    lim = (-limit - pad, limit + pad)
+    return svg_scatter(grid, styles, labels, xlim=lim, ylim=lim, title=title)
 
 
 def plot_neighborhood(
     origin: FeatureVector,
     nbhd: Neighborhood,
-    weights: Sequence[float],
+    weights: np.ndarray,
     title: str = "sampled neighborhood",
 ) -> str:
     """Neighborhood points sized by proximity weight, with the origin on top."""
     points = nbhd.points
-    if len(points) != len(weights):
+    weights = np.asarray(weights, dtype=float)
+    if weights.shape != (len(points),):
         raise ValueError("weights must match the neighborhood size")
     extent = max(float(np.max(np.abs(points))), *(abs(v) for v in origin.values))
     limit = max(4.0, math.ceil(extent + 0.5))
-    markers: list[Marker] = [
-        (x, y, 1.0 + 4.0 * float(w), "#777777", 0.6)
-        for (x, y), w in zip(points[:, :2].tolist(), weights)
-    ]
-    markers.append((origin.values[0], origin.values[1], 6.0, "#c0392b", 1.0))
-    return svg_scatter(markers, xlim=(-limit, limit), ylim=(-limit, limit), title=title)
+    styles = [(radius, "#777777", 0.6) for radius in (1.0 + 4.0 * weights).tolist()]
+    styles.append((6.0, "#c0392b", 1.0))
+    centers = np.vstack((points[:, :2], [origin.values[:2]]))
+    lim = (-limit, limit)
+    return svg_scatter(centers, styles, np.arange(len(styles)), xlim=lim, ylim=lim, title=title)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlackBoxModel, FeatureVector, LocalSurrogate
+from .core import BlackBoxModel, FeatureVector, LocalSurrogate, _require_kernel_width
 from .samplers import Neighborhood
 
 __all__ = [
@@ -33,8 +33,7 @@ class KernelSpec:
     width: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.width) and self.width > 0):
-            raise ValueError("kernel width must be positive and finite")
+        _require_kernel_width(self.width, "kernel width")
 
 
 @dataclass(frozen=True)
@@ -84,10 +83,11 @@ def kernel_weight(x: FeatureVector, z: FeatureVector, spec: KernelSpec) -> float
 
 def neighborhood_weights(origin: FeatureVector, nbhd: Neighborhood, spec: KernelSpec) -> np.ndarray:
     """Proximity weight of every neighborhood point, anchored at the origin."""
-    # A squared distance that overflows to inf gets weight exp(-inf) = 0.
+    # A squared distance, or its ratio to a tiny squared width, that
+    # overflows to inf gets weight exp(-inf) = 0.
     with np.errstate(over="ignore"):
         d2 = np.sum((nbhd.points - origin.as_array()) ** 2, axis=1)
-    return np.exp(-d2 / (spec.width * spec.width))
+        return np.exp(-d2 / (spec.width * spec.width))
 
 
 def label_neighborhood(model: BlackBoxModel, nbhd: Neighborhood, explained_class: int) -> np.ndarray:

@@ -16,6 +16,7 @@ import pytest
 
 import prolime
 import prolime.evaluation as evaluation_module
+from prolime import cli
 from prolime.cli import main
 from prolime.explainer import ExplainStageError
 from prolime.simulation import read_dataset_csv
@@ -159,6 +160,27 @@ def test_explain_rejects_non_finite_hyperparameters(flag, value, field, capsys):
     assert stderr.startswith("error:")
     assert field in stderr and "finite" in stderr
     assert "above zero" not in stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["explain", "0.1", "0.2"],
+    ["plot", "neighborhood", "--credit", "0", "--risk", "0", "--out", os.devnull],
+])
+def test_kernel_width_whose_square_underflows_is_a_usage_error(command, capsys):
+    code, stdout, stderr = _run([*command, "--kernel-width", "1e-300"], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr == (
+        "error: kernel_width must be at least 1.4916681462400413e-154, "
+        "where its square stops underflowing, got 1e-300\n"
+    )
+
+
+def test_smallest_kernel_width_weighs_far_points_zero_without_warnings(capsys):
+    code, stdout, stderr = _run(["explain", "0.1", "0.2", "--kernel-width", "1.5e-154"], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "error: fitting stage failed: at least one weight must be positive\n"
 
 
 def test_explain_at_overflowing_coordinates_names_the_overflow(capsys):
@@ -472,3 +494,58 @@ def test_one_process_runs_many_commands_like_fresh_processes(tmp_path, capsys, m
         if argv[0] == "plot":
             fresh.append(Path("grid.svg").read_bytes())
     assert in_process == fresh
+
+
+# Each capped option, a value just above its cap, and the function that the
+# command would call next; the test replaces it so that nothing is allocated.
+CAPS = [
+    (["generate", "--n"], cli.MAX_SAMPLES, "generate_dataset"),
+    (["plot", "model-grid", "--resolution"], cli.MAX_RESOLUTION, "plot_model_grid"),
+    (["explain", "0", "0", "--neighborhood-size"], cli.MAX_NEIGHBORHOOD_SIZE, "explain"),
+    (["plot", "neighborhood", "--credit", "0", "--risk", "0", "--neighborhood-size"],
+     cli.MAX_NEIGHBORHOOD_SIZE, "draw_neighborhood"),
+    (["evaluate", "--trials"], cli.MAX_TRIALS, "run_experiment"),
+]
+
+
+def _refuse_to_run(*args, **kwargs):
+    raise AssertionError("a capped size reached the pipeline")
+
+
+@pytest.mark.parametrize("argv, cap, callee", CAPS, ids=[" ".join(argv) for argv, _, _ in CAPS])
+def test_sizes_above_their_cap_are_usage_errors(argv, cap, callee, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, callee, _refuse_to_run)
+    code, stdout, stderr = _run([*argv, str(cap + 1)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.endswith(f"error: argument {argv[-1]}: must be at most {cap}, got {cap + 1}\n")
+    config = tmp_path / "big.cfg"
+    config.write_text(f"{argv[-1][2:]}={cap + 1}\n", encoding="utf-8")
+    code, _, stderr = _run([*argv[:-1], "--config", str(config)], capsys)
+    assert code == 2
+    assert stderr == (
+        f"error: bad config value for '{argv[-1][2:]}': '{cap + 1}' "
+        f"(must be at most {cap}, got {cap + 1})\n"
+    )
+
+
+def test_each_neighborhood_size_is_capped(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", _refuse_to_run)
+    big = cli.MAX_NEIGHBORHOOD_SIZE + 1
+    code, _, stderr = _run(["evaluate", "--sizes", f"1000,{big}"], capsys)
+    assert code == 2
+    assert stderr.endswith(
+        f"error: argument --sizes: each size must be at most {cli.MAX_NEIGHBORHOOD_SIZE}, got {big}\n"
+    )
+
+
+def test_caps_admit_the_defaults_and_the_caps_themselves():
+    _, commands = cli._build_parser()
+    for argv, cap, _ in CAPS:
+        parser = commands[argv[0]]
+        flag = argv[-1]
+        dest = flag[2:].replace("-", "_")
+        assert getattr(parser.parse_args(argv[1:-1]), dest) <= cap
+        assert getattr(parser.parse_args([*argv[1:], str(cap)]), dest) == cap
+    sizes = commands["evaluate"].parse_args(["--sizes", f"2,{cli.MAX_NEIGHBORHOOD_SIZE}"]).sizes
+    assert sizes == (2, cli.MAX_NEIGHBORHOOD_SIZE)

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pytest
 
 from prolime.plots import svg_scatter
 
 MAX_FLOAT = 1.7976931348623157e308
+NO_MARKERS = (np.empty((0, 2)), [], np.empty(0, dtype=int))
 
 
 def _tick_labels(svg: str) -> list[str]:
@@ -16,34 +18,38 @@ def _tick_labels(svg: str) -> list[str]:
 
 
 def test_spans_up_to_twenty_get_a_tick_per_integer():
-    labels = _tick_labels(svg_scatter([], xlim=(-10.0, 10.0), ylim=(-4.0, 4.0)))
+    labels = _tick_labels(svg_scatter(*NO_MARKERS, xlim=(-10.0, 10.0), ylim=(-4.0, 4.0)))
     assert labels == [str(k) for k in range(-10, 11)] + [str(k) for k in range(-4, 5)]
 
 
 def test_wider_spans_get_power_of_ten_ticks():
-    labels = _tick_labels(svg_scatter([], xlim=(-26.0, 26.0), ylim=(0.0, 2000.0)))
+    labels = _tick_labels(svg_scatter(*NO_MARKERS, xlim=(-26.0, 26.0), ylim=(0.0, 2000.0)))
     assert labels == ["-20", "-10", "0", "10", "20"] + [f"{k * 100}" for k in range(21)]
 
 
 @pytest.mark.parametrize("lo, hi", [(-MAX_FLOAT, MAX_FLOAT), (0.0, MAX_FLOAT), (-1e300, 3.0)])
 def test_tick_count_stays_bounded_at_extreme_limits(lo, hi):
-    svg = svg_scatter([(hi, hi, 2.0, "#000000", 1.0)], xlim=(lo, hi), ylim=(lo, hi))
+    marker = (np.array([[hi, hi]]), [(2.0, "#000000", 1.0)], np.array([0]))
+    svg = svg_scatter(*marker, xlim=(lo, hi), ylim=(lo, hi))
     assert 2 <= svg.count("<line") <= 2 * 21
     assert "nan" not in svg and "inf" not in svg
     assert svg.count("<circle") == 1
 
 
-@pytest.mark.parametrize("xlim", [(0.0, float("inf")), (float("nan"), 1.0), (1.0, 1.0), (2.0, 1.0)])
+@pytest.mark.parametrize(
+    "xlim", [(0.0, float("inf")), (float("nan"), 1.0), (1.0, 1.0), (2.0, 1.0), (0.0, 5e-324)]
+)
 def test_limits_must_be_finite_and_increasing(xlim):
     with pytest.raises(ValueError):
-        svg_scatter([], xlim=xlim)
+        svg_scatter(*NO_MARKERS, xlim=xlim)
 
 
 def test_each_marker_keeps_its_own_style_text():
-    markers = [(0.0, 0.0, 2.0, "#111111", 0.5), (1.0, 1.0, 0.0, "#111111", 0.5),
-               (2.0, 2.0, -0.0, "#111111", 0.5), (3.0, 3.0, 2.0, "#111111", -0.0),
-               (-1.0, -1.0, 2.0, "#111111", 0.0), (-2.0, -2.0, 2.0, "#222222", 0.5)]
-    styles = re.findall(r'<circle cx="[^"]*" cy="[^"]*" (r=.*)/>', svg_scatter(markers))
+    centers = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [-1.0, -1.0], [-2.0, -2.0]])
+    marker_styles = [(2.0, "#111111", 0.5), (0.0, "#111111", 0.5), (-0.0, "#111111", 0.5),
+                     (2.0, "#111111", -0.0), (2.0, "#111111", 0.0), (2.0, "#222222", 0.5)]
+    svg = svg_scatter(centers, marker_styles, np.arange(6))
+    styles = re.findall(r'<circle cx="[^"]*" cy="[^"]*" (r=.*)/>', svg)
     assert styles == [
         'r="2.00" fill="#111111" fill-opacity="0.50"',
         'r="0.00" fill="#111111" fill-opacity="0.50"',

@@ -1,22 +1,25 @@
-"""Property tests of the array model contract against per-row references,
-and of the dataset CSV round trip."""
+"""Property tests of the array model contract, the SVG renderer and the
+dataset CSV reader against per-row references, and of the CSV round trip."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import math
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from prolime.core import BlackBoxModel, ClassProbabilities, FeatureVector, ModelEvaluationError
+from prolime.plots import _fixed2, svg_scatter
 from prolime.simulation import (
     BenchmarkDistribution,
     Dataset,
+    DatasetFormatError,
     OracleModel,
     _diamond_mask,
     _pdf_values,
@@ -168,3 +171,205 @@ def test_dataset_csv_round_trip_is_bit_exact(features, data, tmp_path_factory):
     assert back.features.shape == features.shape
     assert np.array_equal(back.features.view("<u8"), features.astype("<f8").view("<u8"))
     assert back.labels.tolist() == labels.tolist()
+
+
+MAX_FLOAT = 1.7976931348623157e308
+
+
+@settings(deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(56.0, 584.0),
+            st.integers(56 * 8, 584 * 8).map(lambda k: k / 8),
+            st.sampled_from((56.0, 584.0, math.nextafter(56.0, 100.0), math.nextafter(584.0, 0.0))),
+        ),
+        max_size=50,
+    )
+)
+def test_fixed_point_kernel_equals_format(values):
+    rows = _fixed2(np.array(values, dtype=float))
+    texts = [bytes(row).replace(b"\0", b"").decode("ascii") for row in rows]
+    assert texts == [format(v, ".2f") for v in values]
+
+
+def _reference_svg_scatter(markers, xlim, ylim, title="", xlabel="credit", ylabel="risk"):
+    """The per-marker renderer: markers are (x, y, radius, fill, opacity)."""
+    width = height = 640
+    margin = 56
+    x0, x1 = float(xlim[0]), float(xlim[1])
+    y0, y1 = float(ylim[0]), float(ylim[1])
+    inner_w = width - 2 * margin
+    inner_h = height - 2 * margin
+    half_x0, half_y0 = x0 * 0.5, y0 * 0.5
+    half_w = x1 * 0.5 - half_x0
+    half_h = y1 * 0.5 - half_y0
+
+    def px(x):
+        return margin + (x * 0.5 - half_x0) / half_w * inner_w
+
+    def py(y):
+        return height - margin - (y * 0.5 - half_y0) / half_h * inner_h
+
+    def ticks(lo, hi):
+        half_span = hi * 0.5 - lo * 0.5
+        if half_span <= 10:
+            return [(tick, str(tick)) for tick in range(math.ceil(lo), math.floor(hi) + 1)]
+        step = 10.0 ** math.ceil(math.log10(half_span / 10))
+        return [(k * step, f"{k * step:g}") for k in range(math.ceil(lo / step), math.floor(hi / step) + 1)]
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}">',
+        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<rect x="{margin}" y="{margin}" width="{inner_w}" height="{inner_h}" '
+        f'fill="none" stroke="#444444" stroke-width="1"/>',
+    ]
+    if title:
+        parts.append(
+            f'<text x="{width / 2:.1f}" y="{margin - 22}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="16">{title}</text>'
+        )
+    for tick, label in ticks(x0, x1):
+        x = px(tick)
+        parts.append(
+            f'<line x1="{x:.2f}" y1="{height - margin}" x2="{x:.2f}" '
+            f'y2="{height - margin + 6}" stroke="#444444"/>'
+        )
+        parts.append(
+            f'<text x="{x:.2f}" y="{height - margin + 20}" text-anchor="middle" '
+            f'font-family="sans-serif" font-size="11">{label}</text>'
+        )
+    for tick, label in ticks(y0, y1):
+        y = py(tick)
+        parts.append(f'<line x1="{margin - 6}" y1="{y:.2f}" x2="{margin}" y2="{y:.2f}" stroke="#444444"/>')
+        parts.append(
+            f'<text x="{margin - 10}" y="{y + 4:.2f}" text-anchor="end" '
+            f'font-family="sans-serif" font-size="11">{label}</text>'
+        )
+    parts.append(
+        f'<text x="{width / 2:.1f}" y="{height - 14}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="16" y="{height / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
+        f'font-size="13" transform="rotate(-90 16 {height / 2:.1f})">{ylabel}</text>'
+    )
+    for x, y, radius, fill, opacity in markers:
+        if x0 <= x <= x1 and y0 <= y <= y1:
+            parts.append(
+                f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" '
+                f'r="{radius:.2f}" fill="{fill}" fill-opacity="{opacity:.2f}"/>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+# Limits and coordinates from anywhere in the float range, with the ends of
+# the range and signed zeros drawn often.
+plot_floats = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, -1.0, 5e-324, MAX_FLOAT, -MAX_FLOAT, 1e300, -1e300)),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+style_floats = st.one_of(st.sampled_from((0.0, -0.0, 0.005, -0.005, 2.4, 0.125)), st.floats(-10.0, 10.0))
+
+
+@st.composite
+def scatter_inputs(draw):
+    xlim = tuple(sorted(draw(st.lists(plot_floats, min_size=2, max_size=2, unique=True))))
+    ylim = tuple(sorted(draw(st.lists(plot_floats, min_size=2, max_size=2, unique=True))))
+    assume(xlim[1] * 0.5 - xlim[0] * 0.5 > 0 and ylim[1] * 0.5 - ylim[0] * 0.5 > 0)
+    # Markers on the limits, just inside and outside them, and anywhere.
+    near = [*xlim, *ylim, *(math.nextafter(v, math.inf) for v in (*xlim, *ylim)),
+            *(math.nextafter(v, -math.inf) for v in (*xlim, *ylim))]
+    coordinate = st.one_of(plot_floats, st.sampled_from(near), st.just(math.nan), st.just(math.inf))
+    n = draw(st.integers(0, 40))
+    centers = [(draw(coordinate), draw(coordinate)) for _ in range(n)]
+    fills = st.sampled_from(("#e07a3f", "#3566a8", "none"))
+    styles = draw(st.lists(st.tuples(style_floats, fills, style_floats), min_size=1, max_size=4))
+    index = [draw(st.integers(0, len(styles) - 1)) for _ in range(n)]
+    return centers, styles, index, xlim, ylim
+
+
+@settings(deadline=None, max_examples=200)
+@given(inputs=scatter_inputs())
+@example(inputs=(
+    [(0.0, -0.0), (MAX_FLOAT, -MAX_FLOAT), (1e300, 3.0)],
+    [(-0.0, "#e07a3f", 0.75), (2.4, "#3566a8", -0.0)],
+    [0, 1, 0],
+    (-MAX_FLOAT, MAX_FLOAT),
+    (-1e300, MAX_FLOAT),
+))
+def test_svg_scatter_equals_the_per_marker_reference(inputs):
+    centers, styles, index, xlim, ylim = inputs
+    markers = [(x, y, *styles[i]) for (x, y), i in zip(centers, index)]
+    expected = _reference_svg_scatter(markers, xlim, ylim, title="t")
+    got = svg_scatter(np.array(centers, dtype=float).reshape(-1, 2), styles, np.array(index, dtype=int),
+                      xlim=xlim, ylim=ylim, title="t")
+    assert got == expected
+
+
+def _reference_read_dataset_csv(path):
+    """The per-row reader: returns (features, labels), or (line, message) of the error."""
+    values, labels, failure = [], [], None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is not None and header != ["credit", "risk", "label"]:
+            return 1, "expected header credit,risk,label"
+        for line_number, row in enumerate(reader, start=2):
+            try:
+                if len(row) != 3:
+                    raise ValueError(f"expected 3 columns, got {len(row)}")
+                credit, risk, label = float(row[0]), float(row[1]), int(row[2])
+            except ValueError as exc:
+                failure = line_number, str(exc)
+                break
+            if not (math.isfinite(credit) and math.isfinite(risk)):
+                bad = credit if not math.isfinite(credit) else risk
+                return line_number, f"feature values must be finite, got {bad!r}"
+            if label not in (0, 1):
+                return line_number, f"label must be 0 or 1, got {label!r}"
+            values.append((credit, risk))
+            labels.append(label)
+    return failure or (values, labels)
+
+
+CSV_FAULTS = {
+    "too-few-columns": lambda row: row[:2],
+    "too-many-columns": lambda row: [*row, "1"],
+    "empty-line": lambda row: [],
+    "bad-float": lambda row: ["abc", row[1], row[2]],
+    "bad-second-float": lambda row: [row[0], "1.2.3", row[2]],
+    "nan": lambda row: [row[0], "nan", row[2]],
+    "inf": lambda row: ["inf", row[1], row[2]],
+    "negative-inf": lambda row: [row[0], "-inf", row[2]],
+    "bad-label": lambda row: [row[0], row[1], "2"],
+    "non-integer-label": lambda row: [row[0], row[1], "1.0"],
+    "huge-label": lambda row: [row[0], row[1], str(10**20)],
+}
+
+
+@settings(deadline=None)
+@given(
+    n=st.integers(1, 30),
+    faults=st.lists(
+        st.tuples(st.integers(0, 29), st.sampled_from(sorted(CSV_FAULTS))), min_size=1, max_size=2
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_read_dataset_csv_reports_the_line_of_the_per_row_reference(n, faults, seed, tmp_path_factory):
+    gen = np.random.default_rng(seed)
+    rows = [[repr(c), repr(r), str(label)] for (c, r), label in
+            zip(gen.standard_normal((n, 2)).tolist(), gen.integers(0, 2, n).tolist())]
+    clean = list(rows)
+    for line, fault in faults:
+        rows[line % n] = CSV_FAULTS[fault](clean[line % n])
+    path = tmp_path_factory.mktemp("csv") / "dataset.csv"
+    path.write_text("credit,risk,label\n" + "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    expected = _reference_read_dataset_csv(str(path))
+    assert isinstance(expected[0], int), "every fault makes the file invalid"
+    with pytest.raises(DatasetFormatError) as info:
+        read_dataset_csv(str(path))
+    assert (info.value.line_number, str(info.value)) == (expected[0], f"line {expected[0]}: {expected[1]}")

@@ -45,6 +45,16 @@ def test_kernel_spec_requires_positive_width():
         KernelSpec(width=-1.0)
 
 
+def test_kernel_spec_rejects_a_width_whose_square_underflows():
+    with pytest.raises(ValueError, match="kernel width must be at least 1.49"):
+        KernelSpec(width=math.nextafter(1.4916681462400413e-154, 0.0))
+    tiny = KernelSpec(width=1.4916681462400413e-154)
+    x = _fv(0.0, 0.0)
+    assert kernel_weight(x, x, tiny) == 1.0
+    assert kernel_weight(x, _fv(3.0, 4.0), tiny) == 0.0
+    assert neighborhood_weights(x, _nbhd([[0.0, 0.0], [3.0, 4.0]]), tiny).tolist() == [1.0, 0.0]
+
+
 def test_kernel_is_one_at_zero_distance():
     x = _fv(0.41, -0.51)
     assert kernel_weight(x, x, KernelSpec(width=1.0)) == 1.0
