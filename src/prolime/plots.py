@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence
 
@@ -45,17 +46,28 @@ _FIXED2_LO, _FIXED2_HI = 1.0, 8192.0
 
 def _digit_text(count: int, width: int) -> np.ndarray:
     """ASCII digits of 0 .. count - 1, one zero-padded row of ``width`` bytes each."""
-    powers = 10 ** np.arange(width - 1, -1, -1)
-    return (np.arange(count)[:, None] // powers % 10 + ord("0")).astype(np.uint8)
+    numbers = np.arange(count, dtype=np.uint16)
+    text = np.empty((count, width), dtype=np.uint8)
+    for column in range(width):
+        text[:, column] = numbers // 10 ** (width - 1 - column) % 10 + ord("0")
+    return text
 
 
-# Integer parts up to 9999 (values just below _FIXED2_HI round up to it)
-# with their leading zeros as NUL, and two-digit fractions. Each row is held
-# as one 4- or 2-byte word, so a lookup gathers words instead of bytes.
-_INTEGER_DIGITS = _digit_text(10000, 4)
-_INTEGER_DIGITS[:, :3][np.arange(10000)[:, None] < np.array([1000, 100, 10])] = 0
-_INTEGER_TEXT = _INTEGER_DIGITS.view(np.uint32).ravel()
-_FRACTION_TEXT = _digit_text(100, 2).view(np.uint16).ravel()
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """Integer parts up to 9999 (values just below _FIXED2_HI round up to it)
+    with their leading zeros as NUL, and two-digit fractions. Each row is one
+    4- or 2-byte word, so a lookup gathers words instead of bytes.
+
+    Built on first use: building them costs about half a megabyte of peak
+    memory, which processes that draw no figure should not pay.
+    """
+    integers = _digit_text(10000, 4)
+    integers[:, :3][np.logical_and.accumulate(integers[:, :3] == ord("0"), axis=1)] = 0
+    tables = integers.view(np.uint32).ravel(), _digit_text(100, 2).view(np.uint16).ravel()
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _fixed2(values: np.ndarray) -> np.ndarray:
@@ -76,10 +88,11 @@ def _fixed2(values: np.ndarray) -> np.ndarray:
     half = np.uint64(1) << (shift - np.uint64(1))
     round_up = (remainder > half) | ((remainder == half) & (quotient & np.uint64(1) == 1))
     integer, fraction = np.divmod((quotient + round_up).astype(np.intp), 100)
+    integer_text, fraction_text = _digit_tables()
     out = np.empty((values.size, 7), dtype=np.uint8)
-    out[:, :4] = _INTEGER_TEXT[integer].view(np.uint8).reshape(-1, 4)
+    out[:, :4] = integer_text[integer].view(np.uint8).reshape(-1, 4)
     out[:, 4] = ord(".")
-    out[:, 5:] = _FRACTION_TEXT[fraction].view(np.uint8).reshape(-1, 2)
+    out[:, 5:] = fraction_text[fraction].view(np.uint8).reshape(-1, 2)
     return out
 
 
@@ -228,7 +241,7 @@ def plot_model_grid(
     grid = np.column_stack((credit.ravel(), risk.ravel()))
     labels = np.argmax(model.predict_proba(grid, feature_names=("credit", "risk")), axis=1)
     pad = 0.2
-    span = (_WIDTH - 2 * _MARGIN) * (2 * limit) / (2 * limit + 2 * pad)
+    span = _INNER * (2 * limit) / (2 * limit + 2 * pad)
     radius = max(1.0, 0.45 * span / (resolution - 1))
     styles = [(radius, color, 0.85) for color in _LABEL_COLORS]
     lim = (-limit - pad, limit + pad)
