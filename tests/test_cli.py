@@ -496,8 +496,8 @@ def test_one_process_runs_many_commands_like_fresh_processes(tmp_path, capsys, m
     assert in_process == fresh
 
 
-# Each capped option, a value just above its cap, and the function that the
-# command would call next; the test replaces it so that nothing is allocated.
+# Each capped option with its cap, and the function the command would call
+# next; the tests replace that function, so a value above the cap allocates nothing.
 CAPS = [
     (["generate", "--n"], cli.MAX_SAMPLES, "generate_dataset"),
     (["plot", "model-grid", "--resolution"], cli.MAX_RESOLUTION, "plot_model_grid"),
