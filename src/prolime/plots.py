@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Sequence
 
@@ -116,16 +117,17 @@ def _circles(cx: np.ndarray, cy: np.ndarray, style_text: list[str], index: np.nd
     Rows are laid out as a NUL-padded byte matrix, so the NULs are stripped
     in one pass instead of formatting each marker apart.
     """
-    encoded = [text.encode("utf-8") for text in style_text]
-    width = max(map(len, encoded), default=0)
-    styles = np.frombuffer(b"".join(text.ljust(width, b"\0") for text in encoded), dtype=np.uint8)
+    if "\0" in "".join(style_text):
+        raise ValueError("fill must not contain NUL characters")
+    # A bytes array pads each style to the longest one with NULs.
+    styles = np.array(list(map(str.encode, style_text)), dtype=np.bytes_)
     columns = [
         _ascii_columns('<circle cx="', len(index)),
         _fixed2(cx),
         _ascii_columns('" cy="', len(index)),
         _fixed2(cy),
         _ascii_columns('" ', len(index)),
-        styles.reshape(len(encoded), width)[index],
+        styles.view(np.uint8).reshape(len(styles), styles.itemsize)[index],
         _ascii_columns("\n", len(index)),
     ]
     return np.hstack(columns).tobytes().replace(b"\0", b"").decode("utf-8")
@@ -157,8 +159,6 @@ def svg_scatter(
     if index.size and not (index.dtype.kind in "iu" and index.min() >= 0 and index.max() < len(styles)):
         raise ValueError(f"style_index entries must be integers in [0, {len(styles)})")
     index = index.astype(np.intp, copy=False)
-    if any("\0" in fill for _, fill, _ in styles):
-        raise ValueError("fill must not contain NUL characters")
     x0, x1 = float(xlim[0]), float(xlim[1])
     y0, y1 = float(ylim[0]), float(ylim[1])
     if not all(map(math.isfinite, (x0, x1, y0, y1))):
@@ -214,9 +214,7 @@ def svg_scatter(
     # = [56, 584], inside the exact range that _fixed2 checks.
     cx = _MARGIN + _offsets(x[keep], x0, x1)
     cy = _HEIGHT - _MARGIN - _offsets(y[keep], y0, y1)
-    style_text = [
-        f'r="{radius:.2f}" fill="{fill}" fill-opacity="{opacity:.2f}"/>' for radius, fill, opacity in styles
-    ]
+    style_text = list(itertools.starmap('r="{:.2f}" fill="{}" fill-opacity="{:.2f}"/>'.format, styles))
     circles = _circles(cx, cy, style_text, index[keep])
     return "\n".join(parts) + "\n" + circles + "</svg>\n"
 

@@ -287,44 +287,31 @@ def read_dataset_csv(path: str) -> Dataset:
     An empty file reads as an empty dataset. Raises
     :class:`DatasetFormatError` naming the first line that fails.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if rows and rows[0] != ["credit", "risk", "label"]:
-        raise DatasetFormatError(1, "expected header credit,risk,label")
-    body = rows[1:]
-    try:
-        if set(map(len, body)) - {3}:
-            raise ValueError("a row does not have 3 columns")
-        credit, risk, label = zip(*body) if body else ((), (), ())
-        features = np.column_stack((
-            np.fromiter(map(float, credit), float, len(body)),
-            np.fromiter(map(float, risk), float, len(body)),
-        ))
-        labels = np.array(list(map(int, label)))
-    except ValueError:
-        _raise_first_failing_line(body)
-        raise
-    invalid = _first_invalid_row(features, labels)
-    if invalid is not None:
-        raise DatasetFormatError(invalid[0] + 2, invalid[1])
-    return Dataset(features, labels)
-
-
-def _raise_first_failing_line(body: list[list[str]]) -> None:
-    """Parse CSV rows (after the header) one at a time and raise the error
-    for the first that fails to parse, unless a row before it holds a
-    non-finite value or a bad label, which is then named instead."""
     values: list[float] = []
     labels: list[int] = []
-    for line_number, row in enumerate(body, start=2):
-        try:
-            if len(row) != 3:
-                raise ValueError(f"expected 3 columns, got {len(row)}")
-            credit, risk, label = float(row[0]), float(row[1]), int(row[2])
-        except ValueError as exc:
-            invalid = _first_invalid_row(np.array(values, dtype=float).reshape(-1, 2), np.array(labels))
-            if invalid is not None:
-                raise DatasetFormatError(invalid[0] + 2, invalid[1]) from None
-            raise DatasetFormatError(line_number, str(exc)) from exc
-        values += (credit, risk)
-        labels.append(label)
+    failure = None
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is not None and header != ["credit", "risk", "label"]:
+            raise DatasetFormatError(1, "expected header credit,risk,label")
+        for line_number, row in enumerate(reader, start=2):
+            try:
+                if len(row) != 3:
+                    raise ValueError(f"expected 3 columns, got {len(row)}")
+                credit, risk, label = float(row[0]), float(row[1]), int(row[2])
+            except ValueError as exc:
+                failure = line_number, exc
+                break
+            values += (credit, risk)
+            labels.append(label)
+    features = np.array(values, dtype=float).reshape(-1, 2)
+    label_array = np.array(labels)
+    # Rows before a parse failure may hold an earlier non-finite value or bad label.
+    invalid = _first_invalid_row(features, label_array)
+    if invalid is not None:
+        raise DatasetFormatError(invalid[0] + 2, invalid[1])
+    if failure is not None:
+        line_number, exc = failure
+        raise DatasetFormatError(line_number, str(exc)) from exc
+    return Dataset(features, label_array)

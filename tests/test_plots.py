@@ -58,3 +58,10 @@ def test_each_marker_keeps_its_own_style_text():
         'r="2.00" fill="#111111" fill-opacity="0.00"',
         'r="2.00" fill="#222222" fill-opacity="0.50"',
     ]
+
+
+def test_fill_must_not_contain_nul():
+    # The circle rows are NUL-padded and the padding is stripped afterwards,
+    # so a NUL in the style text would be lost silently.
+    with pytest.raises(ValueError, match="NUL"):
+        svg_scatter(np.zeros((1, 2)), [(2.0, "#11\0", 0.5)], np.array([0]))

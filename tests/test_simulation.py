@@ -369,6 +369,17 @@ def test_dataset_csv_reports_the_first_failing_line_of_any_kind(tmp_path):
         read_dataset_csv(str(path))
 
 
+def test_dataset_csv_stops_reading_at_the_first_failing_line(tmp_path):
+    # The reader streams, so bytes past the failing line are never decoded
+    # or split: neither the 0xff byte nor the oversized field is reached.
+    path = tmp_path / "bad_then_undecodable.csv"
+    padding = b"0.1,0.2,1\n" * 10_000
+    for tail in (b"\xff,0.2,1\n", b"0.1," + b"9" * 200_000 + b",1\n"):
+        path.write_bytes(b"credit,risk,label\n0.1,0.2\n" + padding + tail)
+        with pytest.raises(DatasetFormatError, match="line 2: expected 3 columns, got 2"):
+            read_dataset_csv(str(path))
+
+
 def test_dataset_csv_rejects_non_numeric_values(tmp_path):
     path = tmp_path / "bad_value.csv"
     path.write_text("credit,risk,label\nabc,0.2,1\n", encoding="utf-8")
