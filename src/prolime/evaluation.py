@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import FeatureVector, LimeHyperparameters, LocalSurrogate
 from .explainer import ExplainRequest, ExplainStageError, explain
-from .samplers import ProcessAwareSpec, RngStream, SamplerSpec, StandardSpec, cholesky
+from .samplers import ProcessAwareSpec, RngStream, SamplerSpec, StandardSpec
 from .simulation import (
     FEATURE_NAMES,
     BenchmarkDistribution,
@@ -134,11 +134,10 @@ class ExperimentReport:
 def draw_test_point(dist: BenchmarkDistribution, rng: RngStream) -> FeatureVector:
     """One draw from the benchmark distribution, rejection-resampled until the
     density clears the oracle threshold so the local ground truth is defined."""
-    lower = cholesky(dist.covariance)
     mean = np.asarray(dist.mean)
     gen = rng.generator()
     while True:
-        point = FeatureVector(tuple((mean + lower @ gen.standard_normal(2)).tolist()), FEATURE_NAMES)
+        point = FeatureVector(tuple((mean + dist._lower @ gen.standard_normal(2)).tolist()), FEATURE_NAMES)
         if gaussian_pdf(point, dist) >= dist.density_threshold:
             return point
 

@@ -111,8 +111,11 @@ def _ascii_columns(text: str, rows: int) -> np.ndarray:
     return np.broadcast_to(np.frombuffer(text.encode("ascii"), dtype=np.uint8), (rows, len(text)))
 
 
-def _circles(cx: np.ndarray, cy: np.ndarray, style_text: list[str], index: np.ndarray) -> str:
-    """One ``<circle .../>`` line per marker, each ending in a newline.
+def _circles(
+    cx: np.ndarray, cy: np.ndarray, radii: np.ndarray | None, style_text: list[str], index: np.ndarray
+) -> str:
+    """One ``<circle .../>`` line per marker, each ending in a newline; the
+    radius is a column of its own when ``radii`` is given.
 
     Rows are laid out as a NUL-padded byte matrix, so the NULs are stripped
     in one pass instead of formatting each marker apart.
@@ -121,14 +124,14 @@ def _circles(cx: np.ndarray, cy: np.ndarray, style_text: list[str], index: np.nd
         raise ValueError("fill must not contain NUL characters")
     # A bytes array pads each style to the longest one with NULs.
     styles = np.array(list(map(str.encode, style_text)), dtype=np.bytes_)
-    columns = [
-        _ascii_columns('<circle cx="', len(index)),
-        _fixed2(cx),
-        _ascii_columns('" cy="', len(index)),
-        _fixed2(cy),
-        _ascii_columns('" ', len(index)),
+    n = len(index)
+    columns = [_ascii_columns('<circle cx="', n), _fixed2(cx), _ascii_columns('" cy="', n), _fixed2(cy)]
+    if radii is not None:
+        columns += [_ascii_columns('" r="', n), _fixed2(radii)]
+    columns += [
+        _ascii_columns('" ', n),
         styles.view(np.uint8).reshape(len(styles), styles.itemsize)[index],
-        _ascii_columns("\n", len(index)),
+        _ascii_columns("\n", n),
     ]
     return np.hstack(columns).tobytes().replace(b"\0", b"").decode("utf-8")
 
@@ -142,13 +145,16 @@ def svg_scatter(
     title: str = "",
     xlabel: str = "credit",
     ylabel: str = "risk",
+    radii: np.ndarray | None = None,
 ) -> str:
     """Render circles at data coordinates inside a framed, ticked axis box.
 
     ``centers`` is an ``(n, 2)`` array of marker positions, ``styles`` a list
     of (radius, fill, opacity) and ``style_index`` an ``(n,)`` int array
-    giving each marker's style. Markers outside the limits are omitted; later
-    markers are drawn on top. Returns a complete standalone SVG document.
+    giving each marker's style. ``radii``, when given, is an ``(n,)`` array of
+    per-marker radii in [1, 8192) that replaces the radii of the styles.
+    Markers outside the limits are omitted; later markers are drawn on top.
+    Returns a complete standalone SVG document.
     """
     points = np.asarray(centers, dtype=float)
     index = np.asarray(style_index)
@@ -159,6 +165,12 @@ def svg_scatter(
     if index.size and not (index.dtype.kind in "iu" and index.min() >= 0 and index.max() < len(styles)):
         raise ValueError(f"style_index entries must be integers in [0, {len(styles)})")
     index = index.astype(np.intp, copy=False)
+    if radii is not None:
+        radii = np.asarray(radii, dtype=float)
+        if radii.shape != (len(points),):
+            raise ValueError(f"radii must have shape ({len(points)},), got {radii.shape}")
+        if radii.size and not (radii.min() >= _FIXED2_LO and radii.max() < _FIXED2_HI):
+            raise ValueError(f"radii must lie in [{_FIXED2_LO}, {_FIXED2_HI})")
     x0, x1 = float(xlim[0]), float(xlim[1])
     y0, y1 = float(ylim[0]), float(ylim[1])
     if not all(map(math.isfinite, (x0, x1, y0, y1))):
@@ -214,8 +226,12 @@ def svg_scatter(
     # = [56, 584], inside the exact range that _fixed2 checks.
     cx = _MARGIN + _offsets(x[keep], x0, x1)
     cy = _HEIGHT - _MARGIN - _offsets(y[keep], y0, y1)
-    style_text = list(itertools.starmap('r="{:.2f}" fill="{}" fill-opacity="{:.2f}"/>'.format, styles))
-    circles = _circles(cx, cy, style_text, index[keep])
+    if radii is None:
+        style_text = list(itertools.starmap('r="{:.2f}" fill="{}" fill-opacity="{:.2f}"/>'.format, styles))
+        circles = _circles(cx, cy, None, style_text, index[keep])
+    else:
+        style_text = [f'fill="{fill}" fill-opacity="{opacity:.2f}"/>' for _, fill, opacity in styles]
+        circles = _circles(cx, cy, radii[keep], style_text, index[keep])
     return "\n".join(parts) + "\n" + circles + "</svg>\n"
 
 
@@ -257,10 +273,14 @@ def plot_neighborhood(
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(points),):
         raise ValueError("weights must match the neighborhood size")
+    if not ((weights >= 0.0) & (weights <= 1.0)).all():
+        raise ValueError("weights must lie in [0, 1]")
     extent = max(float(np.max(np.abs(points))), *(abs(v) for v in origin.values))
     limit = max(4.0, math.ceil(extent + 0.5))
-    styles = [(radius, "#777777", 0.6) for radius in (1.0 + 4.0 * weights).tolist()]
-    styles.append((6.0, "#c0392b", 1.0))
+    styles = [(1.0, "#777777", 0.6), (6.0, "#c0392b", 1.0)]
+    # The origin is drawn last, on top, in the second style.
+    style_index = np.append(np.zeros(len(points), dtype=np.intp), 1)
+    radii = np.append(1.0 + 4.0 * weights, 6.0)
     centers = np.vstack((points[:, :2], [origin.values[:2]]))
     lim = (-limit, limit)
-    return svg_scatter(centers, styles, np.arange(len(styles)), xlim=lim, ylim=lim, title=title)
+    return svg_scatter(centers, styles, style_index, xlim=lim, ylim=lim, title=title, radii=radii)

@@ -10,7 +10,7 @@ the proximity kernel rather than by the sampler.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
@@ -104,6 +104,8 @@ class ProcessAwareSpec:
 
     mean: tuple[float, ...]
     covariance: tuple[tuple[float, ...], ...]
+    # The covariance's read-only Cholesky factor, computed once per spec.
+    _lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         mean = tuple(float(m) for m in self.mean)
@@ -115,7 +117,9 @@ class ProcessAwareSpec:
             raise ValueError("mean must not be empty")
         if len(cov) != n or any(len(row) != n for row in cov):
             raise ValueError("covariance must be square and match the mean's length")
-        cholesky(cov)
+        lower = cholesky(cov)
+        lower.flags.writeable = False
+        object.__setattr__(self, "_lower", lower)
 
 
 SamplerSpec = Union[StandardSpec, ProcessAwareSpec]
@@ -135,7 +139,7 @@ class Neighborhood:
             raise ValueError(f"points must be a nonempty (n, d) array, got shape {points.shape}")
         if points.shape[1] != self.origin.dim:
             raise ValueError("every neighborhood point must match the origin's dimension")
-        if not np.all(np.isfinite(points)):
+        if not np.isfinite(points).all():
             raise ValueError("neighborhood points must be finite")
         points.flags.writeable = False
         object.__setattr__(self, "points", points)
@@ -168,7 +172,7 @@ def cholesky(matrix: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("matrix entries must be finite")
     if a.size and float(np.max(np.abs(a - a.T))) > 1e-12:
         raise ValueError("matrix must be symmetric within 1e-12")
@@ -349,7 +353,6 @@ def sample_process_aware(
     d = len(spec.mean)
     if origin.dim != d:
         raise ValueError("origin dimension must match the sampler's mean")
-    lower = cholesky(spec.covariance)
     gen = rng.generator()
-    rows = np.asarray(spec.mean) + gen.standard_normal((n, d)) @ lower.T
+    rows = np.asarray(spec.mean) + gen.standard_normal((n, d)) @ spec._lower.T
     return Neighborhood(rows, origin)

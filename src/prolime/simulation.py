@@ -12,7 +12,7 @@ import csv
 import hashlib
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -53,6 +53,8 @@ class BenchmarkDistribution:
     mean: tuple[float, float] = (0.0, 0.0)
     covariance: tuple[tuple[float, float], tuple[float, float]] = ((1.0, -0.9), (-0.9, 1.0))
     density_threshold: float = 0.01
+    # The covariance's read-only Cholesky factor, computed once per distribution.
+    _lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mean", tuple(float(m) for m in self.mean))
@@ -74,6 +76,9 @@ class BenchmarkDistribution:
                 f"density_threshold must lie below the peak density {peak!r}; "
                 "no point would clear it"
             )
+        lower = cholesky(cov)
+        lower.flags.writeable = False
+        object.__setattr__(self, "_lower", lower)
 
     @property
     def rho(self) -> float:
@@ -198,9 +203,8 @@ def generate_dataset(
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    lower = cholesky(dist.covariance)
     gen = rng.generator()
-    rows = np.asarray(dist.mean) + gen.standard_normal((n, 2)) @ lower.T
+    rows = np.asarray(dist.mean) + gen.standard_normal((n, 2)) @ dist._lower.T
     return Dataset(rows, _diamond_mask(rows))
 
 
@@ -239,13 +243,17 @@ class OracleModel(BlackBoxModel):
         rows = np.asarray(X, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != 2:
             raise ValueError(f"expected an (n, 2) array of (credit, risk) rows, got shape {rows.shape}")
-        finite = np.isfinite(rows).all(axis=1)
-        if not finite.all():
-            raise ModelEvaluationError(int(np.argmin(finite)), "feature values must be finite")
-        labels = _diamond_mask(rows).astype(float)
+        if not np.isfinite(rows).all():
+            first = int(np.argmin(np.isfinite(rows).all(axis=1)))
+            raise ModelEvaluationError(first, "feature values must be finite")
+        out = np.empty((rows.shape[0], 2))
+        labels = out[:, 1]
+        labels[:] = _diamond_mask(rows)
         off = ~(_pdf_values(rows, self._dist) >= self._dist.density_threshold)
-        labels[off] = self._coins(rows[off])
-        return np.column_stack((1.0 - labels, labels))
+        if off.any():
+            labels[off] = self._coins(rows[off])
+        np.subtract(1.0, labels, out=out[:, 0])
+        return out
 
 
 def oracle_model(dist: BenchmarkDistribution, model_seed: int) -> BlackBoxModel:
@@ -281,6 +289,14 @@ def write_dataset_csv(dataset: Dataset, path: str) -> None:
             fh.write(f"{credit!r},{risk!r},{label}\n")
 
 
+def _undecodable(row: list[str]) -> ValueError | None:
+    """The first byte that was not valid UTF-8, read as a lone surrogate."""
+    for char in "".join(row):
+        if "\udc80" <= char <= "\udcff":
+            return ValueError(f"byte {ord(char) - 0xdc00:#04x} is not valid UTF-8")
+    return None
+
+
 def read_dataset_csv(path: str) -> Dataset:
     """Read a dataset written by :func:`write_dataset_csv`.
 
@@ -290,21 +306,28 @@ def read_dataset_csv(path: str) -> Dataset:
     values: list[float] = []
     labels: list[int] = []
     failure = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # Undecodable bytes read as lone surrogates, which no number parses, so a
+    # bad byte fails on its own line and lines after a failure are never split.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None and header != ["credit", "risk", "label"]:
-            raise DatasetFormatError(1, "expected header credit,risk,label")
-        for line_number, row in enumerate(reader, start=2):
-            try:
-                if len(row) != 3:
-                    raise ValueError(f"expected 3 columns, got {len(row)}")
-                credit, risk, label = float(row[0]), float(row[1]), int(row[2])
-            except ValueError as exc:
-                failure = line_number, exc
-                break
-            values += (credit, risk)
-            labels.append(label)
+        line_number = 0  # the last line read whole
+        try:
+            header = next(reader, None)
+            line_number = 1
+            if header is not None and header != ["credit", "risk", "label"]:
+                raise DatasetFormatError(1, "expected header credit,risk,label")
+            for line_number, row in enumerate(reader, start=2):
+                try:
+                    if len(row) != 3:
+                        raise ValueError(f"expected 3 columns, got {len(row)}")
+                    credit, risk, label = float(row[0]), float(row[1]), int(row[2])
+                except ValueError as exc:
+                    failure = line_number, _undecodable(row) or exc
+                    break
+                values += (credit, risk)
+                labels.append(label)
+        except csv.Error as exc:
+            failure = line_number + 1, exc
     features = np.array(values, dtype=float).reshape(-1, 2)
     label_array = np.array(labels)
     # Rows before a parse failure may hold an earlier non-finite value or bad label.

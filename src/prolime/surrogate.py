@@ -58,12 +58,14 @@ class WeightedDesign:
             raise ValueError("features, targets and weights must agree on the row count")
         if len(self.feature_names) != d:
             raise ValueError("feature_names must match the feature dimension")
-        finite = np.all(np.isfinite(features)) and np.all(np.isfinite(targets))
-        if not (finite and np.all(np.isfinite(weights))):
+        finite = np.isfinite(features).all() and np.isfinite(targets).all()
+        if not (finite and np.isfinite(weights).all()):
             raise ValueError("design entries must be finite")
-        if np.any(weights < 0.0) or np.any(weights > 1.0):
+        # The weights are finite here, so their extremes decide both checks.
+        lowest, highest = weights.min(), weights.max()
+        if lowest < 0.0 or highest > 1.0:
             raise ValueError("weights must lie in [0, 1]")
-        if not np.any(weights > 0.0):
+        if not highest > 0.0:
             raise ValueError("at least one weight must be positive")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "targets", targets)
@@ -81,12 +83,24 @@ def kernel_weight(x: FeatureVector, z: FeatureVector, spec: KernelSpec) -> float
     return math.exp(-d2 / (spec.width * spec.width))
 
 
+def _squared_distances(points: np.ndarray, origin: tuple[float, ...]) -> np.ndarray:
+    """Squared Euclidean distance of each row from the origin, summed column
+    by column. For d < 8 that adds in the order of ``np.sum(diff ** 2, axis=1)``,
+    bit for bit, without its per-row reduction cost; from d = 8 ``np.sum``
+    adds in pairwise blocks, and the last bit can differ."""
+    d2 = np.zeros(points.shape[0])
+    for column, value in zip(points.T, origin):
+        diff = column - value
+        d2 += diff * diff
+    return d2
+
+
 def neighborhood_weights(origin: FeatureVector, nbhd: Neighborhood, spec: KernelSpec) -> np.ndarray:
     """Proximity weight of every neighborhood point, anchored at the origin."""
     # A squared distance, or its ratio to a tiny squared width, that
     # overflows to inf gets weight exp(-inf) = 0.
     with np.errstate(over="ignore"):
-        d2 = np.sum((nbhd.points - origin.as_array()) ** 2, axis=1)
+        d2 = _squared_distances(nbhd.points, origin.values)
         return np.exp(-d2 / (spec.width * spec.width))
 
 
@@ -103,6 +117,19 @@ def label_neighborhood(model: BlackBoxModel, nbhd: Neighborhood, explained_class
     # A contiguous copy, not a strided view: the fit's BLAS reductions sum in
     # a layout-dependent order, and reports are pinned to the last bit.
     return np.ascontiguousarray(probabilities[:, explained_class])
+
+
+def _collapse_cause(features: np.ndarray) -> str:
+    """Why the normal equations of a positive ridge were singular, when every
+    row is one point: the rounding residue of the weighted mean, which is all
+    that is left of the perturbations, swamps the ridge."""
+    if not (features == features[0]).all():
+        return ""
+    spacing = float(np.spacing(np.abs(features[0])).max())
+    return (
+        f": all {features.shape[0]} rows are the same point, so perturbations below the "
+        f"float spacing of its coordinates (up to {spacing:.3g}) were lost to rounding"
+    )
 
 
 def fit_weighted_ridge(design: WeightedDesign, ridge_strength: float) -> LocalSurrogate:
@@ -138,8 +165,8 @@ def fit_weighted_ridge(design: WeightedDesign, ridge_strength: float) -> LocalSu
     try:
         beta = np.linalg.solve(gram, moment)
     except np.linalg.LinAlgError as exc:
-        raise SingularFitError(f"normal equations are singular{advice}") from exc
-    if not np.all(np.isfinite(beta)):
+        raise SingularFitError(f"normal equations are singular{advice or _collapse_cause(features)}") from exc
+    if not np.isfinite(beta).all():
         raise SingularFitError(f"normal equations produced non-finite coefficients{advice}")
     intercept = tbar - float(beta @ xbar)
     return LocalSurrogate(intercept, tuple(beta.tolist()), design.feature_names)

@@ -193,6 +193,19 @@ def test_explain_at_overflowing_coordinates_names_the_overflow(capsys):
     )
 
 
+def test_explain_where_unit_perturbations_round_away_names_the_collapse(capsys):
+    # At 1e154 the float spacing is about 1.5e138, so every perturbed point
+    # rounds back to the sample and a positive ridge cannot save the fit.
+    code, stdout, stderr = _run(["explain", "1e154", "1e154"], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr == (
+        "error: fitting stage failed: normal equations are singular: all 1000 rows are the same "
+        "point, so perturbations below the float spacing of its coordinates (up to 1.49e+138) "
+        "were lost to rounding\n"
+    )
+
+
 def test_negative_coordinates_with_an_exponent_are_values(capsys):
     spelled_out = _run(["explain", "-0.001", "0.5"], capsys)
     assert spelled_out[0] == 0
@@ -282,6 +295,21 @@ def test_plot_data_malformed_csv_names_the_line(tmp_path, capsys):
     assert code == 2
     assert "malformed dataset CSV" in stderr
     assert "line 3" in stderr
+
+
+@pytest.mark.parametrize("bad_line, reason", [
+    (b"0.1,\xff,1\n", "line 3: byte 0xff is not valid UTF-8"),
+    (b"0.1," + b"9" * 140_000 + b",1\n", "line 3: field larger than field limit (131072)"),
+], ids=["bad-byte", "huge-field"])
+def test_plot_data_undecodable_or_oversized_line_is_named(bad_line, reason, tmp_path, capsys):
+    data = tmp_path / "broken.csv"
+    data.write_bytes(b"credit,risk,label\n0.1,0.2,1\n" + bad_line + b"0.3,0.4,0\n")
+    code, stdout, stderr = _run(
+        ["plot", "data", "--data", str(data), "--out", str(tmp_path / "x.svg")], capsys
+    )
+    assert code == 2
+    assert stdout == ""
+    assert stderr == f"error: malformed dataset CSV: {reason}\n"
 
 
 def test_plot_header_only_dataset_gives_axes_only_svg(tmp_path, capsys):

@@ -9,6 +9,8 @@ from dataclasses import replace
 import pytest
 
 import prolime.evaluation as evaluation_module
+import prolime.samplers as samplers_module
+import prolime.simulation as simulation_module
 from prolime.core import FeatureVector, LimeHyperparameters, LocalSurrogate
 from prolime.evaluation import (
     ExperimentConfig,
@@ -94,6 +96,26 @@ def test_draw_test_point_stays_on_distribution():
         assert gaussian_pdf(point, dist) >= dist.density_threshold
     again = draw_test_point(dist, RngStream(17, 0))
     assert again == draw_test_point(dist, RngStream(17, 0))
+
+
+def test_a_run_factors_each_covariance_once(monkeypatch):
+    calls = []
+    original = samplers_module.cholesky
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    for module in (samplers_module, simulation_module, evaluation_module):
+        monkeypatch.setattr(module, "cholesky", counted, raising=False)
+    config = ExperimentConfig(
+        master_seed=3, trials=1, neighborhood_sizes=(50, 100),
+        distribution=BenchmarkDistribution.with_correlation(-0.5),
+    )
+    report = run_experiment(config)
+    assert all(cell.trials == 1 for cell in report.cells)
+    # One factor for the distribution, one for the process-aware spec.
+    assert len(calls) <= 2
 
 
 def test_experiment_config_validation():

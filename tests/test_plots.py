@@ -1,4 +1,4 @@
-"""SVG scatter axes: tick placement and limits."""
+"""SVG scatter: tick placement, limits, per-marker styles and radii, and input checks."""
 
 from __future__ import annotations
 
@@ -7,7 +7,9 @@ import re
 import numpy as np
 import pytest
 
-from prolime.plots import svg_scatter
+from prolime.core import FeatureVector
+from prolime.plots import plot_neighborhood, svg_scatter
+from prolime.samplers import Neighborhood
 
 MAX_FLOAT = 1.7976931348623157e308
 NO_MARKERS = (np.empty((0, 2)), [], np.empty(0, dtype=int))
@@ -65,3 +67,18 @@ def test_fill_must_not_contain_nul():
     # so a NUL in the style text would be lost silently.
     with pytest.raises(ValueError, match="NUL"):
         svg_scatter(np.zeros((1, 2)), [(2.0, "#11\0", 0.5)], np.array([0]))
+
+
+@pytest.mark.parametrize("radii", [np.array([1.0, 0.5]), np.array([1.0, np.nan]), np.array([8192.0, 1.0]),
+                                   np.array([1.0])])
+def test_radii_must_match_the_markers_and_lie_in_the_exact_range(radii):
+    with pytest.raises(ValueError, match="radii must"):
+        svg_scatter(np.zeros((2, 2)), [(2.0, "#111111", 0.5)], np.array([0, 0]), radii=radii)
+
+
+@pytest.mark.parametrize("bad", [-0.5, 1.5, np.nan])
+def test_neighborhood_weights_must_lie_in_the_unit_interval(bad):
+    origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
+    nbhd = Neighborhood(np.zeros((2, 2)), origin)
+    with pytest.raises(ValueError, match=r"weights must lie in \[0, 1\]"):
+        plot_neighborhood(origin, nbhd, np.array([0.5, bad]))

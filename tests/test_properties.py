@@ -1,5 +1,6 @@
 """Property tests of the array model contract, the SVG renderer and the
-dataset CSV reader against per-row references, and of the CSV round trip."""
+dataset CSV reader against per-row references, of the CSV round trip, and of
+the proximity kernel and the ridge fit against numpy and scipy references."""
 
 from __future__ import annotations
 
@@ -13,9 +14,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import lstsq
 
 from prolime.core import BlackBoxModel, ClassProbabilities, FeatureVector, ModelEvaluationError
 from prolime.plots import _fixed2, svg_scatter
+from prolime.samplers import Neighborhood
 from prolime.simulation import (
     BenchmarkDistribution,
     Dataset,
@@ -25,6 +28,13 @@ from prolime.simulation import (
     _pdf_values,
     read_dataset_csv,
     write_dataset_csv,
+)
+from prolime.surrogate import (
+    KernelSpec,
+    WeightedDesign,
+    _squared_distances,
+    fit_weighted_ridge,
+    neighborhood_weights,
 )
 
 coordinates = st.floats(-6.0, 6.0, allow_nan=False, allow_infinity=False)
@@ -73,6 +83,25 @@ def test_oracle_predict_proba_equals_the_per_row_reference(rows, model_seed, rho
     # Rows are labeled independently: any subset labels the same.
     half = rows[::2]
     assert model.predict_proba(half).tobytes() == expected[::2].tobytes()
+
+
+@settings(deadline=None)
+@given(
+    rows=arrays(float, st.tuples(st.integers(1, 30), st.just(2)), elements=coordinates),
+    data=st.data(),
+)
+def test_oracle_names_the_first_non_finite_row(rows, data):
+    cells = data.draw(st.lists(
+        st.tuples(st.integers(0, len(rows) - 1), st.integers(0, 1), st.sampled_from((math.nan, math.inf, -math.inf))),
+        min_size=1,
+    ))
+    for row, column, value in cells:
+        rows[row, column] = value
+    first = min(row for row, _, _ in cells)
+    with pytest.raises(ModelEvaluationError) as info:
+        OracleModel(BenchmarkDistribution(), 5).predict_proba(rows)
+    assert info.value.index == first
+    assert str(info.value) == f"model evaluation failed at point {first}: feature values must be finite"
 
 
 class _FailsOnMarker(BlackBoxModel):
@@ -310,6 +339,19 @@ def test_svg_scatter_equals_the_per_marker_reference(inputs):
     assert got == expected
 
 
+@settings(deadline=None, max_examples=100)
+@given(inputs=scatter_inputs(), data=st.data())
+def test_svg_scatter_with_per_marker_radii_equals_the_reference(inputs, data):
+    centers, styles, index, xlim, ylim = inputs
+    radius = st.one_of(st.sampled_from((1.0, 1.005, 4.995, 5.0, 8191.994)), st.floats(1.0, 8191.99))
+    radii = [data.draw(radius) for _ in centers]
+    markers = [(x, y, r, *styles[i][1:]) for (x, y), i, r in zip(centers, index, radii)]
+    expected = _reference_svg_scatter(markers, xlim, ylim)
+    got = svg_scatter(np.array(centers, dtype=float).reshape(-1, 2), styles, np.array(index, dtype=int),
+                      xlim=xlim, ylim=ylim, radii=np.array(radii))
+    assert got == expected
+
+
 def _reference_read_dataset_csv(path):
     """The per-row reader: returns (features, labels), or (line, message) of the error."""
     values, labels, failure = [], [], None
@@ -373,3 +415,89 @@ def test_read_dataset_csv_reports_the_line_of_the_per_row_reference(n, faults, s
     with pytest.raises(DatasetFormatError) as info:
         read_dataset_csv(str(path))
     assert (info.value.line_number, str(info.value)) == (expected[0], f"line {expected[0]}: {expected[1]}")
+
+
+# Coordinates from subnormal to near the float maximum, where differences
+# and their squares overflow to inf.
+kernel_floats = st.one_of(
+    st.sampled_from((0.0, -0.0, 5e-324, 1e-150, 1e154, -1e154, 1e200, MAX_FLOAT, -MAX_FLOAT)),
+    st.floats(-10.0, 10.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(d=st.integers(1, 7), elements=st.sampled_from((st.floats(-10.0, 10.0), kernel_floats)), data=st.data())
+def test_squared_distances_equal_numpy_sum_bit_for_bit(d, elements, data):
+    # Coordinates of one scale make the summation order show in the last bit.
+    points = data.draw(arrays(float, st.tuples(st.integers(1, 20), st.just(d)), elements=elements))
+    origin = tuple(data.draw(st.lists(elements, min_size=d, max_size=d)))
+    with np.errstate(over="ignore"):
+        expected = np.sum((points - np.array(origin)) ** 2, axis=1)
+        got = _squared_distances(points, origin)
+    assert got.tobytes() == expected.tobytes()
+    # Overflowing distances weigh nothing, and no RuntimeWarning escapes.
+    names = tuple(f"x{j}" for j in range(d))
+    weights = neighborhood_weights(FeatureVector(origin, names), Neighborhood(points, FeatureVector(origin, names)),
+                                   KernelSpec(1.0))
+    assert (weights[np.isinf(expected)] == 0.0).all()
+
+
+def _reference_ridge(features, targets, weights, ridge):
+    """Intercept and coefficients from scipy's least squares on the augmented
+    system: rows sqrt(w) * [1, x] against sqrt(w) * t, plus sqrt(ridge) * I
+    against 0 for the coefficients only."""
+    n, d = features.shape
+    root = np.sqrt(weights)[:, None]
+    design = np.vstack([root * np.hstack([np.ones((n, 1)), features]),
+                        np.hstack([np.zeros((d, 1)), math.sqrt(ridge) * np.eye(d)])])
+    solution = lstsq(design, np.concatenate([np.sqrt(weights) * targets, np.zeros(d)]))[0]
+    return solution[0], solution[1:]
+
+
+@st.composite
+def ridge_problems(draw):
+    """A well-conditioned weighted design: normal features, weights in [0.05, 1]."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(d + 3, 60))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = gen.standard_normal((n, d)) * draw(st.sampled_from((0.01, 1.0, 100.0)))
+    targets = gen.standard_normal(n)
+    weights = gen.uniform(0.05, 1.0, n)
+    ridge = draw(st.sampled_from((0.0, 1e-3, 1.0, 10.0)))
+    return features, targets, weights, ridge
+
+
+def _fit(features, targets, weights, ridge):
+    names = tuple(f"x{j}" for j in range(features.shape[1]))
+    surrogate = fit_weighted_ridge(WeightedDesign(features, targets, weights, names), ridge)
+    return surrogate.intercept, np.array(surrogate.coefficients)
+
+
+def _close(got, expected):
+    (b0, beta), (e0, expected_beta) = got, expected
+    scale = 1.0 + abs(e0) + np.abs(expected_beta).max()
+    return abs(b0 - e0) <= 1e-8 * scale and np.abs(beta - expected_beta).max() <= 1e-8 * scale
+
+
+@settings(deadline=None)
+@given(problem=ridge_problems(), data=st.data())
+def test_ridge_fit_matches_lstsq_and_its_invariances(problem, data):
+    features, targets, weights, ridge = problem
+    fitted = _fit(features, targets, weights, ridge)
+    assert _close(fitted, _reference_ridge(features, targets, weights, ridge))
+    order = np.array(data.draw(st.permutations(range(len(targets)))))
+    assert _close(_fit(features[order], targets[order], weights[order], ridge), fitted)
+    # Scaling every weight and the ridge together scales the objective only.
+    scale = data.draw(st.sampled_from((0.5, 0.125, 0.01)))
+    assert _close(_fit(features, targets, weights * scale, ridge * scale), fitted)
+
+
+@settings(deadline=None)
+@given(problem=ridge_problems(), planted=st.lists(st.floats(-5.0, 5.0), min_size=5, max_size=5))
+def test_unregularized_ridge_fit_recovers_a_planted_linear_target(problem, planted):
+    features, _, weights, _ = problem
+    d = features.shape[1]
+    intercept, beta = planted[0], np.array(planted[1:d + 1])
+    targets = intercept + features @ beta
+    assert _close(_fit(features, targets, weights, 0.0), (intercept, beta))

@@ -306,6 +306,28 @@ def test_process_aware_sampling_matches_the_declared_distribution():
     assert np.max(np.abs(empirical - np.asarray(BENCH_COV))) < 0.05
 
 
+def test_process_aware_sampling_reuses_the_spec_factor(monkeypatch):
+    origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
+    spec = ProcessAwareSpec(mean=(0.0, 0.0), covariance=BENCH_COV)
+    expected = sample_process_aware(spec, 64, RngStream(9, 3), origin=origin)
+
+    def no_factorization(matrix):
+        raise AssertionError("sample_process_aware factored the covariance again")
+
+    monkeypatch.setattr("prolime.samplers.cholesky", no_factorization)
+    assert sample_process_aware(spec, 64, RngStream(9, 3), origin=origin) == expected
+
+
+def test_process_aware_spec_factor_is_read_only_and_not_part_of_its_value():
+    spec = ProcessAwareSpec(mean=(0.0, 0.0), covariance=BENCH_COV)
+    assert np.array_equal(spec._lower, cholesky(BENCH_COV))
+    with pytest.raises(ValueError):
+        spec._lower[0, 0] = 2.0
+    assert "_lower" not in repr(spec)
+    assert spec == ProcessAwareSpec(mean=(0.0, 0.0), covariance=BENCH_COV)
+    assert hash(spec) == hash(ProcessAwareSpec(mean=(0.0, 0.0), covariance=BENCH_COV))
+
+
 def test_process_aware_sampling_uncorrelated_case():
     origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
     spec = ProcessAwareSpec(mean=(5.0, 5.0), covariance=((1.0, 0.0), (0.0, 1.0)))

@@ -209,6 +209,19 @@ def test_oracle_repeat_queries_are_identical():
         assert model.predict(point) == model.predict(point)
 
 
+def test_oracle_hashes_nothing_when_every_row_is_on_distribution(monkeypatch):
+    model = oracle_model(BenchmarkDistribution(), model_seed=2)
+    rows = _rows([_fv(0.0, 0.0), _fv(-0.3, 0.2), _fv(0.5, -0.6)])
+    expected = model.predict_proba(rows)
+
+    def no_hash(*args, **kwargs):
+        raise AssertionError("an on-distribution row was hashed")
+
+    monkeypatch.setattr("hashlib.blake2b", no_hash)
+    assert np.array_equal(model.predict_proba(rows), expected)
+    assert model.predict(_fv(0.1, 0.1)).p == (0.0, 1.0)
+
+
 def test_oracle_predict_matches_predict_proba():
     model = oracle_model(BenchmarkDistribution(), model_seed=2)
     points = [_fv(0.0, 0.0), _fv(5.0, 5.0), _fv(-0.3, 0.2), _fv(-9.9, 3.3)]
@@ -378,6 +391,12 @@ def test_dataset_csv_stops_reading_at_the_first_failing_line(tmp_path):
         path.write_bytes(b"credit,risk,label\n0.1,0.2\n" + padding + tail)
         with pytest.raises(DatasetFormatError, match="line 2: expected 3 columns, got 2"):
             read_dataset_csv(str(path))
+
+
+def test_dataset_csv_reads_carriage_return_line_endings(tmp_path):
+    path = tmp_path / "old_mac.csv"
+    path.write_bytes(b"credit,risk,label\r0.1,0.2,1\r0.3,0.4,0\r")
+    assert read_dataset_csv(str(path)) == Dataset([[0.1, 0.2], [0.3, 0.4]], [1, 0])
 
 
 def test_dataset_csv_rejects_non_numeric_values(tmp_path):
