@@ -64,6 +64,20 @@ def _require_kernel_width(width: float, what: str) -> None:
         )
 
 
+def _by_column(ufunc: np.ufunc, matrix: np.ndarray, operands: Iterable) -> np.ndarray:
+    """``ufunc(matrix[:, j], operands[j])`` for each column ``j`` of an
+    ``(n, d)`` matrix, as a new C-ordered ``(n, d)`` array.
+
+    Bit for bit what broadcasting ``ufunc(matrix, row)`` or
+    ``ufunc(matrix, column[:, None])`` gives, at a fraction of its cost for
+    small d: the broadcast loops over the short last axis once per row.
+    """
+    out = np.empty(matrix.shape)
+    for j, operand in enumerate(operands):
+        ufunc(matrix[:, j], operand, out=out[:, j])
+    return out
+
+
 def _require_finite(values: Iterable[float], what: str) -> None:
     for value in values:
         if not math.isfinite(value):

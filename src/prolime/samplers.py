@@ -15,7 +15,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .core import CenterMode, FeatureVector, NoiseMode
+from .core import CenterMode, FeatureVector, NoiseMode, _by_column
 
 __all__ = [
     "Neighborhood",
@@ -318,20 +318,19 @@ def sample_standard(
     if spec.center_mode is CenterMode.MEAN:
         if spec.training_mean is None:
             raise ValueError("mean-centered sampling requires a training mean")
-        center = np.asarray(spec.training_mean)
+        center = spec.training_mean
     else:
-        center = origin.as_array()
+        center = origin.values
     gen = rng.generator()
-    scales = np.asarray(spec.per_feature_scale)
     if spec.noise_mode is NoiseMode.GAUSSIAN:
-        noise = gen.standard_normal((n, d)) * scales
+        normals = gen.standard_normal((n, d))
     else:
         uniforms = latin_hypercube_uniforms(n, d, gen)
         normals = np.array(
             [[inverse_normal_cdf(u) for u in row] for row in uniforms.tolist()]
         )
-        noise = normals * scales
-    return Neighborhood(center + noise, origin)
+    noise = _by_column(np.multiply, normals, spec.per_feature_scale)
+    return Neighborhood(_by_column(np.add, noise, center), origin)
 
 
 def sample_process_aware(
@@ -354,5 +353,5 @@ def sample_process_aware(
     if origin.dim != d:
         raise ValueError("origin dimension must match the sampler's mean")
     gen = rng.generator()
-    rows = np.asarray(spec.mean) + gen.standard_normal((n, d)) @ spec._lower.T
+    rows = _by_column(np.add, gen.standard_normal((n, d)) @ spec._lower.T, spec.mean)
     return Neighborhood(rows, origin)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BlackBoxModel, ClassProbabilities, FeatureVector, ModelEvaluationError
+from .core import BlackBoxModel, ClassProbabilities, FeatureVector, ModelEvaluationError, _by_column
 from .samplers import RngStream, cholesky
 
 __all__ = [
@@ -204,7 +204,7 @@ def generate_dataset(
     if n < 1:
         raise ValueError("n must be at least 1")
     gen = rng.generator()
-    rows = np.asarray(dist.mean) + gen.standard_normal((n, 2)) @ dist._lower.T
+    rows = _by_column(np.add, gen.standard_normal((n, 2)) @ dist._lower.T, dist.mean)
     return Dataset(rows, _diamond_mask(rows))
 
 

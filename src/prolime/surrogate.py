@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlackBoxModel, FeatureVector, LocalSurrogate, _require_kernel_width
+from .core import BlackBoxModel, FeatureVector, LocalSurrogate, _by_column, _require_kernel_width
 from .samplers import Neighborhood
 
 __all__ = [
@@ -154,8 +154,8 @@ def fit_weighted_ridge(design: WeightedDesign, ridge_strength: float) -> LocalSu
     # matrix non-finite too.
     with np.errstate(over="ignore", invalid="ignore"):
         xbar = (weights @ features) / weight_sum
-        centered_x = features - xbar
-        gram = centered_x.T @ (centered_x * weights[:, None]) + ridge_strength * np.eye(d)
+        centered_x = _by_column(np.subtract, features, xbar)
+        gram = centered_x.T @ _by_column(np.multiply, centered_x, [weights] * d) + ridge_strength * np.eye(d)
         moment = centered_x.T @ (weights * centered_t)
     if not (np.isfinite(gram).all() and np.isfinite(moment).all()):
         raise SingularFitError(
