@@ -9,153 +9,23 @@ sampler is shared. A synthetic loan-approval benchmark with a known local
 ground truth makes the two strategies comparable.
 """
 
-from .core import (
-    BlackBoxModel,
-    CenterMode,
-    ClassProbabilities,
-    ConstantModel,
-    Explanation,
-    FeatureVector,
-    LimeHyperparameters,
-    LocalSurrogate,
-    ModelEvaluationError,
-    NoiseMode,
-    default_kernel_width,
-    rank_features,
-)
-from .evaluation import (
-    CellFailure,
-    CellStats,
-    ExperimentConfig,
-    ExperimentReport,
-    MismatchResult,
-    coefficient_mismatch,
-    draw_test_point,
-    report_to_csv,
-    report_to_json,
-    run_experiment,
-    summary_table,
-)
-from .explainer import (
-    BatchConfig,
-    BatchExplainError,
-    ExplainRequest,
-    ExplainStageError,
-    draw_neighborhood,
-    explain,
-    explain_batch,
-    sampler_scales,
-)
-from .samplers import (
-    Neighborhood,
-    NotPositiveDefiniteError,
-    ProcessAwareSpec,
-    RngStream,
-    SamplerSpec,
-    StandardSpec,
-    cholesky,
-    inverse_normal_cdf,
-    latin_hypercube_uniforms,
-    sample_process_aware,
-    sample_standard,
-)
-from .simulation import (
-    FEATURE_NAMES,
-    BenchmarkDistribution,
-    Dataset,
-    DatasetFormatError,
-    GroundTruthBoundary,
-    OracleModel,
-    QUADRANT_BOUNDARIES,
-    Quadrant,
-    approval_label,
-    gaussian_pdf,
-    generate_dataset,
-    ground_truth_for,
-    oracle_model,
-    read_dataset_csv,
-    write_dataset_csv,
-)
-from .surrogate import (
-    KernelSpec,
-    SingularFitError,
-    WeightedDesign,
-    fit_weighted_ridge,
-    kernel_weight,
-    label_neighborhood,
-    neighborhood_weights,
-)
-from .plots import plot_dataset, plot_model_grid, plot_neighborhood, svg_scatter
+from . import core, evaluation, explainer, plots, samplers, simulation, surrogate
+from .core import *
+from .evaluation import *
+from .explainer import *
+from .plots import *
+from .samplers import *
+from .simulation import *
+from .surrogate import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BatchConfig",
-    "BatchExplainError",
-    "BenchmarkDistribution",
-    "BlackBoxModel",
-    "CellFailure",
-    "CellStats",
-    "CenterMode",
-    "ClassProbabilities",
-    "ConstantModel",
-    "Dataset",
-    "DatasetFormatError",
-    "ExperimentConfig",
-    "ExperimentReport",
-    "ExplainRequest",
-    "ExplainStageError",
-    "Explanation",
-    "FEATURE_NAMES",
-    "FeatureVector",
-    "GroundTruthBoundary",
-    "KernelSpec",
-    "LimeHyperparameters",
-    "LocalSurrogate",
-    "MismatchResult",
-    "ModelEvaluationError",
-    "Neighborhood",
-    "NoiseMode",
-    "NotPositiveDefiniteError",
-    "OracleModel",
-    "ProcessAwareSpec",
-    "QUADRANT_BOUNDARIES",
-    "Quadrant",
-    "RngStream",
-    "SamplerSpec",
-    "SingularFitError",
-    "StandardSpec",
-    "WeightedDesign",
-    "approval_label",
-    "cholesky",
-    "coefficient_mismatch",
-    "default_kernel_width",
-    "draw_neighborhood",
-    "draw_test_point",
-    "explain",
-    "explain_batch",
-    "fit_weighted_ridge",
-    "gaussian_pdf",
-    "generate_dataset",
-    "ground_truth_for",
-    "inverse_normal_cdf",
-    "kernel_weight",
-    "label_neighborhood",
-    "latin_hypercube_uniforms",
-    "neighborhood_weights",
-    "oracle_model",
-    "plot_dataset",
-    "plot_model_grid",
-    "plot_neighborhood",
-    "rank_features",
-    "read_dataset_csv",
-    "report_to_csv",
-    "report_to_json",
-    "run_experiment",
-    "sample_process_aware",
-    "sample_standard",
-    "sampler_scales",
-    "summary_table",
-    "svg_scatter",
-    "write_dataset_csv",
+    *core.__all__,
+    *evaluation.__all__,
+    *explainer.__all__,
+    *plots.__all__,
+    *samplers.__all__,
+    *simulation.__all__,
+    *surrogate.__all__,
 ]

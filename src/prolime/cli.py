@@ -24,7 +24,6 @@ from .core import (
     FeatureVector,
     LimeHyperparameters,
     NoiseMode,
-    default_kernel_width,
 )
 from .evaluation import (
     SAMPLER_NAMES,
@@ -35,13 +34,7 @@ from .evaluation import (
     sampler_spec,
     summary_table,
 )
-from .explainer import (
-    BatchExplainError,
-    ExplainRequest,
-    ExplainStageError,
-    draw_neighborhood,
-    explain,
-)
+from .explainer import ExplainRequest, ExplainStageError, draw_neighborhood, explain
 from .samplers import RngStream
 from .simulation import (
     BenchmarkDistribution,
@@ -70,6 +63,9 @@ MAX_SAMPLES = 1_000_000
 MAX_NEIGHBORHOOD_SIZE = 1_000_000
 MAX_TRIALS = 100_000
 MAX_RESOLUTION = 1000
+
+# The hyperparameter flags default to the library's own defaults.
+_DEFAULTS = LimeHyperparameters()
 
 
 def _int_at_most(maximum: int):
@@ -178,6 +174,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _parse_constant_model(raw: str) -> ConstantModel:
     try:
         probabilities = tuple(float(part) for part in raw.split(","))
+        if len(probabilities) < 2:
+            raise ValueError("at least two class probabilities are required")
         return ConstantModel(probabilities)
     except ValueError as exc:
         raise UsageError(f"bad constant model probabilities {raw!r}: {exc}") from exc
@@ -211,7 +209,7 @@ def _parse_sizes(raw: str) -> tuple[int, ...]:
     try:
         sizes = tuple(int(part) for part in raw.split(","))
     except ValueError as exc:
-        raise ValueError(f"expected comma-separated integers, got {raw!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {raw!r}") from exc
     if max(sizes) > MAX_NEIGHBORHOOD_SIZE:
         raise argparse.ArgumentTypeError(
             f"each size must be at most {MAX_NEIGHBORHOOD_SIZE}, got {max(sizes)}"
@@ -222,7 +220,7 @@ def _parse_sizes(raw: str) -> tuple[int, ...]:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     out = args.out
-    hyper = _hyperparameters(args, neighborhood_size=1000)
+    hyper = _hyperparameters(args, _DEFAULTS.neighborhood_size)
     try:
         experiment = ExperimentConfig(
             master_seed=seed,
@@ -283,24 +281,26 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master seed (fallback: PROLIME_SEED, then 0)")
     parser.add_argument("--config", default=None, help="flat key=value config file; flags override it")
-    parser.add_argument("--rho", type=float, default=-0.9, help="feature correlation (default %(default)s)")
+    parser.add_argument("--rho", type=float, default=BenchmarkDistribution().rho,
+                        help="feature correlation (default %(default)s)")
 
 
 def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--center", choices=["sample", "mean"], default="sample",
-                        help="perturbation center (default %(default)s)")
-    parser.add_argument("--noise", choices=["gaussian", "lhs"], default="gaussian",
-                        help="perturbation noise (default %(default)s)")
-    parser.add_argument("--kernel-width", type=float, default=default_kernel_width(2),
+    parser.add_argument("--center", choices=[mode.value for mode in CenterMode],
+                        default=_DEFAULTS.center_mode.value, help="perturbation center (default %(default)s)")
+    parser.add_argument("--noise", choices=[mode.value for mode in NoiseMode],
+                        default=_DEFAULTS.noise_mode.value, help="perturbation noise (default %(default)s)")
+    parser.add_argument("--kernel-width", type=float, default=_DEFAULTS.kernel_width,
                         help="proximity kernel width (default 0.75*sqrt(2) = %(default).4g)")
-    parser.add_argument("--ridge", type=float, default=1.0,
+    parser.add_argument("--ridge", type=float, default=_DEFAULTS.ridge_strength,
                         help="L2 penalty on surrogate coefficients (default %(default)s)")
 
 
 def _add_neighborhood_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sampler", choices=list(SAMPLER_NAMES), default="standard",
                         help="neighborhood sampler (default %(default)s)")
-    parser.add_argument("--neighborhood-size", type=_int_at_most(MAX_NEIGHBORHOOD_SIZE), default=1000,
+    parser.add_argument("--neighborhood-size", type=_int_at_most(MAX_NEIGHBORHOOD_SIZE),
+                        default=_DEFAULTS.neighborhood_size,
                         help="points per neighborhood "
                         f"(default %(default)s, at most {MAX_NEIGHBORHOOD_SIZE})")
     _add_hyper_flags(parser)
@@ -381,7 +381,7 @@ def main(argv: list[str] | None = None) -> int:
     except DatasetFormatError as exc:
         print(f"error: malformed dataset CSV: {exc}", file=sys.stderr)
         return 2
-    except (ExplainStageError, BatchExplainError) as exc:
+    except ExplainStageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -192,9 +192,7 @@ class LimeHyperparameters:
 
     ``kernel_width`` defaults to the two-feature value of
     :func:`default_kernel_width`; pass an explicit width for other
-    dimensionalities. ``standardize_features`` rescales the design matrix by
-    the sampler's per-feature scale before fitting, so coefficients come out
-    in standardized units; the proximity kernel always operates on raw units.
+    dimensionalities.
     """
 
     neighborhood_size: int = 1000
@@ -203,7 +201,6 @@ class LimeHyperparameters:
     kernel_width: float = default_kernel_width(2)
     ridge_strength: float = 1.0
     explained_class: int = 1
-    standardize_features: bool = False
 
     def __post_init__(self) -> None:
         if self.neighborhood_size < 2:
@@ -259,21 +256,10 @@ class Explanation:
     sample: FeatureVector
     predicted: ClassProbabilities
     surrogate: LocalSurrogate
-    ranked_features: tuple[tuple[str, float], ...]
 
-    def __post_init__(self) -> None:
-        expected = tuple(rank_features(self.surrogate))
-        if tuple(self.ranked_features) != expected:
-            raise ValueError("ranked_features must equal rank_features(surrogate)")
-
-    @classmethod
-    def build(
-        cls,
-        sample: FeatureVector,
-        predicted: ClassProbabilities,
-        surrogate: LocalSurrogate,
-    ) -> "Explanation":
-        return cls(sample, predicted, surrogate, tuple(rank_features(surrogate)))
+    @property
+    def ranked_features(self) -> tuple[tuple[str, float], ...]:
+        return tuple(rank_features(self.surrogate))
 
     def to_dict(self) -> dict:
         return {

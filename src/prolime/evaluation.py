@@ -23,10 +23,7 @@ from .simulation import (
 
 __all__ = [
     "SAMPLER_NAMES",
-    "CellFailure",
-    "CellStats",
     "ExperimentConfig",
-    "ExperimentReport",
     "MismatchResult",
     "coefficient_mismatch",
     "draw_test_point",
@@ -47,7 +44,6 @@ class MismatchResult:
     credit_mismatch: float
     risk_mismatch: float
     quadrant: Quadrant
-    sample: FeatureVector | None = None
 
     def __post_init__(self) -> None:
         for value in (self.credit_mismatch, self.risk_mismatch):
@@ -55,18 +51,14 @@ class MismatchResult:
                 raise ValueError("mismatches must be finite and nonnegative")
 
 
-def coefficient_mismatch(
-    surrogate: LocalSurrogate,
-    truth: GroundTruthBoundary,
-    sample: FeatureVector | None = None,
-) -> MismatchResult:
+def coefficient_mismatch(surrogate: LocalSurrogate, truth: GroundTruthBoundary) -> MismatchResult:
     """Absolute per-feature coefficient differences; the intercept is ignored."""
     missing = [name for name in FEATURE_NAMES if name not in surrogate.feature_names]
     if missing:
         raise ValueError(f"surrogate lacks coefficients for {missing}")
     credit = abs(surrogate.coefficient("credit") - truth.credit_coef)
     risk = abs(surrogate.coefficient("risk") - truth.risk_coef)
-    return MismatchResult(credit, risk, truth.quadrant, sample)
+    return MismatchResult(credit, risk, truth.quadrant)
 
 
 @dataclass(frozen=True)
@@ -76,26 +68,17 @@ class ExperimentConfig:
     master_seed: int
     trials: int = 100
     neighborhood_sizes: tuple[int, ...] = (1000, 5000)
-    samplers: tuple[str, ...] = SAMPLER_NAMES
     hyper: LimeHyperparameters = LimeHyperparameters()
     distribution: BenchmarkDistribution = BenchmarkDistribution()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "neighborhood_sizes", tuple(int(s) for s in self.neighborhood_sizes))
-        object.__setattr__(self, "samplers", tuple(self.samplers))
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not self.neighborhood_sizes:
             raise ValueError("at least one neighborhood size is required")
         if any(size < 2 for size in self.neighborhood_sizes):
             raise ValueError("neighborhood sizes must be at least 2")
-        if not self.samplers:
-            raise ValueError("at least one sampler is required")
-        unknown = [s for s in self.samplers if s not in SAMPLER_NAMES]
-        if unknown:
-            raise ValueError(f"unknown sampler name(s): {unknown}")
-        if len(set(self.samplers)) != len(self.samplers):
-            raise ValueError("sampler names must be unique")
 
 
 @dataclass(frozen=True)
@@ -126,7 +109,6 @@ class ExperimentReport:
     failures: tuple[CellFailure, ...]
     master_seed: int
     trials: int
-    samplers: tuple[str, ...]
     neighborhood_sizes: tuple[int, ...]
     hyper: LimeHyperparameters
 
@@ -154,7 +136,9 @@ def sampler_spec(name: str, hyper: LimeHyperparameters, dist: BenchmarkDistribut
             per_feature_scale=scales,
             training_mean=dist.mean,
         )
-    return ProcessAwareSpec(mean=dist.mean, covariance=dist.covariance)
+    if name == "process-aware":
+        return ProcessAwareSpec(mean=dist.mean, covariance=dist.covariance)
+    raise ValueError(f"unknown sampler {name!r}, expected one of {', '.join(SAMPLER_NAMES)}")
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentReport:
@@ -171,8 +155,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     dist = config.distribution
     model = oracle_model(dist, model_seed=config.master_seed)
-    specs = {name: sampler_spec(name, config.hyper, dist) for name in config.samplers}
-    cells = [(name, size) for name in config.samplers for size in config.neighborhood_sizes]
+    specs = {name: sampler_spec(name, config.hyper, dist) for name in SAMPLER_NAMES}
+    cells = [(name, size) for name in SAMPLER_NAMES for size in config.neighborhood_sizes]
     stride = len(cells) + 1
     values: dict[tuple[str, int], dict[str, list[float]]] = {
         cell: {"credit": [], "risk": []} for cell in cells
@@ -195,7 +179,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             except ExplainStageError as exc:
                 failures.append(CellFailure(name, size, trial, exc.stage, str(exc)))
                 continue
-            result = coefficient_mismatch(explanation.surrogate, truth, sample=test_point)
+            result = coefficient_mismatch(explanation.surrogate, truth)
             values[(name, size)]["credit"].append(result.credit_mismatch)
             values[(name, size)]["risk"].append(result.risk_mismatch)
     stats = []
@@ -222,13 +206,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         failures=tuple(failures),
         master_seed=config.master_seed,
         trials=config.trials,
-        samplers=config.samplers,
         neighborhood_sizes=config.neighborhood_sizes,
         hyper=config.hyper,
     )
 
 
 def _hyper_dict(hyper: LimeHyperparameters) -> dict:
+    # "distance" and "standardize_features" are fixed: the pipeline has no such knobs.
     return {
         "neighborhood_size": hyper.neighborhood_size,
         "center_mode": hyper.center_mode.value,
@@ -237,7 +221,7 @@ def _hyper_dict(hyper: LimeHyperparameters) -> dict:
         "distance": "euclidean",
         "ridge_strength": hyper.ridge_strength,
         "explained_class": hyper.explained_class,
-        "standardize_features": hyper.standardize_features,
+        "standardize_features": False,
     }
 
 
@@ -269,7 +253,7 @@ def report_to_json(report: ExperimentReport) -> str:
         "master_seed": report.master_seed,
         "trials": report.trials,
         "hyperparameters": _hyper_dict(report.hyper),
-        "samplers": list(report.samplers),
+        "samplers": list(SAMPLER_NAMES),
         "neighborhood_sizes": list(report.neighborhood_sizes),
         "cells": [
             {

@@ -6,11 +6,8 @@ and the surrogate fit are shared verbatim between sampler variants.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .core import (
     BlackBoxModel,
@@ -29,7 +26,9 @@ from .samplers import (
 )
 from .surrogate import (
     KernelSpec,
+    SingularFitError,
     WeightedDesign,
+    _collapse_cause,
     fit_weighted_ridge,
     label_neighborhood,
     neighborhood_weights,
@@ -43,7 +42,6 @@ __all__ = [
     "draw_neighborhood",
     "explain",
     "explain_batch",
-    "sampler_scales",
 ]
 
 
@@ -70,17 +68,6 @@ class BatchExplainError(RuntimeError):
         self.completed = dict(completed)
 
 
-def sampler_scales(sampler: SamplerSpec) -> tuple[float, ...]:
-    """Per-feature scale implied by a sampler.
-
-    The perturbation sampler's own noise scales, or the square root of the
-    covariance diagonal for distribution draws.
-    """
-    if isinstance(sampler, StandardSpec):
-        return sampler.per_feature_scale
-    return tuple(math.sqrt(sampler.covariance[j][j]) for j in range(len(sampler.mean)))
-
-
 @dataclass(frozen=True)
 class ExplainRequest:
     """Everything one explanation needs: sample, model, knobs, sampler, stream."""
@@ -92,7 +79,9 @@ class ExplainRequest:
     rng: RngStream
 
     def __post_init__(self) -> None:
-        if len(sampler_scales(self.sampler)) != self.sample.dim:
+        sampler = self.sampler
+        dim = len(sampler.per_feature_scale if isinstance(sampler, StandardSpec) else sampler.mean)
+        if dim != self.sample.dim:
             raise ValueError("sampler dimension does not match the explained sample")
 
 
@@ -127,17 +116,18 @@ def explain(req: ExplainRequest) -> Explanation:
         targets = label_neighborhood(req.model, nbhd, hyper.explained_class)
     except Exception as exc:
         raise ExplainStageError("labeling", exc) from exc
-    kernel = KernelSpec(width=hyper.kernel_width)
-    weights = neighborhood_weights(req.sample, nbhd, kernel)
-    features = nbhd.points
-    if hyper.standardize_features:
-        features = features / np.asarray(sampler_scales(req.sampler))
-    design_args = (features, targets, weights, req.sample.feature_names)
+    weights = neighborhood_weights(req.sample, nbhd, KernelSpec(width=hyper.kernel_width))
+    points = nbhd.points
     try:
-        surrogate = fit_weighted_ridge(WeightedDesign(*design_args), hyper.ridge_strength)
+        design = WeightedDesign(points, targets, weights, req.sample.feature_names)
+        surrogate = fit_weighted_ridge(design, hyper.ridge_strength)
+        # A ridge fits one repeated point to zero coefficients; that is no
+        # explanation. The rows can only all agree if the last equals the first.
+        if (points[-1] == points[0]).all() and (cause := _collapse_cause(points)):
+            raise SingularFitError(f"the neighborhood has no spread{cause}")
     except Exception as exc:
         raise ExplainStageError("fitting", exc) from exc
-    return Explanation.build(req.sample, predicted, surrogate)
+    return Explanation(req.sample, predicted, surrogate)
 
 
 @dataclass(frozen=True)

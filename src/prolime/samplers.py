@@ -22,7 +22,6 @@ __all__ = [
     "NotPositiveDefiniteError",
     "ProcessAwareSpec",
     "RngStream",
-    "SamplerSpec",
     "StandardSpec",
     "cholesky",
     "inverse_normal_cdf",

@@ -26,7 +26,6 @@ __all__ = [
     "Dataset",
     "DatasetFormatError",
     "FEATURE_NAMES",
-    "GroundTruthBoundary",
     "OracleModel",
     "QUADRANT_BOUNDARIES",
     "Quadrant",

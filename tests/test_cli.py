@@ -142,6 +142,9 @@ def test_explain_rejects_bad_constant_model(capsys):
     assert "error:" in stderr
     code, _, _ = _run(["explain", "0.0", "0.0", "--constant-model", "a,b"], capsys)
     assert code == 2
+    code, _, stderr = _run(["explain", "0.0", "0.0", "--constant-model", "1"], capsys)
+    assert code == 2
+    assert "at least two class probabilities" in stderr
 
 
 @pytest.mark.parametrize(
@@ -204,6 +207,16 @@ def test_explain_where_unit_perturbations_round_away_names_the_collapse(capsys):
         "point, so perturbations below the float spacing of its coordinates (up to 1.49e+138) "
         "were lost to rounding\n"
     )
+    # From about 1e16 a unit perturbation rounds away too, but the ridge fit
+    # itself succeeds, with zero coefficients; that must not pass as an answer.
+    for coordinate, spacing in (("1e17", "16"), ("1e20", "1.64e+04")):
+        code, stdout, stderr = _run(["explain", coordinate, coordinate], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr == (
+            "error: fitting stage failed: the neighborhood has no spread: all 1000 rows are the same "
+            f"point, so perturbations below the float spacing of its coordinates (up to {spacing}) "
+            "were lost to rounding\n"
+        )
 
 
 def test_negative_coordinates_with_an_exponent_are_values(capsys):
@@ -564,6 +577,16 @@ def test_each_neighborhood_size_is_capped(capsys, monkeypatch):
     assert code == 2
     assert stderr.endswith(
         f"error: argument --sizes: each size must be at most {cli.MAX_NEIGHBORHOOD_SIZE}, got {big}\n"
+    )
+
+
+@pytest.mark.parametrize("sizes", ["1000,", "1000,,5000", "a"])
+def test_malformed_sizes_are_usage_errors(sizes, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", _refuse_to_run)
+    code, stdout, stderr = _run(["evaluate", "--sizes", sizes], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr.endswith(
+        f"error: argument --sizes: expected comma-separated integers, got {sizes!r}\n"
     )
 
 

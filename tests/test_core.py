@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,7 +101,6 @@ def test_hyperparameter_defaults():
     assert hyper.kernel_width == 0.75 * math.sqrt(2.0)
     assert hyper.ridge_strength == 1.0
     assert hyper.explained_class == 1
-    assert hyper.standardize_features is False
 
 
 def test_hyperparameter_validation():
@@ -155,19 +155,14 @@ def _explanation() -> Explanation:
     sample = FeatureVector((0.41, -0.51), ("credit", "risk"))
     predicted = ClassProbabilities((0.0, 1.0))
     surrogate = LocalSurrogate(0.5, (-0.66, 0.69), ("credit", "risk"))
-    return Explanation.build(sample, predicted, surrogate)
+    return Explanation(sample, predicted, surrogate)
 
 
 def test_explanation_build_ranks_consistently():
     explanation = _explanation()
     assert explanation.ranked_features == (("risk", 0.69), ("credit", -0.66))
-    with pytest.raises(ValueError):
-        Explanation(
-            explanation.sample,
-            explanation.predicted,
-            explanation.surrogate,
-            (("credit", -0.66), ("risk", 0.69)),
-        )
+    flipped = replace(explanation, surrogate=LocalSurrogate(0.5, (-0.7, 0.69), ("credit", "risk")))
+    assert flipped.ranked_features == (("credit", -0.7), ("risk", 0.69))
 
 
 def test_explanation_serialization_field_order():
@@ -186,6 +181,6 @@ def test_serialized_reals_keep_full_precision():
     sample = FeatureVector((1.0 / 3.0, -2.0 / 7.0), ("credit", "risk"))
     predicted = ClassProbabilities((0.0, 1.0))
     surrogate = LocalSurrogate(0.1234567890123456, (1.0 / 3.0, -0.51), ("credit", "risk"))
-    document = json.loads(Explanation.build(sample, predicted, surrogate).to_json())
+    document = json.loads(Explanation(sample, predicted, surrogate).to_json())
     assert document["sample"]["credit"] == 1.0 / 3.0
     assert document["coefficients"]["credit"] == 1.0 / 3.0

@@ -11,7 +11,7 @@ import pytest
 import prolime.evaluation as evaluation_module
 import prolime.samplers as samplers_module
 import prolime.simulation as simulation_module
-from prolime.core import FeatureVector, LimeHyperparameters, LocalSurrogate
+from prolime.core import FeatureVector, LimeHyperparameters, LocalSurrogate, NoiseMode
 from prolime.evaluation import (
     ExperimentConfig,
     MismatchResult,
@@ -20,6 +20,7 @@ from prolime.evaluation import (
     report_to_csv,
     report_to_json,
     run_experiment,
+    sampler_spec,
     summary_table,
 )
 from prolime.explainer import ExplainRequest, ExplainStageError, explain
@@ -48,8 +49,7 @@ def test_mismatch_result_rejects_invalid_values():
         MismatchResult(-0.1, 0.2, Quadrant.I)
     with pytest.raises(ValueError):
         MismatchResult(float("nan"), 0.2, Quadrant.I)
-    result = MismatchResult(0.0, 0.0, Quadrant.II)
-    assert result.sample is None
+    assert MismatchResult(0.0, 0.0, Quadrant.II).quadrant is Quadrant.II
 
 
 def test_coefficient_mismatch_quadrant_four_example():
@@ -125,10 +125,15 @@ def test_experiment_config_validation():
         ExperimentConfig(master_seed=0, neighborhood_sizes=())
     with pytest.raises(ValueError):
         ExperimentConfig(master_seed=0, neighborhood_sizes=(1,))
-    with pytest.raises(ValueError):
-        ExperimentConfig(master_seed=0, samplers=("standard", "standard"))
-    with pytest.raises(ValueError):
-        ExperimentConfig(master_seed=0, samplers=("gridwise",))
+
+
+def test_sampler_spec_builds_each_named_sampler():
+    hyper, dist = LimeHyperparameters(noise_mode=NoiseMode.LATIN_HYPERCUBE), BenchmarkDistribution()
+    standard = sampler_spec("standard", hyper, dist)
+    assert standard == StandardSpec(noise_mode=NoiseMode.LATIN_HYPERCUBE, training_mean=dist.mean)
+    assert sampler_spec("process-aware", hyper, dist) == ProcessAwareSpec(dist.mean, dist.covariance)
+    with pytest.raises(ValueError, match="unknown sampler 'gridwise'"):
+        sampler_spec("gridwise", hyper, dist)
 
 
 def test_single_trial_uses_the_documented_stream_layout():

@@ -26,7 +26,6 @@ from prolime.explainer import (
     draw_neighborhood,
     explain,
     explain_batch,
-    sampler_scales,
 )
 from prolime.samplers import (
     Neighborhood,
@@ -64,13 +63,6 @@ class _RejectsLargeCredit(BlackBoxModel):
         if abs(x.values[0]) > 9.0:
             raise ValueError("credit out of supported range")
         return ClassProbabilities((0.4, 0.6))
-
-
-def test_sampler_scales_for_both_variants():
-    standard = StandardSpec(per_feature_scale=(0.5, 2.0))
-    assert sampler_scales(standard) == (0.5, 2.0)
-    process = ProcessAwareSpec(mean=(0.0, 0.0), covariance=((4.0, 0.0), (0.0, 9.0)))
-    assert sampler_scales(process) == (2.0, 3.0)
 
 
 def test_request_rejects_dimension_mismatch():
@@ -126,27 +118,6 @@ def test_linear_probability_model_is_recovered():
     assert abs(explanation.surrogate.coefficients[0] - 0.1) <= 1e-3
     assert abs(explanation.surrogate.coefficients[1] + 0.2) <= 1e-3
     assert abs(explanation.surrogate.intercept - 0.5) <= 1e-3
-
-
-def test_standardized_fit_rescales_coefficients_by_sampler_scale():
-    model = _LinearProbabilityModel(0.5, 0.1, -0.2)
-    scales = (0.5, 2.0)
-    sampler = StandardSpec(per_feature_scale=scales)
-    raw = explain(
-        _request(model, sampler, hyper=LimeHyperparameters(neighborhood_size=2000, ridge_strength=1e-8))
-    )
-    standardized = explain(
-        _request(
-            model,
-            sampler,
-            hyper=LimeHyperparameters(
-                neighborhood_size=2000, ridge_strength=1e-8, standardize_features=True
-            ),
-        )
-    )
-    for j, scale in enumerate(scales):
-        expected = raw.surrogate.coefficients[j] * scale
-        assert abs(standardized.surrogate.coefficients[j] - expected) <= 1e-6
 
 
 def test_benchmark_explanation_sign_pattern():

@@ -1,6 +1,7 @@
 """Property tests of the array model contract, the SVG renderer and the
-dataset CSV reader against per-row references, of the CSV round trip, and of
-the proximity kernel and the ridge fit against numpy and scipy references."""
+dataset CSV reader against per-row references, of the CSV round trip, of
+the proximity kernel and the ridge fit against numpy and scipy references,
+and of the Latin hypercube strata and the inverse normal CDF."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from scipy.linalg import lstsq
 
 from prolime.core import BlackBoxModel, ClassProbabilities, FeatureVector, ModelEvaluationError
 from prolime.plots import _fixed2, svg_scatter
-from prolime.samplers import Neighborhood
+from prolime.samplers import Neighborhood, RngStream, inverse_normal_cdf, latin_hypercube_uniforms
 from prolime.simulation import (
     BenchmarkDistribution,
     Dataset,
@@ -501,3 +502,40 @@ def test_unregularized_ridge_fit_recovers_a_planted_linear_target(problem, plant
     intercept, beta = planted[0], np.array(planted[1:d + 1])
     targets = intercept + features @ beta
     assert _close(_fit(features, targets, weights, 0.0), (intercept, beta))
+
+
+@settings(deadline=None)
+@given(n=st.integers(1, 300), d=st.integers(1, 6), seed=st.integers(0, 2**64 - 1))
+def test_latin_hypercube_puts_one_point_in_each_stratum_of_each_column(n, d, seed):
+    uniforms = latin_hypercube_uniforms(n, d, RngStream(seed).generator())
+    assert uniforms.shape == (n, d)
+    strata = np.arange(n + 1) / n
+    for column in np.sort(uniforms, axis=0).T:
+        # Sorted, the k-th value must lie in [k/n, (k+1)/n).
+        assert ((strata[:-1] <= column) & (column < strata[1:])).all()
+
+
+# Acklam's approximation switches formulas at these two probabilities.
+_ICDF_EDGES = (0.02425, 1.0 - 0.02425)
+probabilities = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 1e-300, exclude_min=True),
+    st.sampled_from(_ICDF_EDGES).flatmap(lambda edge: st.floats(edge - 1e-9, edge + 1e-9)),
+    st.sampled_from(_ICDF_EDGES).map(lambda edge: math.nextafter(edge, 0.0)),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(u=probabilities, v=probabilities)
+@example(u=5e-324, v=1.0 - 2.0**-53)
+@example(u=0.02425, v=math.nextafter(0.02425, 1.0))
+@example(u=1.0 - 0.02425, v=math.nextafter(1.0 - 0.02425, 0.0))
+@example(u=0.02424999999999322, v=0.024249999999993225)  # one ulp out of order
+def test_inverse_normal_cdf_meets_its_cdf_contract_and_is_monotone(u, v):
+    z = inverse_normal_cdf(u)
+    assert abs(0.5 * math.erfc(-z / math.sqrt(2.0)) - u) <= 1e-9
+    # Monotone up to rounding: the refinement step leaves the last bit or two
+    # noisy, and neighbouring floats can map one or two ulps out of order.
+    lo, hi = sorted((u, v))
+    z_lo, z_hi = inverse_normal_cdf(lo), inverse_normal_cdf(hi)
+    assert z_lo <= z_hi + 4.0 * math.ulp(z_hi)
