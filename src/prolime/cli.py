@@ -84,7 +84,7 @@ def _int_at_most(maximum: int):
 def _load_config(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
     config: dict[str, str] = {}
     for line_number, line in enumerate(text.splitlines(), start=1):
@@ -128,15 +128,18 @@ def _parse_with_config(
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("PROLIME_SEED")
-    if env is not None:
+    seed, source = args.seed, "seed"
+    if seed is None:
+        env = os.environ.get("PROLIME_SEED")
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), "PROLIME_SEED"
         except ValueError as exc:
             raise UsageError(f"PROLIME_SEED must be an integer, got {env!r}") from exc
-    return 0
+    if not 0 <= seed < 2**64:
+        raise UsageError(f"{source} must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def _distribution(rho: float) -> BenchmarkDistribution:
@@ -220,6 +223,10 @@ def _parse_sizes(raw: str) -> tuple[int, ...]:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     out = args.out
+    try:
+        json_path = str(Path(out).with_suffix(".json"))
+    except ValueError as exc:
+        raise UsageError(f"bad report path {out!r}: {exc}") from exc
     hyper = _hyperparameters(args, _DEFAULTS.neighborhood_size)
     try:
         experiment = ExperimentConfig(
@@ -232,7 +239,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     report = run_experiment(experiment)
-    json_path = str(Path(out).with_suffix(".json"))
     Path(out).write_text(report_to_csv(report), encoding="utf-8")
     Path(json_path).write_text(report_to_json(report), encoding="utf-8")
     print(summary_table(report))

@@ -121,9 +121,12 @@ def explain(req: ExplainRequest) -> Explanation:
     try:
         design = WeightedDesign(points, targets, weights, req.sample.feature_names)
         surrogate = fit_weighted_ridge(design, hyper.ridge_strength)
-        # A ridge fits one repeated point to zero coefficients; that is no
-        # explanation. The rows can only all agree if the last equals the first.
-        if (points[-1] == points[0]).all() and (cause := _collapse_cause(points)):
+        # A ridge fits a feature that never varies to a zero coefficient; that
+        # is no explanation. A column can only be constant if its last value
+        # equals its first.
+        if (points[-1] == points[0]).any() and (
+            cause := _collapse_cause(points, req.sample.feature_names)
+        ):
             raise SingularFitError(f"the neighborhood has no spread{cause}")
     except Exception as exc:
         raise ExplainStageError("fitting", exc) from exc

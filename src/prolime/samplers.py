@@ -9,7 +9,7 @@ the proximity kernel rather than by the sampler.
 
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -29,10 +29,6 @@ __all__ = [
     "sample_process_aware",
     "sample_standard",
 ]
-
-_SQRT2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 class NotPositiveDefiniteError(ValueError):
     """A symmetric matrix failed its Cholesky factorization."""
@@ -189,45 +185,21 @@ def cholesky(matrix: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
     raise NotPositiveDefiniteError(a.shape[0])
 
 
-# Rational approximation after P. Acklam; relative error below 1.15e-9 over
-# (0, 1) even before the refinement step.
-_ICDF_A = (
-    -3.969683028665376e+01,
-    2.209460984245205e+02,
-    -2.759285104469687e+02,
-    1.383577518672690e+02,
-    -3.066479806614716e+01,
-    2.506628277459239e+00,
-)
-_ICDF_B = (
-    -5.447609879822406e+01,
-    1.615858368580409e+02,
-    -1.556989798598866e+02,
-    6.680131188771972e+01,
-    -1.328068155288572e+01,
-)
-_ICDF_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e+00,
-    -2.549732539343734e+00,
-    4.374664141464968e+00,
-    2.938163982698783e+00,
-)
-_ICDF_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e+00,
-    3.754408661907416e+00,
-)
-_ICDF_P_LOW = 0.02425
+@functools.cache
+def _standard_normal():
+    """The standard normal distribution, built on first use: importing
+    ``statistics`` costs a few milliseconds that processes drawing no Latin
+    hypercube neighborhood should not pay."""
+    from statistics import NormalDist
+
+    return NormalDist()
 
 
 def inverse_normal_cdf(u: float) -> float:
     """Quantile function of the standard normal distribution.
 
-    Acklam's rational approximation followed by one Halley refinement against
-    the erfc-based normal CDF; the result satisfies ``|Phi(z) - u| <= 1e-9``.
+    Wichura's algorithm AS241 (Appl. Statist. 1988), as the standard library
+    implements it; accurate to a few ulps over the whole open interval.
 
     Parameters
     ----------
@@ -237,30 +209,7 @@ def inverse_normal_cdf(u: float) -> float:
     u = float(u)
     if not 0.0 < u < 1.0:
         raise ValueError("u must lie strictly between 0 and 1")
-    a, b, c, d = _ICDF_A, _ICDF_B, _ICDF_C, _ICDF_D
-    if u < _ICDF_P_LOW:
-        q = math.sqrt(-2.0 * math.log(u))
-        z = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    elif u > 1.0 - _ICDF_P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - u))
-        z = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    else:
-        q = u - 0.5
-        r = q * q
-        z = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        )
-    # Skip the refinement where exp(z*z/2) would overflow; out there the
-    # absolute CDF error is far below the contract already.
-    if 0.5 * z * z < 700.0:
-        err = 0.5 * math.erfc(-z / _SQRT2) - u
-        step = err * _SQRT_2PI * math.exp(0.5 * z * z)
-        z = z - step / (1.0 + 0.5 * z * step)
-    return z
+    return _standard_normal().inv_cdf(u)
 
 
 def latin_hypercube_uniforms(n: int, n_features: int, gen: np.random.Generator) -> np.ndarray:

@@ -61,6 +61,8 @@ class BenchmarkDistribution:
         object.__setattr__(self, "covariance", cov)
         if len(self.mean) != 2 or len(cov) != 2 or any(len(row) != 2 for row in cov):
             raise ValueError("the benchmark distribution is bivariate")
+        if not (math.isfinite(cov[0][1]) and math.isfinite(cov[1][0])):
+            raise ValueError("correlation must be finite")
         if cov[0][0] != 1.0 or cov[1][1] != 1.0:
             raise ValueError("features have unit variance; only the correlation varies")
         if cov[0][1] != cov[1][0]:

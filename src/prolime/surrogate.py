@@ -119,16 +119,23 @@ def label_neighborhood(model: BlackBoxModel, nbhd: Neighborhood, explained_class
     return np.ascontiguousarray(probabilities[:, explained_class])
 
 
-def _collapse_cause(features: np.ndarray) -> str:
-    """Why the normal equations of a positive ridge were singular, when every
-    row is one point: the rounding residue of the weighted mean, which is all
-    that is left of the perturbations, swamps the ridge."""
-    if not (features == features[0]).all():
+def _collapse_cause(features: np.ndarray, feature_names: tuple[str, ...]) -> str:
+    """Why a fit cannot explain a neighborhood in which some feature takes one
+    value in every row: the perturbations of that feature were lost to
+    rounding, so the model was never probed along it. Empty if every
+    feature varies."""
+    flat = (features == features[0]).all(axis=0)
+    if not flat.any():
         return ""
-    spacing = float(np.spacing(np.abs(features[0])).max())
+    spacing = float(np.spacing(np.abs(features[0, flat])).max())
+    if flat.all():
+        same, of = "are the same point", "its coordinates"
+    else:
+        same = "have the same " + ", ".join(name for name, f in zip(feature_names, flat.tolist()) if f)
+        of = "its value"
     return (
-        f": all {features.shape[0]} rows are the same point, so perturbations below the "
-        f"float spacing of its coordinates (up to {spacing:.3g}) were lost to rounding"
+        f": all {features.shape[0]} rows {same}, so perturbations below the "
+        f"float spacing of {of} (up to {spacing:.3g}) were lost to rounding"
     )
 
 
@@ -165,7 +172,8 @@ def fit_weighted_ridge(design: WeightedDesign, ridge_strength: float) -> LocalSu
     try:
         beta = np.linalg.solve(gram, moment)
     except np.linalg.LinAlgError as exc:
-        raise SingularFitError(f"normal equations are singular{advice or _collapse_cause(features)}") from exc
+        cause = advice or _collapse_cause(features, design.feature_names)
+        raise SingularFitError(f"normal equations are singular{cause}") from exc
     if not np.isfinite(beta).all():
         raise SingularFitError(f"normal equations produced non-finite coefficients{advice}")
     intercept = tbar - float(beta @ xbar)

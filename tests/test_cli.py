@@ -154,6 +154,8 @@ def test_explain_rejects_bad_constant_model(capsys):
         ("--ridge", "inf", "ridge_strength"),
         ("--kernel-width", "inf", "kernel_width"),
         ("--kernel-width", "nan", "kernel_width"),
+        ("--rho", "nan", "correlation"),
+        ("--rho", "inf", "correlation"),
     ],
 )
 def test_explain_rejects_non_finite_hyperparameters(flag, value, field, capsys):
@@ -215,6 +217,20 @@ def test_explain_where_unit_perturbations_round_away_names_the_collapse(capsys):
         assert stderr == (
             "error: fitting stage failed: the neighborhood has no spread: all 1000 rows are the same "
             f"point, so perturbations below the float spacing of its coordinates (up to {spacing}) "
+            "were lost to rounding\n"
+        )
+    # One coordinate alone can lose its perturbations; its coefficient would
+    # be zero while the other one is fitted.
+    for point, feature, spacing in (
+        (["1e17", "0.5"], "credit", "16"),
+        (["0.5", "1e17"], "risk", "16"),
+        (["1e154", "0.5"], "credit", "1.49e+138"),
+    ):
+        code, stdout, stderr = _run(["explain", *point], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr == (
+            f"error: fitting stage failed: the neighborhood has no spread: all 1000 rows have the same "
+            f"{feature}, so perturbations below the float spacing of its value (up to {spacing}) "
             "were lost to rounding\n"
         )
 
@@ -456,6 +472,33 @@ def test_invalid_env_seed_is_a_usage_error(tmp_path, capsys, monkeypatch):
     assert "error:" in stderr
 
 
+# One tiny run of each subcommand, and of the plots that resolve a seed.
+SEEDED_COMMANDS = {
+    "generate": ["generate", "--n", "5"],
+    "explain": ["explain", "0", "0", "--neighborhood-size", "20"],
+    "evaluate": ["evaluate", "--trials", "1", "--sizes", "20"],
+    "model-grid": ["plot", "model-grid", "--resolution", "2"],
+    "neighborhood": ["plot", "neighborhood", "--credit", "0", "--risk", "0", "--neighborhood-size", "20"],
+}
+
+
+@pytest.mark.parametrize("argv", SEEDED_COMMANDS.values(), ids=SEEDED_COMMANDS)
+def test_seeds_outside_64_bits_are_usage_errors(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PROLIME_SEED", raising=False)
+    for seed in ("-1", str(2**64)):
+        assert _run([*argv, "--seed", seed], capsys) == (
+            2, "", f"error: seed must lie in [0, 2**64), got {seed}\n"
+        )
+    (tmp_path / "seed.cfg").write_text("seed=-3\n", encoding="utf-8")
+    assert _run([*argv, "--config", "seed.cfg"], capsys) == (
+        2, "", "error: seed must lie in [0, 2**64), got -3\n"
+    )
+    monkeypatch.setenv("PROLIME_SEED", "-3")
+    assert _run(argv, capsys) == (2, "", "error: PROLIME_SEED must lie in [0, 2**64), got -3\n")
+    assert _run([*argv, "--seed", str(2**64 - 1)], capsys)[0] == 0
+
+
 def test_config_supplies_defaults_and_flags_override(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("PROLIME_SEED", raising=False)
     config = tmp_path / "gen.cfg"
@@ -486,13 +529,17 @@ def test_config_unknown_key_is_rejected(tmp_path, capsys):
 
 def test_config_malformed_line_is_rejected(tmp_path, capsys):
     config = tmp_path / "broken.cfg"
-    config.write_text("seed\n", encoding="utf-8")
-    code, _, stderr = _run(
-        ["generate", "--n", "5", "--out", str(tmp_path / "x.csv"), "--config", str(config)],
-        capsys,
-    )
-    assert code == 2
-    assert "error:" in stderr
+    for text, message in (
+        (b"seed\n", "config line 1 is not key=value"),
+        (b"n=5\xff\n", "can't decode byte 0xff"),
+    ):
+        config.write_bytes(text)
+        code, _, stderr = _run(
+            ["generate", "--n", "5", "--out", str(tmp_path / "x.csv"), "--config", str(config)],
+            capsys,
+        )
+        assert code == 2
+        assert stderr.startswith("error:") and message in stderr
 
 
 def test_config_kernel_width_equals_flag(tmp_path, capsys, monkeypatch):
@@ -535,6 +582,30 @@ def test_one_process_runs_many_commands_like_fresh_processes(tmp_path, capsys, m
         if argv[0] == "plot":
             fresh.append(Path("grid.svg").read_bytes())
     assert in_process == fresh
+
+
+def test_only_latin_hypercube_runs_import_statistics(tmp_path):
+    # The inverse normal CDF comes from the statistics module, whose import
+    # costs milliseconds and memory; runs that draw no Latin hypercube noise,
+    # an evaluate with the default hyperparameters and the figures among
+    # them, must not pay for it.
+    script = """
+import sys
+from prolime.cli import main
+assert main(["evaluate", "--trials", "2", "--sizes", "50", "--out", "report.csv"]) == 0
+assert main(["generate", "--n", "50"]) == 0
+assert main(["plot", "data", "--data", "dataset.csv"]) == 0
+assert main(["plot", "model-grid", "--resolution", "5"]) == 0
+print("statistics" in sys.modules, file=sys.stderr)
+assert main(["explain", "0", "0", "--noise", "lhs", "--neighborhood-size", "20"]) == 0
+print("statistics" in sys.modules, file=sys.stderr)
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(prolime.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.split() == ["False", "True"]
 
 
 # Each capped option with its cap, and the function the command would call

@@ -27,8 +27,8 @@ EXPLAIN_VARIANTS = {
 EXPLAIN_DIGESTS = {
     ("standard-gaussian", 7): "a2f48bf95b7ba4449848202ab99da7b54ef7778dfe05bd0649b1b6d988677028",
     ("standard-gaussian", 24): "32c69434bce232dac14070428544b5fb7019e21c6fd02a59a7facc2f5ed63004",
-    ("standard-lhs", 7): "940f4db5aad80519b4aa628d21c506bf7ba1f0b270a8eeee30933b08fd94c948",
-    ("standard-lhs", 24): "c3289aa429a185f7558655f6e7a05eb060118a8b1337dcf0c9d7a3d014b585bc",
+    ("standard-lhs", 7): "78a728be5f8c770f0f5062b28de94225ba33439a8988951fde48d9d268ab683e",
+    ("standard-lhs", 24): "07cc4b81836caa4410ee3d480b131fe2177ee0de540df50019c2d4fb1692bd34",
     ("standard-mean", 7): "17a07f33de26fc5f8aefeff3f31321b28b1d7e4acecf364fc0cf2494f203a2d7",
     ("standard-mean", 24): "96b68cb1d1ca31ca833593ff37d83facf0a96d8c01802594f22420a8479b1832",
     ("process-aware", 7): "bdc091b7d00d690e972743299d1c410762b12879ddc217325a79d007f51f0a4a",

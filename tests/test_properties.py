@@ -1,7 +1,7 @@
 """Property tests of the array model contract, the SVG renderer and the
 dataset CSV reader against per-row references, of the CSV round trip, of
-the proximity kernel and the ridge fit against numpy and scipy references,
-and of the Latin hypercube strata and the inverse normal CDF."""
+the proximity kernel, the ridge fit and the inverse normal CDF against numpy
+and scipy references, and of the Latin hypercube strata."""
 
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import lstsq
+from scipy.special import ndtri
 
 from prolime.core import BlackBoxModel, ClassProbabilities, FeatureVector, ModelEvaluationError
 from prolime.plots import _fixed2, svg_scatter
@@ -515,12 +516,21 @@ def test_latin_hypercube_puts_one_point_in_each_stratum_of_each_column(n, d, see
         assert ((strata[:-1] <= column) & (column < strata[1:])).all()
 
 
-# Acklam's approximation switches formulas at these two probabilities.
-_ICDF_EDGES = (0.02425, 1.0 - 0.02425)
+# AS241 switches formulas where |u - 0.5| passes 0.425 and where the tail
+# probability passes exp(-25).
+_ICDF_EDGES = (0.075, 0.925, math.exp(-25.0), 1.0 - math.exp(-25.0))
+
+
+def _near(edge: float) -> st.SearchStrategy[float]:
+    """Floats within 1e-9 of ``edge``, kept inside (0, 1)."""
+    width = min(1e-9, edge / 2, (1.0 - edge) / 2)
+    return st.floats(edge - width, edge + width)
+
+
 probabilities = st.one_of(
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
     st.floats(0.0, 1e-300, exclude_min=True),
-    st.sampled_from(_ICDF_EDGES).flatmap(lambda edge: st.floats(edge - 1e-9, edge + 1e-9)),
+    st.sampled_from(_ICDF_EDGES).flatmap(_near),
     st.sampled_from(_ICDF_EDGES).map(lambda edge: math.nextafter(edge, 0.0)),
 )
 
@@ -528,14 +538,24 @@ probabilities = st.one_of(
 @settings(deadline=None, max_examples=300)
 @given(u=probabilities, v=probabilities)
 @example(u=5e-324, v=1.0 - 2.0**-53)
-@example(u=0.02425, v=math.nextafter(0.02425, 1.0))
-@example(u=1.0 - 0.02425, v=math.nextafter(1.0 - 0.02425, 0.0))
-@example(u=0.02424999999999322, v=0.024249999999993225)  # one ulp out of order
+@example(u=0.075, v=math.nextafter(0.075, 1.0))
+@example(u=math.exp(-25.0), v=math.nextafter(math.exp(-25.0), 1.0))
+@example(u=1.3887943864972827e-11, v=1.3887943864972829e-11)  # two ulps out of order
 def test_inverse_normal_cdf_meets_its_cdf_contract_and_is_monotone(u, v):
     z = inverse_normal_cdf(u)
     assert abs(0.5 * math.erfc(-z / math.sqrt(2.0)) - u) <= 1e-9
-    # Monotone up to rounding: the refinement step leaves the last bit or two
-    # noisy, and neighbouring floats can map one or two ulps out of order.
+    # Monotone up to rounding: the rational approximations leave the last
+    # bit or two noisy, and neighbouring floats can map one or two ulps out
+    # of order.
     lo, hi = sorted((u, v))
     z_lo, z_hi = inverse_normal_cdf(lo), inverse_normal_cdf(hi)
     assert z_lo <= z_hi + 4.0 * math.ulp(z_hi)
+
+
+@settings(deadline=None, max_examples=300)
+@given(u=probabilities)
+@example(u=5e-324)
+@example(u=1.0 - 2.0**-53)
+@example(u=0.5)
+def test_inverse_normal_cdf_agrees_with_scipy_ndtri(u):
+    assert math.isclose(inverse_normal_cdf(u), float(ndtri(u)), rel_tol=1e-14)

@@ -1,4 +1,5 @@
-"""The package surface: each public name is declared once, in its module."""
+"""The package surface: each public name is declared once, in its module, and
+the benchmark's workloads run against it."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import ast
 import importlib
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 import prolime
 
@@ -38,3 +41,16 @@ def test_package_exports_every_name_the_benchmark_imports():
     submodules = {name for name in imported if importlib.util.find_spec(f"prolime.{name}") is not None}
     assert "oracle_model" in imported
     assert imported - submodules <= set(prolime.__all__)
+
+
+@pytest.mark.parametrize("name", ["evaluate", "explain-lhs", "explain-small", "figures"])
+def test_every_benchmark_workload_runs_one_tiny_op(name, tmp_path):
+    # The benchmark's own smoke test runs outside this suite, in subprocesses;
+    # this catches an API change that would break its workloads.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert name in workloads.NAMES
+    workload = workloads.make(name, 3, tiny=True, workdir=tmp_path)
+    outputs = workload.outputs(workload.run(0))
+    assert outputs and all(isinstance(data, bytes) and data for _, data in outputs)

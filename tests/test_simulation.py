@@ -60,6 +60,10 @@ def test_distribution_validation():
         BenchmarkDistribution(covariance=((1.0, 0.3), (0.2, 1.0)))
     with pytest.raises(ValueError):
         BenchmarkDistribution(density_threshold=0.0)
+    # nan != nan, so a NaN correlation would otherwise read as asymmetric.
+    for rho in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^correlation must be finite$"):
+            BenchmarkDistribution.with_correlation(rho)
 
 
 def test_density_threshold_must_lie_below_the_peak_density():
