@@ -81,6 +81,15 @@ def _int_at_most(maximum: int):
     return parse
 
 
+def _file_path(raw: str) -> str:
+    """An argparse type: a path whose last component names a file, so not
+    empty, not ending in a separator, not ``.`` or ``..``, and without the
+    NUL byte that no file name holds."""
+    if os.path.basename(raw) in ("", ".", "..") or "\0" in raw:
+        raise argparse.ArgumentTypeError(f"must name a file, got {raw!r}")
+    return raw
+
+
 def _load_config(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -144,7 +153,7 @@ def _resolve_seed(args: argparse.Namespace) -> int:
 
 def _distribution(rho: float) -> BenchmarkDistribution:
     try:
-        return BenchmarkDistribution.with_correlation(rho)
+        return BenchmarkDistribution(rho)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -223,10 +232,9 @@ def _parse_sizes(raw: str) -> tuple[int, ...]:
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     out = args.out
-    try:
-        json_path = str(Path(out).with_suffix(".json"))
-    except ValueError as exc:
-        raise UsageError(f"bad report path {out!r}: {exc}") from exc
+    if Path(out).suffix == ".json":
+        raise UsageError(f"the report CSV path {out!r} must not end in .json, where the JSON report goes")
+    json_path = str(Path(out).with_suffix(".json"))
     hyper = _hyperparameters(args, _DEFAULTS.neighborhood_size)
     try:
         experiment = ExperimentConfig(
@@ -326,7 +334,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     _add_common_flags(gen)
     gen.add_argument("--n", type=_int_at_most(MAX_SAMPLES), default=10000,
                      help=f"number of samples (default %(default)s, at most {MAX_SAMPLES})")
-    gen.add_argument("--out", default="dataset.csv", help="output CSV path (default %(default)s)")
+    gen.add_argument("--out", type=_file_path, default="dataset.csv", help="output CSV path (default %(default)s)")
     gen.set_defaults(handler=_cmd_generate)
 
     exp = sub.add_parser("explain", help="explain one point, JSON on stdout")
@@ -336,7 +344,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     _add_neighborhood_flags(exp)
     exp.add_argument("--constant-model", default=None, metavar="P0,P1",
                      help="replace the benchmark model with a constant output, e.g. 0.5,0.5")
-    exp.add_argument("--out", default=None, help="also write the JSON to this path")
+    exp.add_argument("--out", type=_file_path, default=None, help="also write the JSON to this path")
     exp.set_defaults(handler=_cmd_explain)
 
     ev = sub.add_parser("evaluate", help="run the paired sampler comparison")
@@ -346,7 +354,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     ev.add_argument("--sizes", type=_parse_sizes, default="1000,5000", metavar="N1,N2,...",
                     help=f"neighborhood sizes (default %(default)s, each at most {MAX_NEIGHBORHOOD_SIZE})")
     _add_hyper_flags(ev)
-    ev.add_argument("--out", default="report.csv",
+    ev.add_argument("--out", type=_file_path, default="report.csv",
                     help="report CSV path (default %(default)s); JSON lands beside it")
     ev.set_defaults(handler=_cmd_evaluate)
 
@@ -361,7 +369,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     pl.add_argument("--credit", type=float, default=None, help="explained point for the neighborhood plot")
     pl.add_argument("--risk", type=float, default=None, help="explained point for the neighborhood plot")
     _add_neighborhood_flags(pl)
-    pl.add_argument("--out", default=None, help="output SVG path (default <kind>.svg)")
+    pl.add_argument("--out", type=_file_path, default=None, help="output SVG path (default <kind>.svg)")
     pl.set_defaults(handler=_cmd_plot)
 
     for each in (parser, *sub.choices.values()):

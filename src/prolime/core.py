@@ -21,7 +21,6 @@ __all__ = [
     "FeatureVector",
     "LimeHyperparameters",
     "LocalSurrogate",
-    "ModelEvaluationError",
     "NoiseMode",
     "default_kernel_width",
     "rank_features",
@@ -126,64 +125,34 @@ class ClassProbabilities:
             raise ValueError(f"probabilities must sum to 1, got {total!r}")
 
 
-class ModelEvaluationError(RuntimeError):
-    """A model failed to produce probabilities for one point."""
-
-    def __init__(self, index: int, message: str):
-        super().__init__(f"model evaluation failed at point {index}: {message}")
-        self.index = index
-
-
 class BlackBoxModel(abc.ABC):
     """Opaque classifier contract: feature rows in, class probabilities out.
 
-    Implementations set ``n_classes`` and implement the per-point
-    :meth:`predict`; models that can label many points at once should also
-    override :meth:`predict_proba`, which the explanation pipeline calls.
+    Implementations set ``n_classes`` and implement :meth:`predict_proba`.
     Predictions must be deterministic for identical inputs.
     """
 
     n_classes: int = 2
 
     @abc.abstractmethod
-    def predict(self, x: FeatureVector) -> ClassProbabilities:
-        raise NotImplementedError
-
     def predict_proba(self, X: np.ndarray, feature_names: Sequence[str] | None = None) -> np.ndarray:
-        """Class probabilities of every row of an ``(n, d)`` array, shape ``(n, n_classes)``.
-
-        The default calls :meth:`predict` on each row, named by
-        ``feature_names`` (``x0``, ``x1``, ... when omitted). The first row
-        that fails, or yields anything but ``ClassProbabilities`` of
-        ``n_classes`` entries, raises :class:`ModelEvaluationError` with its index.
-        """
-        rows = np.asarray(X, dtype=float)
-        if rows.ndim != 2:
-            raise ValueError(f"X must be an (n, d) array, got shape {rows.shape}")
-        names = feature_names or tuple(f"x{j}" for j in range(rows.shape[1]))
-        out = np.empty((rows.shape[0], self.n_classes))
-        for index, row in enumerate(rows.tolist()):
-            try:
-                probabilities = self.predict(FeatureVector(row, names))
-                if not isinstance(probabilities, ClassProbabilities) or len(probabilities.p) != self.n_classes:
-                    raise ValueError(f"predict must return ClassProbabilities of {self.n_classes} classes")
-                out[index] = probabilities.p
-            except ModelEvaluationError:
-                raise
-            except Exception as exc:
-                raise ModelEvaluationError(index, str(exc)) from exc
-        return out
+        """Class probabilities of every row of an ``(n, d)`` array, shape
+        ``(n, n_classes)``; ``feature_names`` names the ``d`` columns."""
+        raise NotImplementedError
 
 
 class ConstantModel(BlackBoxModel):
     """Returns the same probabilities everywhere; useful as a null reference."""
 
     def __init__(self, probabilities: Sequence[float]):
-        self._output = ClassProbabilities(tuple(probabilities))
-        self.n_classes = len(self._output.p)
+        self._output = np.array(ClassProbabilities(tuple(probabilities)).p)
+        self.n_classes = len(self._output)
 
-    def predict(self, x: FeatureVector) -> ClassProbabilities:
-        return self._output
+    def predict_proba(self, X: np.ndarray, feature_names: Sequence[str] | None = None) -> np.ndarray:
+        rows = np.asarray(X, dtype=float)
+        if rows.ndim != 2:
+            raise ValueError(f"X must be an (n, d) array, got shape {rows.shape}")
+        return np.tile(self._output, (rows.shape[0], 1))
 
 
 @dataclass(frozen=True)

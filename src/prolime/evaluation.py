@@ -126,16 +126,10 @@ def draw_test_point(dist: BenchmarkDistribution, rng: RngStream) -> FeatureVecto
 
 def sampler_spec(name: str, hyper: LimeHyperparameters, dist: BenchmarkDistribution) -> SamplerSpec:
     """The named benchmark sampler: ``standard`` perturbs at the features'
-    scales under the hyperparameters' center and noise modes; ``process-aware``
-    draws from the benchmark distribution itself."""
+    unit scales under the hyperparameters' center and noise modes;
+    ``process-aware`` draws from the benchmark distribution itself."""
     if name == "standard":
-        scales = tuple(math.sqrt(dist.covariance[j][j]) for j in range(2))
-        return StandardSpec(
-            center_mode=hyper.center_mode,
-            noise_mode=hyper.noise_mode,
-            per_feature_scale=scales,
-            training_mean=dist.mean,
-        )
+        return StandardSpec(center_mode=hyper.center_mode, noise_mode=hyper.noise_mode, training_mean=dist.mean)
     if name == "process-aware":
         return ProcessAwareSpec(mean=dist.mean, covariance=dist.covariance)
     raise ValueError(f"unknown sampler {name!r}, expected one of {', '.join(SAMPLER_NAMES)}")

@@ -11,6 +11,7 @@ from typing import Sequence
 
 from .core import (
     BlackBoxModel,
+    ClassProbabilities,
     Explanation,
     FeatureVector,
     LimeHyperparameters,
@@ -112,7 +113,8 @@ def explain(req: ExplainRequest) -> Explanation:
     except Exception as exc:
         raise ExplainStageError("sampling", exc) from exc
     try:
-        predicted = req.model.predict(req.sample)
+        row = req.model.predict_proba(req.sample.as_array()[None, :], req.sample.feature_names)[0]
+        predicted = ClassProbabilities(row)
         targets = label_neighborhood(req.model, nbhd, hyper.explained_class)
     except Exception as exc:
         raise ExplainStageError("labeling", exc) from exc

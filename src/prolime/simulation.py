@@ -14,11 +14,11 @@ import math
 import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .core import BlackBoxModel, ClassProbabilities, FeatureVector, ModelEvaluationError, _by_column
+from .core import BlackBoxModel, FeatureVector, _by_column
 from .samplers import RngStream, cholesky
 
 __all__ = [
@@ -45,49 +45,31 @@ FEATURE_NAMES = ("credit", "risk")
 class BenchmarkDistribution:
     """The benchmark's feature distribution and the oracle's density cutoff.
 
-    Unit-variance features with a single correlation parameter, so the
-    covariance is the correlation matrix [[1, rho], [rho, 1]].
+    Zero-mean, unit-variance features with a single correlation ``rho``, so
+    the covariance is the correlation matrix [[1, rho], [rho, 1]]. The
+    cutoff lies below the peak density 1/(2*pi*sqrt(1 - rho**2)) for every
+    valid ``rho``.
     """
 
-    mean: tuple[float, float] = (0.0, 0.0)
-    covariance: tuple[tuple[float, float], tuple[float, float]] = ((1.0, -0.9), (-0.9, 1.0))
-    density_threshold: float = 0.01
+    rho: float = -0.9
+    mean: ClassVar[tuple[float, float]] = (0.0, 0.0)
+    density_threshold: ClassVar[float] = 0.01
     # The covariance's read-only Cholesky factor, computed once per distribution.
     _lower: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mean", tuple(float(m) for m in self.mean))
-        cov = tuple(tuple(float(v) for v in row) for row in self.covariance)
-        object.__setattr__(self, "covariance", cov)
-        if len(self.mean) != 2 or len(cov) != 2 or any(len(row) != 2 for row in cov):
-            raise ValueError("the benchmark distribution is bivariate")
-        if not (math.isfinite(cov[0][1]) and math.isfinite(cov[1][0])):
+        object.__setattr__(self, "rho", float(self.rho))
+        if not math.isfinite(self.rho):
             raise ValueError("correlation must be finite")
-        if cov[0][0] != 1.0 or cov[1][1] != 1.0:
-            raise ValueError("features have unit variance; only the correlation varies")
-        if cov[0][1] != cov[1][0]:
-            raise ValueError("covariance must be symmetric")
-        if not abs(cov[0][1]) < 1.0:
+        if not abs(self.rho) < 1.0:
             raise ValueError("correlation magnitude must be below 1")
-        if not self.density_threshold > 0:
-            raise ValueError("density_threshold must be positive")
-        peak = 1.0 / (2.0 * math.pi * math.sqrt(1.0 - cov[0][1] ** 2))
-        if not self.density_threshold < peak:
-            raise ValueError(
-                f"density_threshold must lie below the peak density {peak!r}; "
-                "no point would clear it"
-            )
-        lower = cholesky(cov)
+        lower = cholesky(self.covariance)
         lower.flags.writeable = False
         object.__setattr__(self, "_lower", lower)
 
     @property
-    def rho(self) -> float:
-        return self.covariance[0][1]
-
-    @classmethod
-    def with_correlation(cls, rho: float, density_threshold: float = 0.01) -> "BenchmarkDistribution":
-        return cls(covariance=((1.0, float(rho)), (float(rho), 1.0)), density_threshold=density_threshold)
+    def covariance(self) -> tuple[tuple[float, float], tuple[float, float]]:
+        return ((1.0, self.rho), (self.rho, 1.0))
 
 
 class Quadrant(Enum):
@@ -237,16 +219,13 @@ class OracleModel(BlackBoxModel):
             first_bytes.append(h.digest()[0])
         return np.frombuffer(bytes(first_bytes), dtype=np.uint8) & 1
 
-    def predict(self, x: FeatureVector) -> ClassProbabilities:
-        return ClassProbabilities(self.predict_proba(x.as_array()[None, :])[0].tolist())
-
     def predict_proba(self, X: np.ndarray, feature_names: Sequence[str] | None = None) -> np.ndarray:
         rows = np.asarray(X, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != 2:
             raise ValueError(f"expected an (n, 2) array of (credit, risk) rows, got shape {rows.shape}")
         if not np.isfinite(rows).all():
             first = int(np.argmin(np.isfinite(rows).all(axis=1)))
-            raise ModelEvaluationError(first, "feature values must be finite")
+            raise ValueError(f"row {first}: feature values must be finite")
         out = np.empty((rows.shape[0], 2))
         labels = out[:, 1]
         labels[:] = _diamond_mask(rows)

@@ -116,7 +116,13 @@ def label_neighborhood(model: BlackBoxModel, nbhd: Neighborhood, explained_class
         raise ValueError(f"predict_proba returned shape {probabilities.shape}, expected {expected}")
     # A contiguous copy, not a strided view: the fit's BLAS reductions sum in
     # a layout-dependent order, and reports are pinned to the last bit.
-    return np.ascontiguousarray(probabilities[:, explained_class])
+    targets = np.ascontiguousarray(probabilities[:, explained_class])
+    if not (targets.min() >= 0.0 and targets.max() <= 1.0):
+        row = int(np.argmax(~((targets >= 0.0) & (targets <= 1.0))))
+        raise ValueError(
+            f"row {row}: probability of class {explained_class} must lie in [0, 1], got {targets[row].item()!r}"
+        )
+    return targets
 
 
 def _collapse_cause(features: np.ndarray, feature_names: tuple[str, ...]) -> str:

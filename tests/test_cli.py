@@ -294,6 +294,43 @@ def test_evaluate_reports_total_failure(tmp_path, capsys, monkeypatch):
     assert "standard@50" in stderr
 
 
+def test_evaluate_rejects_a_report_path_its_json_would_overwrite(tmp_path, capsys, monkeypatch):
+    def never(config):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "run_experiment", never)
+    monkeypatch.chdir(tmp_path)
+    for out in (str(tmp_path / "r.json"), "./r.json"):
+        code, stdout, stderr = _run(["evaluate", "--trials", "1", "--sizes", "20", "--out", out], capsys)
+        assert (code, stdout) == (2, "")
+        assert f"the report CSV path {out!r} must not end in .json" in stderr
+    assert not any(tmp_path.iterdir())
+
+
+# A small run of each subcommand that has an --out flag.
+_OUT_COMMANDS = {
+    "generate": ["generate", "--n", "30"],
+    "explain": ["explain", "0.41", "-0.51", "--neighborhood-size", "50"],
+    "evaluate": ["evaluate", "--trials", "1", "--sizes", "20"],
+    "plot": ["plot", "model-grid", "--resolution", "5"],
+}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("out", ["e/", "", "e/..", "e\0f"])
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+def test_out_paths_that_name_no_file_are_usage_errors(command, out, source, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = [*_OUT_COMMANDS[command], "--out", out]
+    if source == "config":
+        Path("out.cfg").write_text(f"out={out}\n", encoding="utf-8")
+        argv = [*_OUT_COMMANDS[command], "--config", "out.cfg"]
+    code, stdout, stderr = _run(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert f"must name a file, got {out!r}" in stderr
+    assert [path.name for path in tmp_path.iterdir()] == (["out.cfg"] if source == "config" else [])
+
+
 def test_plot_data(tmp_path, capsys):
     data = tmp_path / "data.csv"
     assert _run(["generate", "--n", "150", "--seed", "2", "--out", str(data)], capsys)[0] == 0

@@ -18,7 +18,6 @@ from prolime.core import (
     FeatureVector,
     LimeHyperparameters,
     LocalSurrogate,
-    ModelEvaluationError,
     NoiseMode,
     default_kernel_width,
     rank_features,
@@ -62,35 +61,24 @@ def test_default_kernel_width_scales_with_dimension():
         default_kernel_width(0)
 
 
-class _FailsAt(BlackBoxModel):
-    """Raises on one designated input index, counted via call order."""
+def test_black_box_model_requires_predict_proba():
+    assert BlackBoxModel.__abstractmethods__ == frozenset({"predict_proba"})
 
-    def __init__(self, failing_call: int):
-        self._failing_call = failing_call
-        self._calls = 0
+    class NoBatch(BlackBoxModel):
+        n_classes = 2
 
-    def predict(self, x: FeatureVector) -> ClassProbabilities:
-        current = self._calls
-        self._calls += 1
-        if current == self._failing_call:
-            raise ValueError("deliberate failure")
-        return ClassProbabilities((1.0, 0.0))
-
-
-def test_predict_proba_wraps_failures_with_point_index():
-    model = _FailsAt(2)
-    with pytest.raises(ModelEvaluationError) as info:
-        model.predict_proba(np.zeros((4, 2)))
-    assert info.value.index == 2
-    assert "point 2" in str(info.value)
+    with pytest.raises(TypeError, match="predict_proba"):
+        NoBatch()
 
 
 def test_constant_model_predicts_everywhere():
     model = ConstantModel((0.3, 0.7))
-    fv = FeatureVector((5.0, -5.0), ("credit", "risk"))
-    assert model.predict(fv).p == (0.3, 0.7)
+    rows = np.array([[5.0, -5.0], [0.0, 1e300], [-1.0, 2.0]])
     assert model.n_classes == 2
-    assert model.predict_proba(np.array([fv.values, fv.values])).tolist() == [[0.3, 0.7], [0.3, 0.7]]
+    assert model.predict_proba(rows).tolist() == [[0.3, 0.7]] * 3
+    assert model.predict_proba(np.empty((0, 2))).shape == (0, 2)
+    with pytest.raises(ValueError, match="shape"):
+        model.predict_proba(np.zeros(2))
 
 
 def test_hyperparameter_defaults():

@@ -110,7 +110,7 @@ def test_a_run_factors_each_covariance_once(monkeypatch):
         monkeypatch.setattr(module, "cholesky", counted, raising=False)
     config = ExperimentConfig(
         master_seed=3, trials=1, neighborhood_sizes=(50, 100),
-        distribution=BenchmarkDistribution.with_correlation(-0.5),
+        distribution=BenchmarkDistribution(-0.5),
     )
     report = run_experiment(config)
     assert all(cell.trials == 1 for cell in report.cells)

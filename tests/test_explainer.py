@@ -12,7 +12,6 @@ import prolime.surrogate as surrogate_module
 from prolime.core import (
     BlackBoxModel,
     CenterMode,
-    ClassProbabilities,
     ConstantModel,
     Explanation,
     FeatureVector,
@@ -51,18 +50,18 @@ class _LinearProbabilityModel(BlackBoxModel):
     def __init__(self, intercept: float, credit_coef: float, risk_coef: float):
         self._params = (intercept, credit_coef, risk_coef)
 
-    def predict(self, x: FeatureVector) -> ClassProbabilities:
+    def predict_proba(self, X, feature_names=None):
         b0, bc, br = self._params
-        p = min(1.0, max(0.0, b0 + bc * x.values[0] + br * x.values[1]))
-        return ClassProbabilities((1.0 - p, p))
+        p = np.clip(b0 + bc * X[:, 0] + br * X[:, 1], 0.0, 1.0)
+        return np.column_stack((1.0 - p, p))
 
 
 class _RejectsLargeCredit(BlackBoxModel):
 
-    def predict(self, x: FeatureVector) -> ClassProbabilities:
-        if abs(x.values[0]) > 9.0:
+    def predict_proba(self, X, feature_names=None):
+        if (np.abs(X[:, 0]) > 9.0).any():
             raise ValueError("credit out of supported range")
-        return ClassProbabilities((0.4, 0.6))
+        return np.tile([0.4, 0.6], (X.shape[0], 1))
 
 
 def test_request_rejects_dimension_mismatch():

@@ -117,3 +117,22 @@ def test_generate_and_data_plot_match_golden_digests(seed, tmp_path, monkeypatch
     assert _sha256((tmp_path / "dataset.csv").read_bytes()) == DATASET_DIGESTS[(seed, "csv")]
     assert _sha256(stdout.encode("utf-8")) == DATASET_DIGESTS[(seed, "stdout")]
     assert _sha256((tmp_path / "data.svg").read_bytes()) == DATASET_DIGESTS[(seed, "svg")]
+
+
+# ``--help`` texts at 80 columns, pinned so that a change to a flag, its
+# default or its help string has to re-record them on purpose.
+HELP_DIGESTS = {
+    "prolime": "8e135cde4cc6aea30add4f8bf3e903bafb80f0ffe4ddc090b0ab0a9d62042085",
+    "generate": "0bd1ab12552b6383ee395a3a8fa37d5c5664cbf868bd5a0a9430e1a1fd61a257",
+    "explain": "b7f20eeb4df27b4cd66f0a602532f9226c30792463539b751a3192b464d3020e",
+    "evaluate": "2dfdfee490ee57001e5072b20abcfb85bbdfc22224286762c21eb2416a9bf227",
+    "plot": "d20809af31eecc09e74d0d3f6fcc816f1e0ad0ce9eed59f406f7de73b5bd927f",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
+def test_help_text_matches_golden_digest(command, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [] if command == "prolime" else [command]
+    text = _quiet([*argv, "--help"])
+    assert _sha256(text.encode("utf-8")) == HELP_DIGESTS[command]

@@ -1,7 +1,8 @@
-"""Property tests of the array model contract, the SVG renderer and the
-dataset CSV reader against per-row references, of the CSV round trip, of
-the proximity kernel, the ridge fit and the inverse normal CDF against numpy
-and scipy references, and of the Latin hypercube strata."""
+"""Property tests of the oracle, the SVG renderer and the dataset CSV reader
+against per-row references, of the labeling stage's probability check, of
+the CSV round trip, of the proximity kernel, the ridge fit and the inverse
+normal CDF against numpy and scipy references, of the Latin hypercube strata
+and of the samplers' moments."""
 
 from __future__ import annotations
 
@@ -18,9 +19,18 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import lstsq
 from scipy.special import ndtri
 
-from prolime.core import BlackBoxModel, ClassProbabilities, FeatureVector, ModelEvaluationError
+from prolime.core import BlackBoxModel, FeatureVector, NoiseMode
 from prolime.plots import _fixed2, svg_scatter
-from prolime.samplers import Neighborhood, RngStream, inverse_normal_cdf, latin_hypercube_uniforms
+from prolime.samplers import (
+    Neighborhood,
+    ProcessAwareSpec,
+    RngStream,
+    StandardSpec,
+    inverse_normal_cdf,
+    latin_hypercube_uniforms,
+    sample_process_aware,
+    sample_standard,
+)
 from prolime.simulation import (
     BenchmarkDistribution,
     Dataset,
@@ -36,6 +46,7 @@ from prolime.surrogate import (
     WeightedDesign,
     _squared_distances,
     fit_weighted_ridge,
+    label_neighborhood,
     neighborhood_weights,
 )
 
@@ -76,7 +87,7 @@ def _reference_oracle(dist: BenchmarkDistribution, model_seed: int, rows: np.nda
     rho=st.sampled_from((-0.9, 0.0, 0.6)),
 )
 def test_oracle_predict_proba_equals_the_per_row_reference(rows, model_seed, rho):
-    dist = BenchmarkDistribution.with_correlation(rho)
+    dist = BenchmarkDistribution(rho)
     model = OracleModel(dist, model_seed)
     expected = _reference_oracle(dist, model_seed, rows)
     got = model.predict_proba(rows)
@@ -100,86 +111,35 @@ def test_oracle_names_the_first_non_finite_row(rows, data):
     for row, column, value in cells:
         rows[row, column] = value
     first = min(row for row, _, _ in cells)
-    with pytest.raises(ModelEvaluationError) as info:
+    message = f"row {first}: feature values must be finite"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         OracleModel(BenchmarkDistribution(), 5).predict_proba(rows)
-    assert info.value.index == first
-    assert str(info.value) == f"model evaluation failed at point {first}: feature values must be finite"
 
 
-class _FailsOnMarker(BlackBoxModel):
-    """Per-point model that fails on rows whose first coordinate is the marker."""
+class _FixedColumn(BlackBoxModel):
+    """Returns the given class-1 column whatever the rows."""
 
-    MARKER = 1e9
+    def __init__(self, column: np.ndarray):
+        self._column = column
 
-    def predict(self, x: FeatureVector) -> ClassProbabilities:
-        if x.values[0] == self.MARKER:
-            raise RuntimeError("marker row")
-        p = 1.0 / (1.0 + math.exp(-x.values[1]))
-        return ClassProbabilities((1.0 - p, p))
+    def predict_proba(self, X, feature_names=None):
+        return np.column_stack((1.0 - self._column, self._column))
 
 
 @settings(deadline=None)
-@given(
-    rows=arrays(float, st.tuples(st.integers(1, 30), st.just(2)), elements=coordinates),
-    data=st.data(),
-)
-def test_default_predict_proba_reports_the_first_failing_row(rows, data):
-    model = _FailsOnMarker()
-    failing = data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1))
-    for index in failing:
-        rows[index, 0] = _FailsOnMarker.MARKER
-    with pytest.raises(ModelEvaluationError) as info:
-        model.predict_proba(rows)
-    assert info.value.index == min(failing)
-    assert f"point {min(failing)}" in str(info.value)
-
-
-@settings(deadline=None)
-@given(rows=arrays(float, st.tuples(st.integers(1, 30), st.just(2)), elements=coordinates))
-def test_default_predict_proba_equals_per_point_predict(rows):
-    model = _FailsOnMarker()
-    expected = [list(model.predict(FeatureVector(row, ("a", "b"))).p) for row in rows.tolist()]
-    assert model.predict_proba(rows).tolist() == expected
-
-
-class _BadOutput(BlackBoxModel):
-    """Returns a malformed prediction at one row index."""
-
-    def __init__(self, bad_index: int, bad_output):
-        self._bad = (bad_index, bad_output)
-        self._calls = 0
-
-    def predict(self, x: FeatureVector):
-        index, self._calls = self._calls, self._calls + 1
-        return self._bad[1] if index == self._bad[0] else ClassProbabilities((0.5, 0.5))
-
-
-@pytest.mark.parametrize(
-    "bad_output",
-    [(0.5, 0.5), ClassProbabilities((1.0,)), ClassProbabilities((0.2, 0.3, 0.5))],
-)
-def test_default_predict_proba_validates_third_party_outputs(bad_output):
-    with pytest.raises(ModelEvaluationError) as info:
-        _BadOutput(3, bad_output).predict_proba(np.zeros((5, 2)))
-    assert info.value.index == 3
-
-
-def test_default_predict_proba_passes_feature_names_and_rejects_non_finite_rows():
-    seen = []
-
-    class _Records(BlackBoxModel):
-        def predict(self, x: FeatureVector) -> ClassProbabilities:
-            seen.append(x.feature_names)
-            return ClassProbabilities((0.5, 0.5))
-
-    _Records().predict_proba(np.zeros((2, 2)), feature_names=("credit", "risk"))
-    _Records().predict_proba(np.zeros((1, 2)))
-    assert seen == [("credit", "risk"), ("credit", "risk"), ("x0", "x1")]
-    with pytest.raises(ModelEvaluationError) as info:
-        _Records().predict_proba(np.array([[0.0, 0.0], [0.0, math.inf]]))
-    assert info.value.index == 1
-    with pytest.raises(ValueError):
-        _Records().predict_proba(np.zeros(3))
+@given(column=arrays(float, st.integers(1, 30), elements=st.one_of(
+    st.floats(-0.5, 1.5), st.sampled_from((0.0, 1.0, -5e-324, 1.0000000000000002, math.nan, math.inf, -math.inf)),
+)))
+def test_label_neighborhood_rejects_exactly_the_targets_outside_the_unit_interval(column):
+    nbhd = Neighborhood(np.zeros((len(column), 2)), FeatureVector((0.0, 0.0), ("a", "b")))
+    bad = [i for i, p in enumerate(column.tolist()) if not 0.0 <= p <= 1.0]
+    model = _FixedColumn(column)
+    if not bad:
+        assert label_neighborhood(model, nbhd, 1).tobytes() == column.tobytes()
+        return
+    with pytest.raises(ValueError) as info:
+        label_neighborhood(model, nbhd, 1)
+    assert str(info.value).startswith(f"row {bad[0]}: probability of class 1 must lie in [0, 1]")
 
 
 # Signed zeros, subnormals and the ends of the float range, besides any finite float.
@@ -559,3 +519,37 @@ def test_inverse_normal_cdf_meets_its_cdf_contract_and_is_monotone(u, v):
 @example(u=0.5)
 def test_inverse_normal_cdf_agrees_with_scipy_ndtri(u):
     assert math.isclose(inverse_normal_cdf(u), float(ndtri(u)), rel_tol=1e-14)
+
+
+def _assert_moments_within_six_standard_errors(points: np.ndarray, mean, cov) -> None:
+    """Column means, column standard deviations and the sample covariance of
+    n draws lie within 6 standard errors of their values under N(mean, cov)."""
+    n = points.shape[0]
+    cov = np.asarray(cov, dtype=float)
+    variances = np.diag(cov)
+    scales = np.sqrt(variances)
+    assert np.all(np.abs(points.mean(axis=0) - mean) <= 6.0 * scales / math.sqrt(n))
+    assert np.all(np.abs(points.std(axis=0, ddof=1) - scales) <= 6.0 * scales / math.sqrt(2.0 * (n - 1)))
+    covariance_se = np.sqrt((np.outer(variances, variances) + cov * cov) / (n - 1))
+    assert np.all(np.abs(np.cov(points, rowvar=False) - cov) <= 6.0 * covariance_se)
+
+
+moment_scales = st.tuples(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+moment_centers = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
+
+
+@settings(deadline=None, max_examples=50)
+@given(scales=moment_scales, centers=moment_centers, noise=st.sampled_from(NoiseMode), seed=st.integers(0, 2**64 - 1))
+def test_standard_sampler_moments_match_its_scales_and_center(scales, centers, noise, seed):
+    spec = StandardSpec(noise_mode=noise, per_feature_scale=scales)
+    nbhd = sample_standard(FeatureVector(centers, ("a", "b")), spec, 4000, RngStream(seed))
+    _assert_moments_within_six_standard_errors(nbhd.points, centers, np.diag(np.square(scales)))
+
+
+@settings(deadline=None, max_examples=50)
+@given(scales=moment_scales, centers=moment_centers, rho=st.floats(-0.99, 0.99), seed=st.integers(0, 2**64 - 1))
+def test_process_aware_sampler_moments_match_its_spec(scales, centers, rho, seed):
+    (s0, s1), off = scales, rho * scales[0] * scales[1]
+    spec = ProcessAwareSpec(mean=centers, covariance=((s0 * s0, off), (off, s1 * s1)))
+    nbhd = sample_process_aware(spec, 4000, RngStream(seed), origin=FeatureVector((0.0, 0.0), ("a", "b")))
+    _assert_moments_within_six_standard_errors(nbhd.points, centers, spec.covariance)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from prolime.core import FeatureVector, ModelEvaluationError
+from prolime.core import FeatureVector
 from prolime.samplers import RngStream
 from prolime.simulation import (
     QUADRANT_BOUNDARIES,
@@ -46,38 +47,32 @@ def test_distribution_defaults():
 
 
 def test_distribution_with_correlation():
-    dist = BenchmarkDistribution.with_correlation(0.5)
+    dist = BenchmarkDistribution(0.5)
     assert dist.covariance == ((1.0, 0.5), (0.5, 1.0))
     assert dist.rho == 0.5
+    assert [f.name for f in fields(dist) if f.init] == ["rho"]
+    assert dist == BenchmarkDistribution(rho=0.5) != BenchmarkDistribution()
 
 
 def test_distribution_validation():
-    with pytest.raises(ValueError):
-        BenchmarkDistribution.with_correlation(1.0)
-    with pytest.raises(ValueError):
-        BenchmarkDistribution(covariance=((2.0, 0.0), (0.0, 1.0)))
-    with pytest.raises(ValueError):
-        BenchmarkDistribution(covariance=((1.0, 0.3), (0.2, 1.0)))
-    with pytest.raises(ValueError):
-        BenchmarkDistribution(density_threshold=0.0)
-    # nan != nan, so a NaN correlation would otherwise read as asymmetric.
+    for rho in (1.0, -1.0, 1.5):
+        with pytest.raises(ValueError, match="^correlation magnitude must be below 1$"):
+            BenchmarkDistribution(rho)
     for rho in (float("nan"), float("inf")):
         with pytest.raises(ValueError, match="^correlation must be finite$"):
-            BenchmarkDistribution.with_correlation(rho)
+            BenchmarkDistribution(rho)
+    with pytest.raises(TypeError):
+        BenchmarkDistribution(covariance=((2.0, 0.0), (0.0, 1.0)))
 
 
 def test_density_threshold_must_lie_below_the_peak_density():
-    # At or above the peak no point clears the threshold, and the rejection
-    # loop of draw_test_point would never return; construction refuses it.
-    for rho in (-0.9, 0.0, 0.5):
-        peak = 1.0 / (2.0 * math.pi * math.sqrt(1.0 - rho * rho))
-        for threshold in (peak, 1.0, math.inf):
-            with pytest.raises(ValueError, match="peak density"):
-                BenchmarkDistribution.with_correlation(rho, density_threshold=threshold)
-        dist = BenchmarkDistribution.with_correlation(rho, density_threshold=0.999 * peak)
+    # At or above the peak no point would clear the threshold, and the
+    # rejection loop of draw_test_point would never return. The peak
+    # 1/(2*pi*sqrt(1 - rho**2)) is smallest at rho = 0, where it is 1/(2*pi).
+    assert BenchmarkDistribution.density_threshold < 1.0 / (2.0 * math.pi)
+    for rho in (-0.999999, -0.9, 0.0, 0.5):
+        dist = BenchmarkDistribution(rho)
         assert gaussian_pdf(_fv(0.0, 0.0), dist) >= dist.density_threshold
-    with pytest.raises(ValueError):
-        BenchmarkDistribution(density_threshold=math.nan)
 
 
 def test_approval_label_examples():
@@ -110,7 +105,7 @@ def test_pdf_at_origin_matches_closed_form():
 
 
 def test_pdf_uncorrelated_origin():
-    value = gaussian_pdf(_fv(0.0, 0.0), BenchmarkDistribution.with_correlation(0.0))
+    value = gaussian_pdf(_fv(0.0, 0.0), BenchmarkDistribution(0.0))
     assert value == 0.15915494309189535
 
 
@@ -160,7 +155,7 @@ def test_generate_dataset_statistics():
 
 
 def test_generate_dataset_honors_the_correlation_parameter():
-    dist = BenchmarkDistribution.with_correlation(0.5)
+    dist = BenchmarkDistribution(0.5)
     rows = generate_dataset(10000, RngStream(8), dist).features
     assert abs(float(np.corrcoef(rows.T)[0, 1]) - 0.5) < 0.05
 
@@ -172,7 +167,7 @@ def test_generate_dataset_rejects_empty_request():
 
 def test_oracle_examples():
     model = oracle_model(BenchmarkDistribution(), model_seed=0)
-    assert model.predict(_fv(0.41, -0.51)).p == (0.0, 1.0)
+    assert model.predict_proba(np.array([[0.41, -0.51]])).tolist() == [[0.0, 1.0]]
     assert gaussian_pdf(_fv(3.0, 3.0), BenchmarkDistribution()) < 0.01
 
 
@@ -209,8 +204,6 @@ def test_oracle_repeat_queries_are_identical():
     first = model.predict_proba(_rows(points))
     second = model.predict_proba(_rows(points))
     assert np.array_equal(first, second)
-    for point in points:
-        assert model.predict(point) == model.predict(point)
 
 
 def test_oracle_hashes_nothing_when_every_row_is_on_distribution(monkeypatch):
@@ -223,13 +216,16 @@ def test_oracle_hashes_nothing_when_every_row_is_on_distribution(monkeypatch):
 
     monkeypatch.setattr("hashlib.blake2b", no_hash)
     assert np.array_equal(model.predict_proba(rows), expected)
-    assert model.predict(_fv(0.1, 0.1)).p == (0.0, 1.0)
+    assert model.predict_proba(np.array([[0.1, 0.1]])).tolist() == [[0.0, 1.0]]
 
 
 def test_oracle_predict_matches_predict_proba():
+    # explain reads the prediction at the sample from a one-row call; each
+    # row's label must not depend on the rows batched with it.
     model = oracle_model(BenchmarkDistribution(), model_seed=2)
-    points = [_fv(0.0, 0.0), _fv(5.0, 5.0), _fv(-0.3, 0.2), _fv(-9.9, 3.3)]
-    assert [list(model.predict(p).p) for p in points] == model.predict_proba(_rows(points)).tolist()
+    rows = _rows([_fv(0.0, 0.0), _fv(5.0, 5.0), _fv(-0.3, 0.2), _fv(-9.9, 3.3)])
+    batch = model.predict_proba(rows)
+    assert [model.predict_proba(row[None, :])[0].tolist() for row in rows] == batch.tolist()
 
 
 def test_oracle_coin_depends_on_the_model_seed():
@@ -242,10 +238,8 @@ def test_oracle_coin_depends_on_the_model_seed():
 
 def test_oracle_reports_the_failing_point_index():
     model = oracle_model(BenchmarkDistribution(), model_seed=0)
-    with pytest.raises(ModelEvaluationError) as info:
+    with pytest.raises(ValueError, match="^row 1: feature values must be finite$"):
         model.predict_proba(np.array([[0.0, 0.0], [math.nan, 0.0]]))
-    assert info.value.index == 1
-    assert "point 1" in str(info.value)
     with pytest.raises(ValueError):
         model.predict_proba(np.zeros((2, 1)))
 

@@ -3,17 +3,16 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from prolime.core import (
     BlackBoxModel,
-    ClassProbabilities,
     ConstantModel,
     FeatureVector,
     LocalSurrogate,
-    ModelEvaluationError,
 )
 from prolime.samplers import Neighborhood, RngStream
 from prolime.simulation import BenchmarkDistribution, oracle_model
@@ -137,9 +136,9 @@ def test_weighted_design_validation():
 class _FirstCoordinateModel(BlackBoxModel):
     """Class-1 probability read off the first coordinate; order-sensitive."""
 
-    def predict(self, x: FeatureVector) -> ClassProbabilities:
-        p = x.values[0]
-        return ClassProbabilities((1.0 - p, p))
+    def predict_proba(self, X, feature_names=None):
+        p = X[:, 0]
+        return np.column_stack((1.0 - p, p))
 
 
 def test_label_neighborhood_preserves_point_order():
@@ -168,9 +167,40 @@ def test_label_neighborhood_validation_and_error_index():
     with pytest.raises(ValueError):
         label_neighborhood(model, _nbhd([(0.5, 0.0)]), 2)
     bad = _nbhd([(0.5, 0.0), (7.0, 0.0)])
-    with pytest.raises(ModelEvaluationError) as info:
+    with pytest.raises(ValueError, match=r"^row 1: probability of class 1 must lie in \[0, 1\], got 7\.0$"):
         label_neighborhood(model, bad, 1)
-    assert info.value.index == 1
+    with pytest.raises(ValueError, match=r"returned shape \(1, 2\), expected \(2, 2\)"):
+        label_neighborhood(_FixedColumn([0.5]), _nbhd([(0.5, 0.0)] * 2), 1)
+
+
+class _FixedColumn(BlackBoxModel):
+    """Returns the given class-1 column whatever the rows."""
+
+    def __init__(self, column):
+        self._column = np.array(column, dtype=float)
+
+    def predict_proba(self, X, feature_names=None):
+        return np.column_stack((1.0 - self._column, self._column))
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
+def test_label_neighborhood_names_the_first_probability_outside_the_unit_interval(bad):
+    model = _FixedColumn([0.0, 1.0, bad, 0.5, bad])
+    message = f"row 2: probability of class 1 must lie in [0, 1], got {bad!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        label_neighborhood(model, _nbhd([(0.0, 0.0)] * 5), 1)
+
+
+def test_label_neighborhood_passes_the_origin_feature_names():
+    seen = []
+
+    class _Records(ConstantModel):
+        def predict_proba(self, X, feature_names=None):
+            seen.append(feature_names)
+            return super().predict_proba(X)
+
+    label_neighborhood(_Records((0.5, 0.5)), _nbhd([(0.0, 0.0)] * 3), 1)
+    assert seen == [NAMES]
 
 
 def _brute_force(features, targets, weights, lam) -> tuple[float, np.ndarray]:
