@@ -45,7 +45,7 @@ from .simulation import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from .surrogate import KernelSpec, neighborhood_weights
+from .surrogate import neighborhood_weights
 from .plots import plot_dataset, plot_model_grid, plot_neighborhood
 
 __all__ = ["main"]
@@ -84,9 +84,12 @@ def _int_at_most(maximum: int):
 def _file_path(raw: str) -> str:
     """An argparse type: a path whose last component names a file, so not
     empty, not ending in a separator, not ``.`` or ``..``, and without the
-    NUL byte that no file name holds."""
+    NUL byte that no file name holds, in a directory that exists."""
     if os.path.basename(raw) in ("", ".", "..") or "\0" in raw:
         raise argparse.ArgumentTypeError(f"must name a file, got {raw!r}")
+    directory = os.path.dirname(raw)
+    if directory and not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"no such directory {directory!r} for {raw!r}")
     return raw
 
 
@@ -285,8 +288,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
             raise UsageError(str(exc)) from exc
         spec = sampler_spec(args.sampler, hyper, dist)
         nbhd = draw_neighborhood(origin, spec, hyper.neighborhood_size, RngStream(seed, 0))
-        weights = neighborhood_weights(origin, nbhd, KernelSpec(hyper.kernel_width))
-        svg = plot_neighborhood(origin, nbhd, weights)
+        weights = neighborhood_weights(nbhd, hyper.kernel_width)
+        svg = plot_neighborhood(nbhd, weights)
     Path(out).write_text(svg, encoding="utf-8")
     print(f"wrote {out}")
     return 0
@@ -294,7 +297,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master seed (fallback: PROLIME_SEED, then 0)")
-    parser.add_argument("--config", default=None, help="flat key=value config file; flags override it")
+    parser.add_argument("--config", type=_file_path, default=None,
+                        help="flat key=value config file; flags override it")
     parser.add_argument("--rho", type=float, default=BenchmarkDistribution().rho,
                         help="feature correlation (default %(default)s)")
 
@@ -362,7 +366,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     _add_common_flags(pl)
     pl.add_argument("kind", choices=["data", "model-grid", "neighborhood"],
                     help="what to draw")
-    pl.add_argument("--data", default=None, help="dataset CSV for the data plot")
+    pl.add_argument("--data", type=_file_path, default=None, help="dataset CSV for the data plot")
     pl.add_argument("--resolution", type=_int_at_most(MAX_RESOLUTION), default=200,
                     help="grid points per axis for the model-grid plot "
                     f"(default %(default)s, at most {MAX_RESOLUTION})")

@@ -23,7 +23,6 @@ __all__ = [
     "LocalSurrogate",
     "NoiseMode",
     "default_kernel_width",
-    "rank_features",
 ]
 
 
@@ -206,18 +205,6 @@ class LocalSurrogate:
             raise ValueError(f"unknown feature {name!r}") from None
 
 
-def rank_features(surrogate: LocalSurrogate) -> list[tuple[str, float]]:
-    """Order features by absolute coefficient, largest first.
-
-    Ties keep the original feature order.
-    """
-    order = sorted(
-        range(len(surrogate.coefficients)),
-        key=lambda j: (-abs(surrogate.coefficients[j]), j),
-    )
-    return [(surrogate.feature_names[j], surrogate.coefficients[j]) for j in order]
-
-
 @dataclass(frozen=True)
 class Explanation:
     """The packaged result: explained sample, model output, ranked coefficients."""
@@ -228,7 +215,10 @@ class Explanation:
 
     @property
     def ranked_features(self) -> tuple[tuple[str, float], ...]:
-        return tuple(rank_features(self.surrogate))
+        """Features by absolute coefficient, largest first; ties keep the feature order."""
+        names, coefficients = self.surrogate.feature_names, self.surrogate.coefficients
+        order = sorted(range(len(coefficients)), key=lambda j: (-abs(coefficients[j]), j))
+        return tuple((names[j], coefficients[j]) for j in order)
 
     def to_dict(self) -> dict:
         return {

@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import FeatureVector, LimeHyperparameters, LocalSurrogate
 from .explainer import ExplainRequest, ExplainStageError, explain
-from .samplers import ProcessAwareSpec, RngStream, SamplerSpec, StandardSpec
+from .samplers import RngStream, SamplerSpec, StandardSpec
 from .simulation import (
     FEATURE_NAMES,
     BenchmarkDistribution,
@@ -107,10 +107,7 @@ class CellFailure:
 class ExperimentReport:
     cells: tuple[CellStats, ...]
     failures: tuple[CellFailure, ...]
-    master_seed: int
-    trials: int
-    neighborhood_sizes: tuple[int, ...]
-    hyper: LimeHyperparameters
+    config: ExperimentConfig
 
 
 def draw_test_point(dist: BenchmarkDistribution, rng: RngStream) -> FeatureVector:
@@ -119,7 +116,7 @@ def draw_test_point(dist: BenchmarkDistribution, rng: RngStream) -> FeatureVecto
     mean = np.asarray(dist.mean)
     gen = rng.generator()
     while True:
-        point = FeatureVector(tuple((mean + dist._lower @ gen.standard_normal(2)).tolist()), FEATURE_NAMES)
+        point = FeatureVector(tuple((mean + dist.spec._lower @ gen.standard_normal(2)).tolist()), FEATURE_NAMES)
         if gaussian_pdf(point, dist) >= dist.density_threshold:
             return point
 
@@ -131,7 +128,7 @@ def sampler_spec(name: str, hyper: LimeHyperparameters, dist: BenchmarkDistribut
     if name == "standard":
         return StandardSpec(center_mode=hyper.center_mode, noise_mode=hyper.noise_mode, training_mean=dist.mean)
     if name == "process-aware":
-        return ProcessAwareSpec(mean=dist.mean, covariance=dist.covariance)
+        return dist.spec
     raise ValueError(f"unknown sampler {name!r}, expected one of {', '.join(SAMPLER_NAMES)}")
 
 
@@ -195,14 +192,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         else:
             nan = float("nan")
             stats.append(CellStats(name, size, nan, nan, nan, nan, 0))
-    return ExperimentReport(
-        cells=tuple(stats),
-        failures=tuple(failures),
-        master_seed=config.master_seed,
-        trials=config.trials,
-        neighborhood_sizes=config.neighborhood_sizes,
-        hyper=config.hyper,
-    )
+    return ExperimentReport(cells=tuple(stats), failures=tuple(failures), config=config)
 
 
 def _hyper_dict(hyper: LimeHyperparameters) -> dict:
@@ -223,9 +213,9 @@ def report_to_csv(report: ExperimentReport) -> str:
     """CSV rows sampler,size,feature,mean,std,trials, preceded by comment
     lines that pin the master seed and the hyperparameter snapshot."""
     lines = [
-        f"# master_seed={report.master_seed}",
-        f"# trials={report.trials}",
-        f"# hyperparameters={json.dumps(_hyper_dict(report.hyper))}",
+        f"# master_seed={report.config.master_seed}",
+        f"# trials={report.config.trials}",
+        f"# hyperparameters={json.dumps(_hyper_dict(report.config.hyper))}",
         "sampler,size,feature,mean,std,trials",
     ]
     for cell in report.cells:
@@ -243,12 +233,13 @@ def _json_number(value: float) -> float | None:
 
 
 def report_to_json(report: ExperimentReport) -> str:
+    config = report.config
     document = {
-        "master_seed": report.master_seed,
-        "trials": report.trials,
-        "hyperparameters": _hyper_dict(report.hyper),
+        "master_seed": config.master_seed,
+        "trials": config.trials,
+        "hyperparameters": _hyper_dict(config.hyper),
         "samplers": list(SAMPLER_NAMES),
-        "neighborhood_sizes": list(report.neighborhood_sizes),
+        "neighborhood_sizes": list(config.neighborhood_sizes),
         "cells": [
             {
                 "sampler": cell.sampler,

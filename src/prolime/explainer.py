@@ -26,7 +26,6 @@ from .samplers import (
     sample_standard,
 )
 from .surrogate import (
-    KernelSpec,
     SingularFitError,
     WeightedDesign,
     _collapse_cause,
@@ -36,7 +35,6 @@ from .surrogate import (
 )
 
 __all__ = [
-    "BatchConfig",
     "BatchExplainError",
     "ExplainRequest",
     "ExplainStageError",
@@ -52,7 +50,6 @@ class ExplainStageError(RuntimeError):
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"{stage} stage failed: {cause}")
         self.stage = stage
-        self.cause = cause
 
 
 class BatchExplainError(RuntimeError):
@@ -118,7 +115,7 @@ def explain(req: ExplainRequest) -> Explanation:
         targets = label_neighborhood(req.model, nbhd, hyper.explained_class)
     except Exception as exc:
         raise ExplainStageError("labeling", exc) from exc
-    weights = neighborhood_weights(req.sample, nbhd, KernelSpec(width=hyper.kernel_width))
+    weights = neighborhood_weights(nbhd, hyper.kernel_width)
     points = nbhd.points
     try:
         design = WeightedDesign(points, targets, weights, req.sample.feature_names)
@@ -135,18 +132,11 @@ def explain(req: ExplainRequest) -> Explanation:
     return Explanation(req.sample, predicted, surrogate)
 
 
-@dataclass(frozen=True)
-class BatchConfig:
-    """The parts of a request shared by every sample in a batch."""
-
-    model: BlackBoxModel
-    hyper: LimeHyperparameters
-    sampler: SamplerSpec
-
-
 def explain_batch(
     samples: Sequence[FeatureVector],
-    shared: BatchConfig,
+    model: BlackBoxModel,
+    hyper: LimeHyperparameters,
+    sampler: SamplerSpec,
     master_seed: int,
 ) -> list[Explanation]:
     """Explain many samples with one stream per input index.
@@ -163,9 +153,9 @@ def explain_batch(
     for k, sample in enumerate(samples):
         request = ExplainRequest(
             sample=sample,
-            model=shared.model,
-            hyper=shared.hyper,
-            sampler=shared.sampler,
+            model=model,
+            hyper=hyper,
+            sampler=sampler,
             rng=RngStream(master_seed, k),
         )
         try:

@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BlackBoxModel, FeatureVector
+from .core import BlackBoxModel
 from .samplers import Neighborhood
 from .simulation import Dataset
 
@@ -263,13 +263,12 @@ def plot_model_grid(
 
 
 def plot_neighborhood(
-    origin: FeatureVector,
     nbhd: Neighborhood,
     weights: np.ndarray,
     title: str = "sampled neighborhood",
 ) -> str:
     """Neighborhood points sized by proximity weight, with the origin on top."""
-    points = nbhd.points
+    points, origin = nbhd.points, nbhd.origin
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(points),):
         raise ValueError("weights must match the neighborhood size")

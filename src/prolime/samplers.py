@@ -298,8 +298,6 @@ def sample_process_aware(
     if n < 1:
         raise ValueError("n must be at least 1")
     d = len(spec.mean)
-    if origin.dim != d:
-        raise ValueError("origin dimension must match the sampler's mean")
     gen = rng.generator()
     rows = _by_column(np.add, gen.standard_normal((n, d)) @ spec._lower.T, spec.mean)
     return Neighborhood(rows, origin)

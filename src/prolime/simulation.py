@@ -19,7 +19,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 
 from .core import BlackBoxModel, FeatureVector, _by_column
-from .samplers import RngStream, cholesky
+from .samplers import ProcessAwareSpec, RngStream
 
 __all__ = [
     "BenchmarkDistribution",
@@ -54,8 +54,8 @@ class BenchmarkDistribution:
     rho: float = -0.9
     mean: ClassVar[tuple[float, float]] = (0.0, 0.0)
     density_threshold: ClassVar[float] = 0.01
-    # The covariance's read-only Cholesky factor, computed once per distribution.
-    _lower: np.ndarray = field(init=False, repr=False, compare=False)
+    # The distribution's process-aware sampler, built once with its Cholesky factor.
+    spec: ProcessAwareSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rho", float(self.rho))
@@ -63,9 +63,7 @@ class BenchmarkDistribution:
             raise ValueError("correlation must be finite")
         if not abs(self.rho) < 1.0:
             raise ValueError("correlation magnitude must be below 1")
-        lower = cholesky(self.covariance)
-        lower.flags.writeable = False
-        object.__setattr__(self, "_lower", lower)
+        object.__setattr__(self, "spec", ProcessAwareSpec(self.mean, self.covariance))
 
     @property
     def covariance(self) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -187,7 +185,7 @@ def generate_dataset(
     if n < 1:
         raise ValueError("n must be at least 1")
     gen = rng.generator()
-    rows = _by_column(np.add, gen.standard_normal((n, 2)) @ dist._lower.T, dist.mean)
+    rows = _by_column(np.add, gen.standard_normal((n, 2)) @ dist.spec._lower.T, dist.mean)
     return Dataset(rows, _diamond_mask(rows))
 
 

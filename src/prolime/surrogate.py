@@ -11,7 +11,6 @@ from .core import BlackBoxModel, FeatureVector, LocalSurrogate, _by_column, _req
 from .samplers import Neighborhood
 
 __all__ = [
-    "KernelSpec",
     "SingularFitError",
     "WeightedDesign",
     "fit_weighted_ridge",
@@ -24,16 +23,6 @@ __all__ = [
 class SingularFitError(RuntimeError):
     """The normal equations could not be solved: they overflowed, or they were
     singular, which a positive ridge strength fixes."""
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Width of the exponential proximity kernel over Euclidean distance."""
-
-    width: float
-
-    def __post_init__(self) -> None:
-        _require_kernel_width(self.width, "kernel width")
 
 
 @dataclass(frozen=True)
@@ -73,14 +62,15 @@ class WeightedDesign:
         object.__setattr__(self, "feature_names", tuple(str(n) for n in self.feature_names))
 
 
-def kernel_weight(x: FeatureVector, z: FeatureVector, spec: KernelSpec) -> float:
+def kernel_weight(x: FeatureVector, z: FeatureVector, width: float) -> float:
     """exp(-distance(x, z)^2 / width^2); equals 1 at zero distance."""
+    _require_kernel_width(width, "kernel width")
     if x.dim != z.dim:
         raise ValueError("points must share a dimension")
     d2 = 0.0
     for xv, zv in zip(x.values, z.values):
         d2 += (xv - zv) ** 2
-    return math.exp(-d2 / (spec.width * spec.width))
+    return math.exp(-d2 / (width * width))
 
 
 def _squared_distances(points: np.ndarray, origin: tuple[float, ...]) -> np.ndarray:
@@ -95,13 +85,14 @@ def _squared_distances(points: np.ndarray, origin: tuple[float, ...]) -> np.ndar
     return d2
 
 
-def neighborhood_weights(origin: FeatureVector, nbhd: Neighborhood, spec: KernelSpec) -> np.ndarray:
-    """Proximity weight of every neighborhood point, anchored at the origin."""
+def neighborhood_weights(nbhd: Neighborhood, width: float) -> np.ndarray:
+    """Proximity weight of every neighborhood point, anchored at its origin."""
+    _require_kernel_width(width, "kernel width")
     # A squared distance, or its ratio to a tiny squared width, that
     # overflows to inf gets weight exp(-inf) = 0.
     with np.errstate(over="ignore"):
-        d2 = _squared_distances(nbhd.points, origin.values)
-        return np.exp(-d2 / (spec.width * spec.width))
+        d2 = _squared_distances(nbhd.points, nbhd.origin.values)
+        return np.exp(-d2 / (width * width))
 
 
 def label_neighborhood(model: BlackBoxModel, nbhd: Neighborhood, explained_class: int) -> np.ndarray:

@@ -12,7 +12,7 @@ import numpy as np
 from prolime.cli import main
 from prolime.core import FeatureVector, LimeHyperparameters, LocalSurrogate, NoiseMode
 from prolime.evaluation import ExperimentConfig, coefficient_mismatch, run_experiment
-from prolime.explainer import BatchConfig, ExplainRequest, explain, explain_batch
+from prolime.explainer import ExplainRequest, explain, explain_batch
 from prolime.samplers import (
     ProcessAwareSpec,
     RngStream,
@@ -30,7 +30,7 @@ from prolime.simulation import (
     ground_truth_for,
     oracle_model,
 )
-from prolime.surrogate import KernelSpec, WeightedDesign, fit_weighted_ridge, kernel_weight
+from prolime.surrogate import WeightedDesign, fit_weighted_ridge, kernel_weight
 
 NAMES = ("credit", "risk")
 
@@ -190,14 +190,14 @@ def test_criterion_5_weighted_ridge_matches_brute_force():
 
 
 def test_criterion_6_proximity_kernel_shape():
-    spec = KernelSpec(width=0.75 * math.sqrt(2.0))
+    width = 0.75 * math.sqrt(2.0)
     origin = _fv(0.3, -0.7)
-    at_origin = kernel_weight(origin, origin, spec)
+    at_origin = kernel_weight(origin, origin, width)
     identity_ok = at_origin == 1.0
-    at_width = kernel_weight(_fv(0.0, 0.0), _fv(spec.width, 0.0), spec)
+    at_width = kernel_weight(_fv(0.0, 0.0), _fv(width, 0.0), width)
     width_ok = abs(at_width - math.exp(-1.0)) <= 1e-12
     distances = np.linspace(0.1, 5.0, 80)
-    values = [kernel_weight(_fv(0.0, 0.0), _fv(float(d), 0.0), spec) for d in distances]
+    values = [kernel_weight(_fv(0.0, 0.0), _fv(float(d), 0.0), width) for d in distances]
     monotone_ok = all(a > b for a, b in zip(values, values[1:]))
     ok = identity_ok and width_ok and monotone_ok
     _report("criterion 6", ok)
@@ -242,15 +242,15 @@ def test_criterion_7_deterministic_commands(tmp_path):
 
     dist = BenchmarkDistribution()
     samples = [_fv(credit, risk) for credit, risk in generate_dataset(6, RngStream(1), dist).features.tolist()]
-    shared = BatchConfig(
-        model=oracle_model(dist, model_seed=1),
-        hyper=LimeHyperparameters(neighborhood_size=300),
-        sampler=StandardSpec(training_mean=dist.mean),
+    shared = (
+        oracle_model(dist, model_seed=1),
+        LimeHyperparameters(neighborhood_size=300),
+        StandardSpec(training_mean=dist.mean),
     )
-    batch = explain_batch(samples, shared, master_seed=1)
+    batch = explain_batch(samples, *shared, master_seed=1)
     reversed_manual = {
         k: explain(
-            ExplainRequest(samples[k], shared.model, shared.hyper, shared.sampler, RngStream(1, k))
+            ExplainRequest(samples[k], *shared, RngStream(1, k))
         )
         for k in reversed(range(len(samples)))
     }

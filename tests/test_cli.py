@@ -294,6 +294,24 @@ def test_evaluate_reports_total_failure(tmp_path, capsys, monkeypatch):
     assert "standard@50" in stderr
 
 
+def test_evaluate_factors_the_covariance_once(tmp_path, capsys, monkeypatch):
+    cli._build_parser()  # building the parser constructs the default distribution
+    calls = []
+    original = prolime.samplers.cholesky
+
+    def counted(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    # Every module that could bind the factorization under its own name.
+    for module in (prolime.samplers, prolime.simulation, prolime.evaluation):
+        monkeypatch.setattr(module, "cholesky", counted, raising=False)
+    out = tmp_path / "r.csv"
+    assert _run(["evaluate", "--trials", "2", "--sizes", "20", "--out", str(out)], capsys)[0] == 0
+    # The distribution's, which its process-aware sampler holds.
+    assert len(calls) == 1
+
+
 def test_evaluate_rejects_a_report_path_its_json_would_overwrite(tmp_path, capsys, monkeypatch):
     def never(config):
         raise AssertionError("the run started")
@@ -314,6 +332,22 @@ _OUT_COMMANDS = {
     "evaluate": ["evaluate", "--trials", "1", "--sizes", "20"],
     "plot": ["plot", "model-grid", "--resolution", "5"],
 }
+# The function that does the work of each of them.
+_OUT_WORK = {
+    "generate": "generate_dataset",
+    "explain": "explain",
+    "evaluate": "run_experiment",
+    "plot": "plot_model_grid",
+}
+
+
+def _out_argv(command: str, out: str, source: str) -> list[str]:
+    """``command`` of ``_OUT_COMMANDS`` with ``--out`` given by flag or by a
+    config file ``out.cfg`` written to the working directory."""
+    if source == "flag":
+        return [*_OUT_COMMANDS[command], "--out", out]
+    Path("out.cfg").write_text(f"out={out}\n", encoding="utf-8")
+    return [*_OUT_COMMANDS[command], "--config", "out.cfg"]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -321,14 +355,43 @@ _OUT_COMMANDS = {
 @pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
 def test_out_paths_that_name_no_file_are_usage_errors(command, out, source, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    argv = [*_OUT_COMMANDS[command], "--out", out]
-    if source == "config":
-        Path("out.cfg").write_text(f"out={out}\n", encoding="utf-8")
-        argv = [*_OUT_COMMANDS[command], "--config", "out.cfg"]
-    code, stdout, stderr = _run(argv, capsys)
+    code, stdout, stderr = _run(_out_argv(command, out, source), capsys)
     assert (code, stdout) == (2, "")
     assert f"must name a file, got {out!r}" in stderr
     assert [path.name for path in tmp_path.iterdir()] == (["out.cfg"] if source == "config" else [])
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", sorted(_OUT_COMMANDS))
+def test_out_paths_in_a_missing_directory_are_usage_errors(command, source, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    def never(*args, **kwargs):
+        raise AssertionError("the work started")
+
+    monkeypatch.setattr(cli, _OUT_WORK[command], never)
+    code, stdout, stderr = _run(_out_argv(command, "missing/out.csv", source), capsys)
+    assert (code, stdout) == (2, "")
+    assert "no such directory 'missing' for 'missing/out.csv'" in stderr
+    assert [path.name for path in tmp_path.iterdir()] == (["out.cfg"] if source == "config" else [])
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["explain", "0", "0", "--config", "a\0b"], None),
+        (["plot", "data", "--data", "a\0b"], None),
+        (["plot", "data", "--config", "in.cfg"], "data=a\0b\n"),
+    ],
+    ids=["config-flag", "data-flag", "data-config-key"],
+)
+def test_input_paths_holding_a_nul_byte_are_usage_errors(argv, config, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        Path("in.cfg").write_text(config, encoding="utf-8")
+    code, stdout, stderr = _run(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert "must name a file, got 'a\\x00b'" in stderr
 
 
 def test_plot_data(tmp_path, capsys):

@@ -41,7 +41,7 @@ _VALUES = {
         st.lists(st.integers(2, 30), min_size=1, max_size=2).map(lambda s: ",".join(map(str, s))),
         "0", "1000,", "a",
     ),
-    "data": _mostly(st.just("dataset.csv"), "garbage.csv", "missing.csv"),
+    "data": _mostly(st.just("dataset.csv"), "garbage.csv", "missing.csv", "a\0b"),
     "resolution": _mostly(st.integers(2, 8), 1, -1, "x"),
     "credit": _COORDINATES,
     "risk": _COORDINATES,
@@ -114,6 +114,7 @@ def invocations(draw) -> tuple[list[str], bytes | None, str | None]:
 @example(invocation=(["generate", "--n=5", "--config=run.cfg"], b"n=\xff", None))
 @example(invocation=(["explain", "1e17", "0.5"], None, None))
 @example(invocation=(["evaluate", "--trials=1", "--sizes=10", "--out="], None, None))
+@example(invocation=(["plot", "data", "--data=a\0b", "--resolution=2", "--neighborhood-size=2"], None, None))
 def test_every_invocation_exits_0_1_or_2(invocation, tmp_path):
     argv, config, env_seed = invocation
     (tmp_path / "garbage.csv").write_bytes(b"credit,risk,label\n0.1,\xff,1\n")

@@ -20,7 +20,6 @@ from prolime.core import (
     LocalSurrogate,
     NoiseMode,
     default_kernel_width,
-    rank_features,
 )
 
 
@@ -119,21 +118,26 @@ def test_local_surrogate_lookup_and_validation():
         LocalSurrogate(float("nan"), (1.0,), ("a",))
 
 
+def _ranked(surrogate: LocalSurrogate) -> tuple[tuple[str, float], ...]:
+    sample = FeatureVector((0.0,) * len(surrogate.coefficients), surrogate.feature_names)
+    return Explanation(sample, ClassProbabilities((0.5, 0.5)), surrogate).ranked_features
+
+
 def test_rank_orders_by_absolute_magnitude():
     surrogate = LocalSurrogate(0.5, (-0.66, 0.69), ("credit", "risk"))
-    assert rank_features(surrogate) == [("risk", 0.69), ("credit", -0.66)]
+    assert _ranked(surrogate) == (("risk", 0.69), ("credit", -0.66))
 
 
 def test_rank_breaks_ties_by_feature_index():
     surrogate = LocalSurrogate(0.0, (0.0, 0.0), ("a", "b"))
-    assert rank_features(surrogate) == [("a", 0.0), ("b", 0.0)]
+    assert _ranked(surrogate) == (("a", 0.0), ("b", 0.0))
     surrogate = LocalSurrogate(0.0, (-3.0, 2.0, 2.0), ("a", "b", "c"))
-    assert rank_features(surrogate) == [("a", -3.0), ("b", 2.0), ("c", 2.0)]
+    assert _ranked(surrogate) == (("a", -3.0), ("b", 2.0), ("c", 2.0))
 
 
 def test_ranking_preserves_coefficient_values():
     surrogate = LocalSurrogate(1.0, (0.25, -0.75, 0.5), ("a", "b", "c"))
-    ranked = rank_features(surrogate)
+    ranked = _ranked(surrogate)
     assert sorted(value for _, value in ranked) == sorted(surrogate.coefficients)
     magnitudes = [abs(value) for _, value in ranked]
     assert magnitudes == sorted(magnitudes, reverse=True)

@@ -114,8 +114,8 @@ def test_a_run_factors_each_covariance_once(monkeypatch):
     )
     report = run_experiment(config)
     assert all(cell.trials == 1 for cell in report.cells)
-    # One factor for the distribution, one for the process-aware spec.
-    assert len(calls) <= 2
+    # The distribution's, which its process-aware sampler holds.
+    assert len(calls) == 1
 
 
 def test_experiment_config_validation():
@@ -131,7 +131,8 @@ def test_sampler_spec_builds_each_named_sampler():
     hyper, dist = LimeHyperparameters(noise_mode=NoiseMode.LATIN_HYPERCUBE), BenchmarkDistribution()
     standard = sampler_spec("standard", hyper, dist)
     assert standard == StandardSpec(noise_mode=NoiseMode.LATIN_HYPERCUBE, training_mean=dist.mean)
-    assert sampler_spec("process-aware", hyper, dist) == ProcessAwareSpec(dist.mean, dist.covariance)
+    assert sampler_spec("process-aware", hyper, dist) is dist.spec
+    assert dist.spec == ProcessAwareSpec(dist.mean, dist.covariance)
     with pytest.raises(ValueError, match="unknown sampler 'gridwise'"):
         sampler_spec("gridwise", hyper, dist)
 

@@ -81,4 +81,4 @@ def test_neighborhood_weights_must_lie_in_the_unit_interval(bad):
     origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
     nbhd = Neighborhood(np.zeros((2, 2)), origin)
     with pytest.raises(ValueError, match=r"weights must lie in \[0, 1\]"):
-        plot_neighborhood(origin, nbhd, np.array([0.5, bad]))
+        plot_neighborhood(nbhd, np.array([0.5, bad]))

@@ -42,7 +42,6 @@ from prolime.simulation import (
     write_dataset_csv,
 )
 from prolime.surrogate import (
-    KernelSpec,
     WeightedDesign,
     _squared_distances,
     fit_weighted_ridge,
@@ -400,8 +399,7 @@ def test_squared_distances_equal_numpy_sum_bit_for_bit(d, elements, data):
     assert got.tobytes() == expected.tobytes()
     # Overflowing distances weigh nothing, and no RuntimeWarning escapes.
     names = tuple(f"x{j}" for j in range(d))
-    weights = neighborhood_weights(FeatureVector(origin, names), Neighborhood(points, FeatureVector(origin, names)),
-                                   KernelSpec(1.0))
+    weights = neighborhood_weights(Neighborhood(points, FeatureVector(origin, names)), 1.0)
     assert (weights[np.isinf(expected)] == 0.0).all()
 
 

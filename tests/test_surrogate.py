@@ -17,7 +17,6 @@ from prolime.core import (
 from prolime.samplers import Neighborhood, RngStream
 from prolime.simulation import BenchmarkDistribution, oracle_model
 from prolime.surrogate import (
-    KernelSpec,
     SingularFitError,
     WeightedDesign,
     fit_weighted_ridge,
@@ -37,79 +36,80 @@ def _nbhd(rows) -> Neighborhood:
     return Neighborhood(np.array(rows, dtype=float), _fv(0.0, 0.0))
 
 
-def test_kernel_spec_requires_positive_width():
-    with pytest.raises(ValueError):
-        KernelSpec(width=0.0)
-    with pytest.raises(ValueError):
-        KernelSpec(width=-1.0)
+def test_kernel_width_must_be_positive():
+    for width in (0.0, -1.0):
+        with pytest.raises(ValueError, match="kernel width must be positive and finite"):
+            kernel_weight(_fv(0.0, 0.0), _fv(3.0, 4.0), width)
+        with pytest.raises(ValueError, match="kernel width must be positive and finite"):
+            neighborhood_weights(_nbhd([[0.0, 0.0], [3.0, 4.0]]), width)
 
 
-def test_kernel_spec_rejects_a_width_whose_square_underflows():
+def test_kernel_width_whose_square_underflows_is_rejected():
+    below = math.nextafter(1.4916681462400413e-154, 0.0)
     with pytest.raises(ValueError, match="kernel width must be at least 1.49"):
-        KernelSpec(width=math.nextafter(1.4916681462400413e-154, 0.0))
-    tiny = KernelSpec(width=1.4916681462400413e-154)
+        kernel_weight(_fv(0.0, 0.0), _fv(3.0, 4.0), below)
+    with pytest.raises(ValueError, match="kernel width must be at least 1.49"):
+        neighborhood_weights(_nbhd([[0.0, 0.0], [3.0, 4.0]]), below)
+    tiny = 1.4916681462400413e-154
     x = _fv(0.0, 0.0)
     assert kernel_weight(x, x, tiny) == 1.0
     assert kernel_weight(x, _fv(3.0, 4.0), tiny) == 0.0
-    assert neighborhood_weights(x, _nbhd([[0.0, 0.0], [3.0, 4.0]]), tiny).tolist() == [1.0, 0.0]
+    assert neighborhood_weights(_nbhd([[0.0, 0.0], [3.0, 4.0]]), tiny).tolist() == [1.0, 0.0]
 
 
 def test_kernel_is_one_at_zero_distance():
     x = _fv(0.41, -0.51)
-    assert kernel_weight(x, x, KernelSpec(width=1.0)) == 1.0
+    assert kernel_weight(x, x, 1.0) == 1.0
 
 
 def test_kernel_at_width_distance_is_inverse_e():
     width = 0.75 * math.sqrt(2.0)
     x = _fv(0.0, 0.0)
     z = _fv(width, 0.0)
-    assert abs(kernel_weight(x, z, KernelSpec(width=width)) - math.exp(-1.0)) <= 1e-12
+    assert abs(kernel_weight(x, z, width) - math.exp(-1.0)) <= 1e-12
 
 
 def test_kernel_three_four_five_distance():
-    weight = kernel_weight(_fv(0.0, 0.0), _fv(3.0, 4.0), KernelSpec(width=5.0))
+    weight = kernel_weight(_fv(0.0, 0.0), _fv(3.0, 4.0), 5.0)
     assert weight == math.exp(-1.0)
 
 
 def test_kernel_matches_closed_form_on_random_pairs():
     gen = RngStream(21).generator()
-    spec = KernelSpec(width=1.7)
     for _ in range(50):
         x = gen.standard_normal(2)
         z = gen.standard_normal(2)
         expected = math.exp(-float(np.sum((x - z) ** 2)) / (1.7 * 1.7))
-        got = kernel_weight(_fv(*x), _fv(*z), spec)
+        got = kernel_weight(_fv(*x), _fv(*z), 1.7)
         assert abs(got - expected) <= 1e-15
 
 
 def test_kernel_rejects_dimension_mismatch():
     with pytest.raises(ValueError):
-        kernel_weight(_fv(0.0, 0.0), _fv(0.0), KernelSpec(width=1.0))
+        kernel_weight(_fv(0.0, 0.0), _fv(0.0), 1.0)
 
 
 def test_kernel_strictly_decreases_with_distance():
-    spec = KernelSpec(width=1.0606601717798214)
     x = _fv(0.0, 0.0)
     distances = np.linspace(0.05, 6.0, 40)
-    weights = [kernel_weight(x, _fv(d, 0.0), spec) for d in distances]
+    weights = [kernel_weight(x, _fv(d, 0.0), 1.0606601717798214) for d in distances]
     assert all(a > b for a, b in zip(weights, weights[1:]))
 
 
 def test_neighborhood_weights_match_the_scalar_kernel():
     gen = RngStream(22).generator()
     rows = gen.standard_normal((64, 2))
-    nbhd = _nbhd(rows.tolist())
     origin = _fv(0.3, -0.2)
-    spec = KernelSpec(width=0.9)
-    vector = neighborhood_weights(origin, nbhd, spec)
-    scalar = [kernel_weight(origin, _fv(*p), spec) for p in nbhd.points.tolist()]
+    nbhd = Neighborhood(rows, origin)
+    vector = neighborhood_weights(nbhd, 0.9)
+    scalar = [kernel_weight(origin, _fv(*p), 0.9) for p in nbhd.points.tolist()]
     assert np.max(np.abs(vector - np.array(scalar))) <= 1e-15
     assert np.all(vector > 0.0) and np.all(vector <= 1.0)
 
 
 def test_neighborhood_weights_reject_empty_neighborhoods():
     with pytest.raises(ValueError):
-        neighborhood_weights(_fv(0.0, 0.0), _nbhd(np.empty((0, 2))), KernelSpec(width=1.0))
+        neighborhood_weights(_nbhd(np.empty((0, 2))), 1.0)
 
 
 def test_weighted_design_validation():
