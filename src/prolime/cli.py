@@ -1,10 +1,10 @@
 """Command-line surface: dataset generation, one-off explanations, sampler
 comparison runs, and SVG figures.
 
-Every long option of a subcommand is also a key of the flat key=value config
-file passed with --config; explicit flags override config values. The seed
-falls back to the PROLIME_SEED environment variable when neither flag nor
-config provides one. Exit codes: 0 success, 1 runtime failure, 2 usage or
+Every long option of a command ("generate", "plot data", ...) is also a key of
+the flat key=value config file passed with --config; explicit flags override
+config values. The seed falls back to the PROLIME_SEED environment variable
+when neither flag nor config provides one. Exit codes: 0 success, 1 runtime failure, 2 usage or
 config error.
 """
 
@@ -68,13 +68,15 @@ MAX_RESOLUTION = 1000
 _DEFAULTS = LimeHyperparameters()
 
 
-def _int_at_most(maximum: int):
-    """An argparse type: an int no larger than ``maximum``."""
+def _int_at_most(maximum: int, minimum: int | None = None):
+    """An argparse type: an int no larger than ``maximum`` nor smaller than ``minimum``."""
 
     def parse(raw: str) -> int:
         value = int(raw)
         if value > maximum:
             raise argparse.ArgumentTypeError(f"must be at most {maximum}, got {value}")
+        if minimum is not None and value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value" errors
@@ -161,14 +163,14 @@ def _distribution(rho: float) -> BenchmarkDistribution:
         raise UsageError(str(exc)) from exc
 
 
-def _hyperparameters(args: argparse.Namespace, neighborhood_size: int) -> LimeHyperparameters:
+def _hyperparameters(args: argparse.Namespace, **flagged) -> LimeHyperparameters:
+    """From the sampling flags and ``flagged``, the command's other flags; the rest keep their defaults."""
     try:
         return LimeHyperparameters(
-            neighborhood_size=neighborhood_size,
             center_mode=CenterMode(args.center),
             noise_mode=NoiseMode(args.noise),
             kernel_width=args.kernel_width,
-            ridge_strength=args.ridge,
+            **flagged,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -176,8 +178,6 @@ def _hyperparameters(args: argparse.Namespace, neighborhood_size: int) -> LimeHy
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    if args.n < 1:
-        raise UsageError("n must be at least 1")
     dataset = generate_dataset(args.n, RngStream(seed, 0), _distribution(args.rho))
     write_dataset_csv(dataset, args.out)
     fraction = int(dataset.labels.sum()) / args.n
@@ -198,7 +198,7 @@ def _parse_constant_model(raw: str) -> ConstantModel:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    hyper = _hyperparameters(args, args.neighborhood_size)
+    hyper = _hyperparameters(args, neighborhood_size=args.neighborhood_size, ridge_strength=args.ridge)
     dist = _distribution(args.rho)
     try:
         sample = FeatureVector((args.credit, args.risk), FEATURE_NAMES)
@@ -238,7 +238,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if Path(out).suffix == ".json":
         raise UsageError(f"the report CSV path {out!r} must not end in .json, where the JSON report goes")
     json_path = str(Path(out).with_suffix(".json"))
-    hyper = _hyperparameters(args, _DEFAULTS.neighborhood_size)
+    hyper = _hyperparameters(args, ridge_strength=args.ridge)
     try:
         experiment = ExperimentConfig(
             master_seed=seed,
@@ -263,70 +263,73 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    out = f"{args.kind}.svg" if args.out is None else args.out
-    dist = _distribution(args.rho)
     if args.kind == "data":
         if args.data is None:
             raise UsageError("the data plot requires --data pointing to a dataset CSV")
         try:
             dataset = read_dataset_csv(args.data)
-        except FileNotFoundError as exc:
+        except OSError as exc:
             raise UsageError(f"cannot read dataset {args.data!r}: {exc}") from exc
         svg = plot_dataset(dataset)
-    elif args.kind == "model-grid":
-        if args.resolution < 2:
-            raise UsageError("resolution must be at least 2")
-        svg = plot_model_grid(oracle_model(dist, seed), args.resolution)
     else:
-        if args.credit is None or args.risk is None:
-            raise UsageError("the neighborhood plot requires --credit and --risk")
-        hyper = _hyperparameters(args, args.neighborhood_size)
-        try:
-            origin = FeatureVector((args.credit, args.risk), FEATURE_NAMES)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
-        spec = sampler_spec(args.sampler, hyper, dist)
-        nbhd = draw_neighborhood(origin, spec, hyper.neighborhood_size, RngStream(seed, 0))
-        weights = neighborhood_weights(nbhd, hyper.kernel_width)
-        svg = plot_neighborhood(nbhd, weights)
-    Path(out).write_text(svg, encoding="utf-8")
-    print(f"wrote {out}")
+        seed = _resolve_seed(args)
+        dist = _distribution(args.rho)
+        if args.kind == "model-grid":
+            svg = plot_model_grid(oracle_model(dist, seed), args.resolution)
+        else:
+            if args.credit is None or args.risk is None:
+                raise UsageError("the neighborhood plot requires --credit and --risk")
+            hyper = _hyperparameters(args, neighborhood_size=args.neighborhood_size)
+            try:
+                origin = FeatureVector((args.credit, args.risk), FEATURE_NAMES)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
+            spec = sampler_spec(args.sampler, hyper, dist)
+            nbhd = draw_neighborhood(origin, spec, hyper.neighborhood_size, RngStream(seed, 0))
+            svg = plot_neighborhood(nbhd, neighborhood_weights(nbhd, hyper.kernel_width))
+    Path(args.out).write_text(svg, encoding="utf-8")
+    print(f"wrote {args.out}")
     return 0
+
+
+def _add_config_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", type=_file_path, default=None,
+                        help="flat key=value config file; flags override it")
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master seed (fallback: PROLIME_SEED, then 0)")
-    parser.add_argument("--config", type=_file_path, default=None,
-                        help="flat key=value config file; flags override it")
+    _add_config_flag(parser)
     parser.add_argument("--rho", type=float, default=BenchmarkDistribution().rho,
                         help="feature correlation (default %(default)s)")
 
 
-def _add_hyper_flags(parser: argparse.ArgumentParser) -> None:
+def _add_hyper_flags(parser: argparse.ArgumentParser, ridge: bool = True) -> None:
     parser.add_argument("--center", choices=[mode.value for mode in CenterMode],
                         default=_DEFAULTS.center_mode.value, help="perturbation center (default %(default)s)")
     parser.add_argument("--noise", choices=[mode.value for mode in NoiseMode],
                         default=_DEFAULTS.noise_mode.value, help="perturbation noise (default %(default)s)")
     parser.add_argument("--kernel-width", type=float, default=_DEFAULTS.kernel_width,
                         help="proximity kernel width (default 0.75*sqrt(2) = %(default).4g)")
-    parser.add_argument("--ridge", type=float, default=_DEFAULTS.ridge_strength,
-                        help="L2 penalty on surrogate coefficients (default %(default)s)")
+    if ridge:
+        parser.add_argument("--ridge", type=float, default=_DEFAULTS.ridge_strength,
+                            help="L2 penalty on surrogate coefficients (default %(default)s)")
 
 
-def _add_neighborhood_flags(parser: argparse.ArgumentParser) -> None:
+def _add_neighborhood_flags(parser: argparse.ArgumentParser, ridge: bool = True) -> None:
     parser.add_argument("--sampler", choices=list(SAMPLER_NAMES), default="standard",
                         help="neighborhood sampler (default %(default)s)")
     parser.add_argument("--neighborhood-size", type=_int_at_most(MAX_NEIGHBORHOOD_SIZE),
                         default=_DEFAULTS.neighborhood_size,
                         help="points per neighborhood "
                         f"(default %(default)s, at most {MAX_NEIGHBORHOOD_SIZE})")
-    _add_hyper_flags(parser)
+    _add_hyper_flags(parser, ridge)
 
 
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The parser and its subcommand parsers by name, built once per process: parsing leaves them unchanged."""
+    """The parser and its innermost parsers by command words ("plot data"),
+    built once per process: parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="prolime",
         description="Local surrogate explanations with swappable neighborhood sampling, "
@@ -336,7 +339,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     gen = sub.add_parser("generate", help="draw a labeled benchmark dataset as CSV")
     _add_common_flags(gen)
-    gen.add_argument("--n", type=_int_at_most(MAX_SAMPLES), default=10000,
+    gen.add_argument("--n", type=_int_at_most(MAX_SAMPLES, minimum=1), default=10000,
                      help=f"number of samples (default %(default)s, at most {MAX_SAMPLES})")
     gen.add_argument("--out", type=_file_path, default="dataset.csv", help="output CSV path (default %(default)s)")
     gen.set_defaults(handler=_cmd_generate)
@@ -362,23 +365,34 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                     help="report CSV path (default %(default)s); JSON lands beside it")
     ev.set_defaults(handler=_cmd_evaluate)
 
-    pl = sub.add_parser("plot", help="emit an SVG figure")
-    _add_common_flags(pl)
-    pl.add_argument("kind", choices=["data", "model-grid", "neighborhood"],
-                    help="what to draw")
-    pl.add_argument("--data", type=_file_path, default=None, help="dataset CSV for the data plot")
-    pl.add_argument("--resolution", type=_int_at_most(MAX_RESOLUTION), default=200,
-                    help="grid points per axis for the model-grid plot "
-                    f"(default %(default)s, at most {MAX_RESOLUTION})")
-    pl.add_argument("--credit", type=float, default=None, help="explained point for the neighborhood plot")
-    pl.add_argument("--risk", type=float, default=None, help="explained point for the neighborhood plot")
-    _add_neighborhood_flags(pl)
-    pl.add_argument("--out", type=_file_path, default=None, help="output SVG path (default <kind>.svg)")
-    pl.set_defaults(handler=_cmd_plot)
+    kinds = sub.add_parser("plot", help="emit an SVG figure").add_subparsers(dest="kind", required=True)
+    # --data, --credit and --risk stay optional here: the config file, read later, may set them.
+    data = kinds.add_parser("data", help="the labeled points of a dataset CSV")
+    _add_config_flag(data)
+    data.add_argument("--data", type=_file_path, default=None, help="dataset CSV to draw (required)")
 
-    for each in (parser, *sub.choices.values()):
+    grid = kinds.add_parser("model-grid", help="the benchmark model's labels on a grid")
+    _add_common_flags(grid)
+    grid.add_argument("--resolution", type=_int_at_most(MAX_RESOLUTION, minimum=2), default=200,
+                      help=f"grid points per axis (default %(default)s, at most {MAX_RESOLUTION})")
+
+    nbhd = kinds.add_parser("neighborhood", help="one sampled neighborhood, sized by proximity weight")
+    _add_common_flags(nbhd)
+    nbhd.add_argument("--credit", type=float, default=None, help="credit of the explained point (required)")
+    nbhd.add_argument("--risk", type=float, default=None, help="risk of the explained point (required)")
+    _add_neighborhood_flags(nbhd, ridge=False)
+
+    for kind, each in kinds.choices.items():
+        each.add_argument("--out", type=_file_path, default=f"{kind}.svg",
+                          help="output SVG path (default %(default)s)")
+        # The kind is a default too, so that a re-parse by this parser alone keeps it.
+        each.set_defaults(kind=kind, handler=_cmd_plot)
+
+    commands = {name: each for name, each in sub.choices.items() if name != "plot"}
+    commands.update((f"plot {kind}", each) for kind, each in kinds.choices.items())
+    for each in (parser, sub.choices["plot"], *commands.values()):
         each._negative_number_matcher = _NEGATIVE_NUMBER
-    return parser, sub.choices
+    return parser, commands
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -390,8 +404,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code is None else int(exc.code)
     try:
         if args.config is not None:
-            # argv[0] is the command: the top parser has no options of its own.
-            args = _parse_with_config(commands[args.command], argv[1:], _load_config(args.config))
+            # Only the innermost parsers have options, so the command words lead argv.
+            name = f"plot {args.kind}" if args.command == "plot" else args.command
+            args = _parse_with_config(commands[name], argv[len(name.split()):], _load_config(args.config))
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import BlackBoxModel
 from .samplers import Neighborhood
-from .simulation import Dataset
+from .simulation import FEATURE_NAMES, Dataset
 
 __all__ = [
     "plot_dataset",
@@ -253,7 +253,7 @@ def plot_model_grid(
     axis = np.linspace(-limit, limit, resolution)
     credit, risk = np.meshgrid(axis, axis)
     grid = np.column_stack((credit.ravel(), risk.ravel()))
-    labels = np.argmax(model.predict_proba(grid, feature_names=("credit", "risk")), axis=1)
+    labels = np.argmax(model.predict_proba(grid, feature_names=FEATURE_NAMES), axis=1)
     pad = 0.2
     span = _INNER * (2 * limit) / (2 * limit + 2 * pad)
     radius = max(1.0, 0.45 * span / (resolution - 1))

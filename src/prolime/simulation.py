@@ -97,9 +97,7 @@ QUADRANT_BOUNDARIES = {
 
 def approval_label(credit: float, risk: float) -> int:
     """1 inside the diamond |credit+risk| < 1 and |credit-risk| < 1, else 0."""
-    if abs(credit + risk) < 1.0 and abs(credit - risk) < 1.0:
-        return 1
-    return 0
+    return int(_diamond_mask(np.array([[credit, risk]], dtype=float))[0])
 
 
 def _diamond_mask(points: np.ndarray) -> np.ndarray:

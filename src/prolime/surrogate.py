@@ -64,13 +64,9 @@ class WeightedDesign:
 
 def kernel_weight(x: FeatureVector, z: FeatureVector, width: float) -> float:
     """exp(-distance(x, z)^2 / width^2); equals 1 at zero distance."""
-    _require_kernel_width(width, "kernel width")
     if x.dim != z.dim:
         raise ValueError("points must share a dimension")
-    d2 = 0.0
-    for xv, zv in zip(x.values, z.values):
-        d2 += (xv - zv) ** 2
-    return math.exp(-d2 / (width * width))
+    return float(neighborhood_weights(Neighborhood(np.array([z.values]), x), width)[0])
 
 
 def _squared_distances(points: np.ndarray, origin: tuple[float, ...]) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import json
 import os
@@ -61,9 +62,10 @@ def test_generate_writes_header_plus_n_rows(tmp_path, capsys):
 
 
 def test_generate_rejects_nonpositive_n(tmp_path, capsys):
-    code, _, stderr = _run(["generate", "--n", "0", "--out", str(tmp_path / "x.csv")], capsys)
-    assert code == 2
-    assert stderr.startswith("error:")
+    code, stdout, stderr = _run(["generate", "--n", "0", "--out", str(tmp_path / "x.csv")], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr.endswith("error: argument --n: must be at least 1, got 0\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_generate_reruns_are_byte_identical(tmp_path, capsys):
@@ -415,6 +417,56 @@ def test_plot_data_missing_file(tmp_path, capsys):
     assert code == 2
 
 
+def test_plot_data_from_a_directory_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir.csv").mkdir()
+    code, stdout, stderr = _run(["plot", "data", "--data", "dir.csv"], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: cannot read dataset 'dir.csv': ")
+    assert [path.name for path in tmp_path.iterdir()] == ["dir.csv"]
+
+
+def test_plot_data_needs_no_seed(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _run(["generate", "--n", "20"], capsys)[0] == 0
+    monkeypatch.setenv("PROLIME_SEED", "abc")
+    assert _run(["plot", "data", "--data", "dataset.csv"], capsys) == (0, "wrote data.svg\n", "")
+    assert (tmp_path / "data.svg").exists()
+
+
+# Each plot kind with one option that only another kind takes.
+_FOREIGN_OPTIONS = [
+    ["plot", "data", "--data", "dataset.csv", "--seed", "3"],
+    ["plot", "data", "--data", "dataset.csv", "--resolution", "3"],
+    ["plot", "model-grid", "--resolution", "3", "--kernel-width", "-1"],
+    ["plot", "model-grid", "--resolution", "3", "--data", "dataset.csv"],
+    ["plot", "neighborhood", "--credit", "0", "--risk", "0", "--ridge", "1"],
+    ["plot", "neighborhood", "--credit", "0", "--risk", "0", "--resolution", "3"],
+]
+
+
+@pytest.mark.parametrize("argv", _FOREIGN_OPTIONS, ids=[f"{argv[1]} {argv[-2]}" for argv in _FOREIGN_OPTIONS])
+def test_each_plot_kind_rejects_the_options_of_another(argv, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dataset.csv").write_text("credit,risk,label\n0.1,0.2,1\n", encoding="utf-8")
+    code, stdout, stderr = _run(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr.endswith(f"error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+    option, value = argv[-2:]
+    (tmp_path / "foreign.cfg").write_text(f"{option[2:]}={value}\n", encoding="utf-8")
+    assert _run([*argv[:-2], "--config", "foreign.cfg"], capsys) == (
+        2, "", f"error: unknown config key(s): {option[2:]}\n"
+    )
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["dataset.csv", "foreign.cfg"]
+
+
+def test_an_option_before_the_plot_kind_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, _ = _run(["plot", "--seed", "3", "model-grid", "--resolution", "3"], capsys)
+    assert (code, stdout) == (2, "")
+    assert not any(tmp_path.iterdir())
+
+
 def test_plot_data_malformed_csv_names_the_line(tmp_path, capsys):
     data = tmp_path / "broken.csv"
     data.write_text("credit,risk,label\n0.1,0.2,1\n0.3,oops,0\n", encoding="utf-8")
@@ -761,13 +813,80 @@ def test_malformed_sizes_are_usage_errors(sizes, capsys, monkeypatch):
     )
 
 
-def test_caps_admit_the_defaults_and_the_caps_themselves():
+def _innermost(argv: list[str]) -> tuple[argparse.ArgumentParser, list[str]]:
+    """The parser that ``argv``'s command words name, and the arguments after them."""
     _, commands = cli._build_parser()
+    words = 2 if argv[0] == "plot" else 1
+    return commands[" ".join(argv[:words])], argv[words:]
+
+
+def test_caps_admit_the_defaults_and_the_caps_themselves():
     for argv, cap, _ in CAPS:
-        parser = commands[argv[0]]
-        flag = argv[-1]
-        dest = flag[2:].replace("-", "_")
-        assert getattr(parser.parse_args(argv[1:-1]), dest) <= cap
-        assert getattr(parser.parse_args([*argv[1:], str(cap)]), dest) == cap
-    sizes = commands["evaluate"].parse_args(["--sizes", f"2,{cli.MAX_NEIGHBORHOOD_SIZE}"]).sizes
+        parser, rest = _innermost(argv)
+        dest = argv[-1][2:].replace("-", "_")
+        assert getattr(parser.parse_args(rest[:-1]), dest) <= cap
+        assert getattr(parser.parse_args([*rest, str(cap)]), dest) == cap
+    sizes = _innermost(["evaluate"])[0].parse_args(["--sizes", f"2,{cli.MAX_NEIGHBORHOOD_SIZE}"]).sizes
     assert sizes == (2, cli.MAX_NEIGHBORHOOD_SIZE)
+
+
+# Each option with a minimum that its argparse type checks, that minimum, and
+# the function the command would call next.
+MINIMUMS = [
+    (["generate", "--n"], 1, "generate_dataset"),
+    (["plot", "model-grid", "--resolution"], 2, "plot_model_grid"),
+]
+
+
+@pytest.mark.parametrize("argv, minimum, callee", MINIMUMS, ids=[" ".join(argv) for argv, _, _ in MINIMUMS])
+def test_sizes_below_their_minimum_are_usage_errors(argv, minimum, callee, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, callee, _refuse_to_run)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = _run([*argv, str(minimum - 1)], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr.endswith(f"error: argument {argv[-1]}: must be at least {minimum}, got {minimum - 1}\n")
+    Path("small.cfg").write_text(f"{argv[-1][2:]}={minimum - 1}\n", encoding="utf-8")
+    assert _run([*argv[:-1], "--config", "small.cfg"], capsys) == (
+        2, "", f"error: bad config value for '{argv[-1][2:]}': '{minimum - 1}' "
+        f"(must be at least {minimum}, got {minimum - 1})\n"
+    )
+    assert [path.name for path in tmp_path.iterdir()] == ["small.cfg"]
+    parser, rest = _innermost(argv)
+    assert getattr(parser.parse_args([*rest, str(minimum)]), argv[-1][2:]) == minimum
+
+
+# A tiny run of each innermost parser, from after its command words.
+_TINY_RUNS = {
+    "generate": ["--n", "5"],
+    "explain": ["0", "0", "--neighborhood-size", "20"],
+    "evaluate": ["--trials", "1", "--sizes", "20"],
+    "plot data": ["--data", "dataset.csv"],
+    "plot model-grid": ["--resolution", "2"],
+    "plot neighborhood": ["--credit", "0", "--risk", "0", "--neighborhood-size", "20"],
+}
+
+
+@pytest.mark.parametrize("name", _TINY_RUNS)
+def test_every_option_is_read_by_its_handler(name, tmp_path, capsys, monkeypatch):
+    _, commands = cli._build_parser()
+    assert list(commands) == list(_TINY_RUNS)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PROLIME_SEED", raising=False)
+    Path("dataset.csv").write_text("credit,risk,label\n0.1,0.2,1\n", encoding="utf-8")
+    read = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, attribute):
+            read.add(attribute)
+            return super().__getattribute__(attribute)
+
+    parser = commands[name]
+    parsed = parser.parse_args(_TINY_RUNS[name])
+    # A copy, since argparse's own lookups while parsing would count as reads.
+    assert parsed.handler(Recording(**vars(parsed))) == 0
+    options = {
+        action.dest
+        for action in parser._actions
+        if any(option.startswith("--") for option in action.option_strings)
+    }
+    assert options - {"help", "config"} - read == set()

@@ -1,5 +1,6 @@
-"""Config files: every long option of a subcommand is a config key, cast and
-checked by that option, and a flag beats its config key."""
+"""Config files: every long option of a command (a subcommand or a plot kind)
+is a config key, cast and checked by that option, and a flag beats its config
+key."""
 
 from __future__ import annotations
 
@@ -29,32 +30,35 @@ _VALUES = {
     "risk": "-0.3",
 }
 
-# Small runs of each subcommand; the option under test replaces its entry.
+# Small runs of each innermost parser; the option under test replaces its entry.
 _BASE = {
     "generate": {"n": "30"},
     "explain": {"neighborhood-size": "50"},
     "evaluate": {"trials": "1", "sizes": "20"},
-    "plot": {"resolution": "5", "credit": "0.41", "risk": "-0.51", "neighborhood-size": "50"},
+    "plot data": {"data": "points.csv"},
+    "plot model-grid": {"resolution": "5"},
+    "plot neighborhood": {"credit": "0.41", "risk": "-0.51", "neighborhood-size": "50"},
 }
 
 
-def _plot_kind(key: str) -> str:
-    if key == "data":
-        return "data"
-    if key in ("seed", "rho", "out", "resolution"):
-        return "model-grid"
-    return "neighborhood"
-
-
-def _config_keys() -> list[tuple[str, str]]:
+def _config_keys() -> dict[str, list[str]]:
+    """The config keys of each innermost parser, by its command words."""
     _, commands = _build_parser()
-    return [
-        (command, option[2:])
-        for command, parser in commands.items()
-        for action in parser._actions
-        for option in action.option_strings
-        if option.startswith("--") and option not in ("--help", "--config")
-    ]
+    return {
+        name: [
+            option[2:]
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option not in ("--help", "--config")
+        ]
+        for name, parser in commands.items()
+    }
+
+
+def _cases() -> list[tuple[str, str]]:
+    """(command, key) for every key of every command; the plot kinds share the
+    command ``plot``, and a case of theirs covers each kind that takes the key."""
+    return sorted({(name.split()[0], key) for name, keys in _config_keys().items() for key in keys})
 
 
 def _run_in(directory, argv, capsys, monkeypatch):
@@ -67,26 +71,26 @@ def _run_in(directory, argv, capsys, monkeypatch):
     return code, captured.out, captured.err, written
 
 
-@pytest.mark.parametrize("command, key", _config_keys())
+@pytest.mark.parametrize("command, key", _cases())
 def test_every_long_option_is_a_config_key_equal_to_its_flag(command, key, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("PROLIME_SEED", raising=False)
-    (tmp_path / "points.csv").write_text("credit,risk,label\n0.1,0.2,1\n0.3,-0.4,0\n", encoding="utf-8")
-    value = str(tmp_path / "points.csv") if key == "data" else _VALUES[key]
-    argv = [command]
-    if command == "explain":
-        argv += ["0.41", "-0.51"]
-    elif command == "plot":
-        argv.append(_plot_kind(key))
-    for base_key, base_value in _BASE[command].items():
-        if base_key != key:
-            argv += [f"--{base_key}", base_value]
+    points = tmp_path / "points.csv"
+    points.write_text("credit,risk,label\n0.1,0.2,1\n0.3,-0.4,0\n", encoding="utf-8")
+    values = {**_VALUES, "data": str(points)}
     config = tmp_path / "settings.cfg"
-    config.write_text(f"{key}={value}\n", encoding="utf-8")
-
-    via_flag = _run_in(tmp_path / "flag", [*argv, f"--{key}", value], capsys, monkeypatch)
-    via_config = _run_in(tmp_path / "config", [*argv, "--config", str(config)], capsys, monkeypatch)
-    assert via_flag[0] == 0, via_flag[2]
-    assert via_config == via_flag
+    config.write_text(f"{key}={values[key]}\n", encoding="utf-8")
+    names = [name for name, keys in _config_keys().items() if name.split()[0] == command and key in keys]
+    for name in names:
+        argv = name.split() + (["0.41", "-0.51"] if name == "explain" else [])
+        for base_key, base_value in _BASE[name].items():
+            if base_key != key:
+                argv += [f"--{base_key}", str(points) if base_key == "data" else base_value]
+        run = tmp_path / name.replace(" ", "-")
+        run.mkdir()
+        via_flag = _run_in(run / "flag", [*argv, f"--{key}", values[key]], capsys, monkeypatch)
+        via_config = _run_in(run / "config", [*argv, "--config", str(config)], capsys, monkeypatch)
+        assert via_flag[0] == 0, (name, via_flag[2])
+        assert via_config == via_flag, name
 
 
 @pytest.mark.parametrize("key", ["help", "config"])

@@ -48,7 +48,6 @@ _VALUES = {
 }
 _POSITIONALS = {
     "explain": st.tuples(_COORDINATES, _COORDINATES),
-    "plot": st.tuples(st.sampled_from(("data", "model-grid", "neighborhood"))),
 }
 
 
@@ -65,12 +64,15 @@ def _options() -> dict[str, list[str]]:
     }
 
 
-# Options every invocation sets, so that no run falls back to a full-size default.
-_SIZE_OPTIONS = {
+# Options every invocation sets: its sizes, so that no run falls back to a
+# full-size default, and the data plot's dataset.
+_REQUIRED = {
     "generate": ["n"],
     "explain": ["neighborhood-size"],
     "evaluate": ["trials", "sizes"],
-    "plot": ["neighborhood-size", "resolution"],
+    "plot data": ["data"],
+    "plot model-grid": ["resolution"],
+    "plot neighborhood": ["neighborhood-size"],
 }
 
 
@@ -83,8 +85,8 @@ def invocations(draw) -> tuple[list[str], bytes | None, str | None]:
     options = _options()
     command = draw(st.sampled_from(sorted(options)))
     positionals = [str(value) for value in draw(_POSITIONALS.get(command, st.just(())))]
-    argv = [command, *positionals]
-    required = _SIZE_OPTIONS[command] + (["data"] if positionals == ["data"] else [])
+    argv = [*command.split(), *positionals]
+    required = _REQUIRED[command]
     others = [name for name in options[command] if name not in required]
     names = required + draw(st.lists(st.sampled_from(others), max_size=5, unique=True))
     use_config = draw(st.booleans())
@@ -114,7 +116,7 @@ def invocations(draw) -> tuple[list[str], bytes | None, str | None]:
 @example(invocation=(["generate", "--n=5", "--config=run.cfg"], b"n=\xff", None))
 @example(invocation=(["explain", "1e17", "0.5"], None, None))
 @example(invocation=(["evaluate", "--trials=1", "--sizes=10", "--out="], None, None))
-@example(invocation=(["plot", "data", "--data=a\0b", "--resolution=2", "--neighborhood-size=2"], None, None))
+@example(invocation=(["plot", "data", "--data=a\0b"], None, None))
 def test_every_invocation_exits_0_1_or_2(invocation, tmp_path):
     argv, config, env_seed = invocation
     (tmp_path / "garbage.csv").write_bytes(b"credit,risk,label\n0.1,\xff,1\n")

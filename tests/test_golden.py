@@ -126,13 +126,16 @@ HELP_DIGESTS = {
     "generate": "0bd1ab12552b6383ee395a3a8fa37d5c5664cbf868bd5a0a9430e1a1fd61a257",
     "explain": "b7f20eeb4df27b4cd66f0a602532f9226c30792463539b751a3192b464d3020e",
     "evaluate": "2dfdfee490ee57001e5072b20abcfb85bbdfc22224286762c21eb2416a9bf227",
-    "plot": "d20809af31eecc09e74d0d3f6fcc816f1e0ad0ce9eed59f406f7de73b5bd927f",
+    "plot": "ae32a9bee0a5bcff47852466599c9eb433bebc84191a0c06b96fa4a526a7d525",
+    "plot data": "de49afe4c99b624ad1283660470e97106cc7f7693dea840d75ba32ed7f0b0e2e",
+    "plot model-grid": "f5dcda7bb6a45b8545edd1d0c9d9f870dce38ab2b549b5592396986fccec37fe",
+    "plot neighborhood": "446da9c789b1f368f407535a14b934b1579c77cf8f37773d5729bac245cd9ff2",
 }
 
 
 @pytest.mark.parametrize("command", sorted(HELP_DIGESTS))
 def test_help_text_matches_golden_digest(command, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
-    argv = [] if command == "prolime" else [command]
+    argv = [] if command == "prolime" else command.split()
     text = _quiet([*argv, "--help"])
     assert _sha256(text.encode("utf-8")) == HELP_DIGESTS[command]

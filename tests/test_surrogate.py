@@ -84,8 +84,13 @@ def test_kernel_matches_closed_form_on_random_pairs():
         assert abs(got - expected) <= 1e-15
 
 
+def test_kernel_weighs_a_point_whose_squared_distance_overflows_zero():
+    assert kernel_weight(_fv(0.0, 0.0), _fv(1e200, 0.0), 1.0) == 0.0
+    assert neighborhood_weights(_nbhd([[1e200, 0.0]]), 1.0).tolist() == [0.0]
+
+
 def test_kernel_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="points must share a dimension"):
         kernel_weight(_fv(0.0, 0.0), _fv(0.0), 1.0)
 
 
