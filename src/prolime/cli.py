@@ -395,10 +395,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, commands
 
 
+def _reject_leading_option(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+    """Exit 2 naming an option placed before the command or the plot kind:
+    argparse would skip it and take its value for the command word."""
+    words = argv[:2] if argv[:1] == ["plot"] else argv[:1]
+    for where, word in zip(("command", "plot kind"), words):
+        if word.startswith("-") and word not in ("-h", "--help") and not _NEGATIVE_NUMBER.match(word):
+            parser.error(f"option {word} comes before the {where}; options follow the {where}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
+        _reject_leading_option(parser, argv)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)

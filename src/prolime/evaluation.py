@@ -10,13 +10,13 @@ import numpy as np
 
 from .core import FeatureVector, LimeHyperparameters, LocalSurrogate
 from .explainer import ExplainRequest, ExplainStageError, explain
-from .samplers import RngStream, SamplerSpec, StandardSpec
+from .samplers import RngStream, SamplerSpec, StandardSpec, _gaussian_rows
 from .simulation import (
     FEATURE_NAMES,
     BenchmarkDistribution,
     GroundTruthBoundary,
     Quadrant,
-    gaussian_pdf,
+    _pdf_values,
     ground_truth_for,
     oracle_model,
 )
@@ -113,12 +113,11 @@ class ExperimentReport:
 def draw_test_point(dist: BenchmarkDistribution, rng: RngStream) -> FeatureVector:
     """One draw from the benchmark distribution, rejection-resampled until the
     density clears the oracle threshold so the local ground truth is defined."""
-    mean = np.asarray(dist.mean)
     gen = rng.generator()
     while True:
-        point = FeatureVector(tuple((mean + dist.spec._lower @ gen.standard_normal(2)).tolist()), FEATURE_NAMES)
-        if gaussian_pdf(point, dist) >= dist.density_threshold:
-            return point
+        row = _gaussian_rows(dist.spec, 1, gen)
+        if _pdf_values(row, dist)[0] >= dist.density_threshold:
+            return FeatureVector(tuple(row[0].tolist()), FEATURE_NAMES)
 
 
 def sampler_spec(name: str, hyper: LimeHyperparameters, dist: BenchmarkDistribution) -> SamplerSpec:
@@ -147,11 +146,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     dist = config.distribution
     model = oracle_model(dist, model_seed=config.master_seed)
     specs = {name: sampler_spec(name, config.hyper, dist) for name in SAMPLER_NAMES}
+    hypers = {size: replace(config.hyper, neighborhood_size=size) for size in config.neighborhood_sizes}
     cells = [(name, size) for name in SAMPLER_NAMES for size in config.neighborhood_sizes]
     stride = len(cells) + 1
-    values: dict[tuple[str, int], dict[str, list[float]]] = {
-        cell: {"credit": [], "risk": []} for cell in cells
-    }
+    # Credit and risk mismatch by cell and trial; NaN where the explanation failed.
+    mismatch = np.full((len(cells), 2, config.trials), np.nan)
     failures: list[CellFailure] = []
     for trial in range(config.trials):
         test_point = draw_test_point(dist, RngStream(config.master_seed, trial * stride))
@@ -161,7 +160,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             request = ExplainRequest(
                 sample=test_point,
                 model=model,
-                hyper=replace(config.hyper, neighborhood_size=size),
+                hyper=hypers[size],
                 sampler=specs[name],
                 rng=stream,
             )
@@ -171,27 +170,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 failures.append(CellFailure(name, size, trial, exc.stage, str(exc)))
                 continue
             result = coefficient_mismatch(explanation.surrogate, truth)
-            values[(name, size)]["credit"].append(result.credit_mismatch)
-            values[(name, size)]["risk"].append(result.risk_mismatch)
+            mismatch[cell_index, :, trial] = result.credit_mismatch, result.risk_mismatch
     stats = []
-    for name, size in cells:
-        credit = np.asarray(values[(name, size)]["credit"])
-        risk = np.asarray(values[(name, size)]["risk"])
-        if credit.size:
-            stats.append(
-                CellStats(
-                    sampler=name,
-                    size=size,
-                    credit_mean=float(credit.mean()),
-                    credit_std=float(credit.std()),
-                    risk_mean=float(risk.mean()),
-                    risk_std=float(risk.std()),
-                    trials=int(credit.size),
-                )
-            )
+    for (name, size), (credit, risk) in zip(cells, mismatch):
+        done = ~np.isnan(credit)
+        if done.any():
+            credit, risk = credit[done], risk[done]
+            moments = (credit.mean(), credit.std(), risk.mean(), risk.std())
         else:
-            nan = float("nan")
-            stats.append(CellStats(name, size, nan, nan, nan, nan, 0))
+            # Named, not computed: the mean of an empty slice warns.
+            moments = (np.nan,) * 4
+        stats.append(CellStats(name, size, *map(float, moments), int(done.sum())))
     return ExperimentReport(cells=tuple(stats), failures=tuple(failures), config=config)
 
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     BlackBoxModel,
     ClassProbabilities,
@@ -127,6 +129,21 @@ def explain(req: ExplainRequest) -> Explanation:
             cause := _collapse_cause(points, req.sample.feature_names)
         ):
             raise SingularFitError(f"the neighborhood has no spread{cause}")
+        # Where a feature's float spacing reaches its noise scale, the
+        # perturbations land on a lattice of a few values and the fit
+        # explains the lattice, not the model.
+        sampler = req.sampler
+        if isinstance(sampler, StandardSpec):
+            scales = np.asarray(sampler.per_feature_scale)
+        else:
+            scales = np.sqrt(np.diag(sampler.covariance))
+        spacings = np.spacing(np.abs(points[0]))
+        if (coarse := spacings >= scales).any():
+            j = int(np.argmax(coarse))
+            raise ValueError(
+                f"the neighborhood is quantized: the float spacing of {req.sample.feature_names[j]} "
+                f"({spacings[j]:.3g}) is not below its noise scale ({scales[j]:.3g})"
+            )
     except Exception as exc:
         raise ExplainStageError("fitting", exc) from exc
     return Explanation(req.sample, predicted, surrogate)

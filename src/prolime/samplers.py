@@ -273,10 +273,10 @@ def sample_standard(
     if spec.noise_mode is NoiseMode.GAUSSIAN:
         normals = gen.standard_normal((n, d))
     else:
-        uniforms = latin_hypercube_uniforms(n, d, gen)
-        normals = np.array(
-            [[inverse_normal_cdf(u) for u in row] for row in uniforms.tolist()]
-        )
+        # Built per call from the module global, so a wrapper swapped in for
+        # inverse_normal_cdf still sees every scalar call.
+        icdf = np.frompyfunc(inverse_normal_cdf, 1, 1)
+        normals = icdf(latin_hypercube_uniforms(n, d, gen)).astype(float)
     noise = _by_column(np.multiply, normals, spec.per_feature_scale)
     return Neighborhood(_by_column(np.add, noise, center), origin)
 
@@ -294,10 +294,14 @@ def sample_process_aware(
     the origin sample does not shift the distribution, it is only recorded so
     downstream proximity weighting stays anchored at the explained sample.
     """
+    return Neighborhood(_gaussian_rows(spec, n, rng.generator()), origin)
+
+
+def _gaussian_rows(spec: ProcessAwareSpec, n: int, gen: np.random.Generator) -> np.ndarray:
+    """``n >= 1`` rows of N(mean, covariance) as an ``(n, d)`` array: standard
+    normals from ``gen`` through the spec's Cholesky factor, the mean added
+    column by column. The one place the benchmark's Gaussian is drawn."""
     n = int(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    d = len(spec.mean)
-    gen = rng.generator()
-    rows = _by_column(np.add, gen.standard_normal((n, d)) @ spec._lower.T, spec.mean)
-    return Neighborhood(rows, origin)
+    return _by_column(np.add, gen.standard_normal((n, len(spec.mean))) @ spec._lower.T, spec.mean)

@@ -18,8 +18,8 @@ from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .core import BlackBoxModel, FeatureVector, _by_column
-from .samplers import ProcessAwareSpec, RngStream
+from .core import BlackBoxModel, FeatureVector
+from .samplers import ProcessAwareSpec, RngStream, _gaussian_rows
 
 __all__ = [
     "BenchmarkDistribution",
@@ -179,11 +179,7 @@ def generate_dataset(
     dist: BenchmarkDistribution = BenchmarkDistribution(),
 ) -> Dataset:
     """Draw n labeled rows from the benchmark distribution."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    gen = rng.generator()
-    rows = _by_column(np.add, gen.standard_normal((n, 2)) @ dist.spec._lower.T, dist.mean)
+    rows = _gaussian_rows(dist.spec, n, rng.generator())
     return Dataset(rows, _diamond_mask(rows))
 
 

@@ -237,6 +237,23 @@ def test_explain_where_unit_perturbations_round_away_names_the_collapse(capsys):
         )
 
 
+def test_explain_where_float_spacing_reaches_the_noise_scale_names_the_lattice(capsys):
+    # At 1e16 the float spacing is 2, twice the unit noise scale, so the
+    # perturbed points take about 5 values per feature and a fit to that
+    # lattice would pass as an explanation.
+    for point, feature in ((["1e16", "1e16"], "credit"), (["0.5", "1e16"], "risk")):
+        code, stdout, stderr = _run(["explain", *point], capsys)
+        assert (code, stdout) == (1, "")
+        assert stderr == (
+            f"error: fitting stage failed: the neighborhood is quantized: the float spacing of {feature} "
+            "(2) is not below its noise scale (1)\n"
+        )
+    # At 1e15 the spacing is 0.125 and the fit stands.
+    code, stdout, _ = _run(["explain", "1e15", "1e15"], capsys)
+    assert code == 0
+    assert json.loads(stdout)["sample"] == {"credit": 1e15, "risk": 1e15}
+
+
 def test_negative_coordinates_with_an_exponent_are_values(capsys):
     spelled_out = _run(["explain", "-0.001", "0.5"], capsys)
     assert spelled_out[0] == 0
@@ -460,10 +477,18 @@ def test_each_plot_kind_rejects_the_options_of_another(argv, tmp_path, capsys, m
     assert sorted(path.name for path in tmp_path.iterdir()) == ["dataset.csv", "foreign.cfg"]
 
 
-def test_an_option_before_the_plot_kind_is_a_usage_error(tmp_path, capsys, monkeypatch):
+def test_an_option_before_the_command_or_the_plot_kind_is_named(tmp_path, capsys, monkeypatch):
+    # argparse alone would take the option's value for the command word and
+    # report "invalid choice: '3'".
     monkeypatch.chdir(tmp_path)
-    code, stdout, _ = _run(["plot", "--seed", "3", "model-grid", "--resolution", "3"], capsys)
-    assert (code, stdout) == (2, "")
+    for argv, option, where in (
+        (["--seed", "3", "explain", "0", "0"], "--seed", "command"),
+        (["plot", "--seed", "3", "model-grid", "--resolution", "3"], "--seed", "plot kind"),
+        (["plot", "--out", "x.svg", "data"], "--out", "plot kind"),
+    ):
+        code, stdout, stderr = _run(argv, capsys)
+        assert (code, stdout) == (2, "")
+        assert stderr.endswith(f"error: option {option} comes before the {where}; options follow the {where}\n")
     assert not any(tmp_path.iterdir())
 
 

@@ -6,6 +6,7 @@ import json
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import prolime.evaluation as evaluation_module
@@ -165,6 +166,38 @@ def test_single_trial_uses_the_documented_stream_layout():
         expected = coefficient_mismatch(explanation.surrogate, truth)
         assert cell.credit_mean == expected.credit_mismatch
         assert cell.risk_mean == expected.risk_mismatch
+
+
+def test_a_failed_trial_drops_out_of_its_cell_alone(monkeypatch):
+    # Four cells per trial, so trial t explains cell j with stream 5t + 1 + j;
+    # standard@50 is cell 0, and its trial 1 fails.
+    failing = RngStream(5, 1 * 5 + 1)
+
+    def broken_once(request):
+        if request.rng == failing:
+            raise ExplainStageError("fitting", ValueError("synthetic breakage"))
+        return explain(request)
+
+    monkeypatch.setattr(evaluation_module, "explain", broken_once)
+    config = ExperimentConfig(master_seed=5, trials=3, neighborhood_sizes=(50, 100))
+    report = run_experiment(config)
+    assert [(f.sampler, f.size, f.trial) for f in report.failures] == [("standard", 50, 1)]
+    assert [cell.trials for cell in report.cells] == [2, 3, 3, 3]
+
+    dist = config.distribution
+    model = oracle_model(dist, model_seed=5)
+    hyper = replace(config.hyper, neighborhood_size=50)
+    standard = sampler_spec("standard", config.hyper, dist)
+    credit, risk = [], []
+    for trial in (0, 2):
+        test_point = draw_test_point(dist, RngStream(5, trial * 5))
+        explanation = explain(ExplainRequest(test_point, model, hyper, standard, RngStream(5, trial * 5 + 1)))
+        result = coefficient_mismatch(explanation.surrogate, ground_truth_for(test_point))
+        credit.append(result.credit_mismatch)
+        risk.append(result.risk_mismatch)
+    cell = report.cells[0]
+    assert (cell.credit_mean, cell.credit_std) == (float(np.mean(credit)), float(np.std(credit)))
+    assert (cell.risk_mean, cell.risk_std) == (float(np.mean(risk)), float(np.std(risk)))
 
 
 def test_report_serialization_is_deterministic():

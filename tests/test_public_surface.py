@@ -80,3 +80,16 @@ def test_every_benchmark_tracer_hook_resolves_but_the_known_stale_ones():
         if not found:
             unresolved.add((target, attr))
     assert unresolved <= STALE_HOOKS
+
+
+def test_only_the_samplers_module_reads_the_cholesky_factor():
+    # The benchmark's Gaussian is drawn in one place, samplers._gaussian_rows.
+    readers = sorted(
+        path.name
+        for path in Path(prolime.__file__).parent.glob("*.py")
+        if any(
+            isinstance(node, ast.Attribute) and node.attr == "_lower"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    )
+    assert readers == ["samplers.py"]

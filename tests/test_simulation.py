@@ -10,7 +10,7 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from prolime.core import FeatureVector
-from prolime.samplers import RngStream
+from prolime.samplers import RngStream, sample_process_aware
 from prolime.simulation import (
     QUADRANT_BOUNDARIES,
     BenchmarkDistribution,
@@ -158,6 +158,13 @@ def test_generate_dataset_honors_the_correlation_parameter():
     dist = BenchmarkDistribution(0.5)
     rows = generate_dataset(10000, RngStream(8), dist).features
     assert abs(float(np.corrcoef(rows.T)[0, 1]) - 0.5) < 0.05
+
+
+def test_generate_dataset_draws_what_the_process_aware_sampler_draws():
+    # Datasets and process-aware neighborhoods share one Gaussian draw.
+    dist = BenchmarkDistribution(0.3)
+    neighborhood = sample_process_aware(dist.spec, 257, RngStream(9, 4), origin=_fv(0.0, 0.0))
+    assert generate_dataset(257, RngStream(9, 4), dist).features.tobytes() == neighborhood.points.tobytes()
 
 
 def test_generate_dataset_rejects_empty_request():
