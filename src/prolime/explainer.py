@@ -31,6 +31,7 @@ from .surrogate import (
     SingularFitError,
     WeightedDesign,
     _collapse_cause,
+    _squared_distances,
     fit_weighted_ridge,
     label_neighborhood,
     neighborhood_weights,
@@ -83,6 +84,14 @@ class ExplainRequest:
         dim = len(sampler.per_feature_scale if isinstance(sampler, StandardSpec) else sampler.mean)
         if dim != self.sample.dim:
             raise ValueError("sampler dimension does not match the explained sample")
+        # The spec draws the neighborhood, and reports read the modes from hyper.
+        if isinstance(sampler, StandardSpec):
+            spec, hyper = ((knobs.center_mode.value, knobs.noise_mode.value) for knobs in (sampler, self.hyper))
+            if spec != hyper:
+                raise ValueError(
+                    f"the sampler's center and noise modes ({', '.join(spec)}) differ from the "
+                    f"hyperparameters' ({', '.join(hyper)})"
+                )
 
 
 def draw_neighborhood(
@@ -120,6 +129,14 @@ def explain(req: ExplainRequest) -> Explanation:
     weights = neighborhood_weights(nbhd, hyper.kernel_width)
     points = nbhd.points
     try:
+        if weights.max() == 0.0:
+            # Squared distances that overflow are inf, and so is their root.
+            with np.errstate(over="ignore"):
+                nearest = np.sqrt(_squared_distances(points, req.sample.values).min())
+            raise ValueError(
+                f"every kernel weight is 0: the nearest drawn point lies {nearest:.3g} from the "
+                f"sample, too far for kernel width {hyper.kernel_width:.3g}"
+            )
         design = WeightedDesign(points, targets, weights, req.sample.feature_names)
         surrogate = fit_weighted_ridge(design, hyper.ridge_strength)
         # A ridge fits a feature that never varies to a zero coefficient; that

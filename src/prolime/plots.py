@@ -17,7 +17,6 @@ __all__ = [
     "plot_dataset",
     "plot_model_grid",
     "plot_neighborhood",
-    "svg_scatter",
 ]
 
 _WIDTH = 640
@@ -25,17 +24,18 @@ _HEIGHT = 640
 _MARGIN = 56
 _INNER = _WIDTH - 2 * _MARGIN
 _LABEL_COLORS = ("#e07a3f", "#3566a8")
+_GRID_LIMIT = 3.0
 
 
-def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:
-    """Axis ticks as (position, label): every integer while the span is at
-    most 20, else the multiples of the power of ten that leaves at most 20
-    intervals, so the count stays bounded for any finite limits."""
-    half_span = hi * 0.5 - lo * 0.5
+def _ticks(limit: float) -> list[tuple[float, str]]:
+    """Axis ticks on [-limit, limit] as (position, label): every integer while
+    the span is at most 20, else the multiples of the power of ten that leaves
+    at most 20 intervals, so the count stays bounded for any finite limit."""
+    half_span = limit * 0.5 + limit * 0.5
     if half_span <= 10:
-        return [(tick, str(tick)) for tick in range(math.ceil(lo), math.floor(hi) + 1)]
+        return [(tick, str(tick)) for tick in range(math.ceil(-limit), math.floor(limit) + 1)]
     step = 10.0 ** math.ceil(math.log10(half_span / 10))
-    multiples = range(math.ceil(lo / step), math.floor(hi / step) + 1)
+    multiples = range(math.ceil(-limit / step), math.floor(limit / step) + 1)
     return [(k * step, f"{k * step:g}") for k in multiples]
 
 
@@ -97,14 +97,14 @@ def _fixed2(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _offsets(values: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Pixel distance of each value from the ``lo`` edge of the plot box.
+def _offsets(values: np.ndarray, limit: float) -> np.ndarray:
+    """Pixel distance of each value from the -limit edge of the plot box.
 
     Halving is exact, so differences of halves are the halved differences
     bit for bit, yet they stay finite across the whole float range.
     """
-    half_lo = lo * 0.5
-    return (values * 0.5 - half_lo) / (hi * 0.5 - half_lo) * _INNER
+    half = limit * 0.5
+    return (values * 0.5 + half) / (half + half) * _INNER
 
 
 def _ascii_columns(text: str, rows: int) -> np.ndarray:
@@ -140,20 +140,18 @@ def svg_scatter(
     centers: np.ndarray,
     styles: Sequence[tuple[float, str, float]],
     style_index: np.ndarray,
-    xlim: tuple[float, float] = (-4.0, 4.0),
-    ylim: tuple[float, float] = (-4.0, 4.0),
-    title: str = "",
-    xlabel: str = "credit",
-    ylabel: str = "risk",
+    limit: float,
+    title: str,
     radii: np.ndarray | None = None,
 ) -> str:
-    """Render circles at data coordinates inside a framed, ticked axis box.
+    """Render circles at data coordinates inside the framed, ticked axis box
+    [-limit, limit]², with credit across and risk up.
 
     ``centers`` is an ``(n, 2)`` array of marker positions, ``styles`` a list
     of (radius, fill, opacity) and ``style_index`` an ``(n,)`` int array
     giving each marker's style. ``radii``, when given, is an ``(n,)`` array of
     per-marker radii in [1, 8192) that replaces the radii of the styles.
-    Markers outside the limits are omitted; later markers are drawn on top.
+    Markers outside the box are omitted; later markers are drawn on top.
     Returns a complete standalone SVG document.
     """
     points = np.asarray(centers, dtype=float)
@@ -171,104 +169,83 @@ def svg_scatter(
             raise ValueError(f"radii must have shape ({len(points)},), got {radii.shape}")
         if radii.size and not (radii.min() >= _FIXED2_LO and radii.max() < _FIXED2_HI):
             raise ValueError(f"radii must lie in [{_FIXED2_LO}, {_FIXED2_HI})")
-    x0, x1 = float(xlim[0]), float(xlim[1])
-    y0, y1 = float(ylim[0]), float(ylim[1])
-    if not all(map(math.isfinite, (x0, x1, y0, y1))):
-        raise ValueError("axis limits must be finite")
-    if not (x1 > x0 and y1 > y0):
-        raise ValueError("axis limits must be increasing")
-    if not (x1 * 0.5 - x0 * 0.5 > 0 and y1 * 0.5 - y0 * 0.5 > 0):
-        raise ValueError("axis limits must be more than one subnormal step apart")
+    limit = float(limit)
+    # Half of the smallest subnormal rounds to 0, which would leave no span.
+    if not (math.isfinite(limit) and limit * 0.5 > 0):
+        raise ValueError(f"limit must be finite and above the smallest subnormal, got {limit!r}")
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_INNER}" height="{_INNER}" '
         f'fill="none" stroke="#444444" stroke-width="1"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="{_MARGIN - 22}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.1f}" y="{_MARGIN - 22}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
-        )
-    x_ticks = _ticks(x0, x1)
-    x_pixels = _MARGIN + _offsets(np.array([tick for tick, _ in x_ticks], dtype=float), x0, x1)
-    for x, (_, label) in zip(x_pixels.tolist(), x_ticks):
-        parts.append(
+    ticks = _ticks(limit)
+    offsets = _offsets(np.array([tick for tick, _ in ticks], dtype=float), limit).tolist()
+    for offset, (_, label) in zip(offsets, ticks):
+        x = _MARGIN + offset
+        parts += [
             f'<line x1="{x:.2f}" y1="{_HEIGHT - _MARGIN}" x2="{x:.2f}" '
-            f'y2="{_HEIGHT - _MARGIN + 6}" stroke="#444444"/>'
-        )
-        parts.append(
+            f'y2="{_HEIGHT - _MARGIN + 6}" stroke="#444444"/>',
             f'<text x="{x:.2f}" y="{_HEIGHT - _MARGIN + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
-    y_ticks = _ticks(y0, y1)
-    y_pixels = _HEIGHT - _MARGIN - _offsets(np.array([tick for tick, _ in y_ticks], dtype=float), y0, y1)
-    for y, (_, label) in zip(y_pixels.tolist(), y_ticks):
-        parts.append(
-            f'<line x1="{_MARGIN - 6}" y1="{y:.2f}" x2="{_MARGIN}" y2="{y:.2f}" stroke="#444444"/>'
-        )
-        parts.append(
+            f'font-family="sans-serif" font-size="11">{label}</text>',
+        ]
+    for offset, (_, label) in zip(offsets, ticks):
+        y = _HEIGHT - _MARGIN - offset
+        parts += [
+            f'<line x1="{_MARGIN - 6}" y1="{y:.2f}" x2="{_MARGIN}" y2="{y:.2f}" stroke="#444444"/>',
             f'<text x="{_MARGIN - 10}" y="{y + 4:.2f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{label}</text>'
-        )
-    parts.append(
+            f'font-family="sans-serif" font-size="11">{label}</text>',
+        ]
+    parts += [
         f'<text x="{_WIDTH / 2:.1f}" y="{_HEIGHT - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
-    )
-    parts.append(
+        f'font-family="sans-serif" font-size="13">{FEATURE_NAMES[0]}</text>',
         f'<text x="16" y="{_HEIGHT / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="13" transform="rotate(-90 16 {_HEIGHT / 2:.1f})">{ylabel}</text>'
-    )
-    x, y = points[:, 0], points[:, 1]
-    keep = (x0 <= x) & (x <= x1) & (y0 <= y) & (y <= y1)
+        f'font-size="13" transform="rotate(-90 16 {_HEIGHT / 2:.1f})">{FEATURE_NAMES[1]}</text>',
+    ]
+    keep = (np.abs(points) <= limit).all(axis=1)
     # Rounding is monotonic, so kept markers land in [_MARGIN, _HEIGHT - _MARGIN]
     # = [56, 584], inside the exact range that _fixed2 checks.
-    cx = _MARGIN + _offsets(x[keep], x0, x1)
-    cy = _HEIGHT - _MARGIN - _offsets(y[keep], y0, y1)
+    cx = _MARGIN + _offsets(points[keep, 0], limit)
+    cy = _HEIGHT - _MARGIN - _offsets(points[keep, 1], limit)
     if radii is None:
         style_text = list(itertools.starmap('r="{:.2f}" fill="{}" fill-opacity="{:.2f}"/>'.format, styles))
-        circles = _circles(cx, cy, None, style_text, index[keep])
     else:
         style_text = [f'fill="{fill}" fill-opacity="{opacity:.2f}"/>' for _, fill, opacity in styles]
-        circles = _circles(cx, cy, radii[keep], style_text, index[keep])
+        radii = radii[keep]
+    circles = _circles(cx, cy, radii, style_text, index[keep])
     return "\n".join(parts) + "\n" + circles + "</svg>\n"
 
 
-def plot_dataset(dataset: Dataset, title: str = "benchmark dataset") -> str:
+def plot_dataset(dataset: Dataset) -> str:
     """Scatter of a labeled dataset, colored by label."""
     styles = [(2.4, color, 0.75) for color in _LABEL_COLORS]
-    return svg_scatter(dataset.features, styles, dataset.labels, title=title)
+    return svg_scatter(dataset.features, styles, dataset.labels, 4.0, "benchmark dataset")
 
 
-def plot_model_grid(
-    model: BlackBoxModel,
-    resolution: int,
-    limit: float = 3.0,
-    title: str = "model predictions on a uniform grid",
-) -> str:
-    """Model predictions over a uniform grid, colored by the predicted class."""
+def plot_model_grid(model: BlackBoxModel, resolution: int) -> str:
+    """Model predictions over a uniform grid on [-3, 3]², colored by the predicted class."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    axis = np.linspace(-limit, limit, resolution)
+    axis = np.linspace(-_GRID_LIMIT, _GRID_LIMIT, resolution)
     credit, risk = np.meshgrid(axis, axis)
     grid = np.column_stack((credit.ravel(), risk.ravel()))
     labels = np.argmax(model.predict_proba(grid, feature_names=FEATURE_NAMES), axis=1)
     pad = 0.2
-    span = _INNER * (2 * limit) / (2 * limit + 2 * pad)
+    span = _INNER * (2 * _GRID_LIMIT) / (2 * _GRID_LIMIT + 2 * pad)
     radius = max(1.0, 0.45 * span / (resolution - 1))
     styles = [(radius, color, 0.85) for color in _LABEL_COLORS]
-    lim = (-limit - pad, limit + pad)
-    return svg_scatter(grid, styles, labels, xlim=lim, ylim=lim, title=title)
+    return svg_scatter(grid, styles, labels, _GRID_LIMIT + pad, "model predictions on a uniform grid")
 
 
-def plot_neighborhood(
-    nbhd: Neighborhood,
-    weights: np.ndarray,
-    title: str = "sampled neighborhood",
-) -> str:
+def plot_neighborhood(nbhd: Neighborhood, weights: np.ndarray) -> str:
     """Neighborhood points sized by proximity weight, with the origin on top."""
     points, origin = nbhd.points, nbhd.origin
+    if origin.feature_names != FEATURE_NAMES:
+        names = ", ".join(origin.feature_names)
+        raise ValueError(f"a neighborhood plot draws the features {', '.join(FEATURE_NAMES)}, got {names}")
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (len(points),):
         raise ValueError("weights must match the neighborhood size")
@@ -280,6 +257,5 @@ def plot_neighborhood(
     # The origin is drawn last, on top, in the second style.
     style_index = np.append(np.zeros(len(points), dtype=np.intp), 1)
     radii = np.append(1.0 + 4.0 * weights, 6.0)
-    centers = np.vstack((points[:, :2], [origin.values[:2]]))
-    lim = (-limit, limit)
-    return svg_scatter(centers, styles, style_index, xlim=lim, ylim=lim, title=title, radii=radii)
+    centers = np.vstack((points, [origin.values]))
+    return svg_scatter(centers, styles, style_index, limit, "sampled neighborhood", radii=radii)

@@ -187,7 +187,24 @@ def test_smallest_kernel_width_weighs_far_points_zero_without_warnings(capsys):
     code, stdout, stderr = _run(["explain", "0.1", "0.2", "--kernel-width", "1.5e-154"], capsys)
     assert code == 1
     assert stdout == ""
-    assert stderr == "error: fitting stage failed: at least one weight must be positive\n"
+    assert stderr == (
+        "error: fitting stage failed: every kernel weight is 0: the nearest drawn point lies 0.0543 "
+        "from the sample, too far for kernel width 1.5e-154\n"
+    )
+
+
+def test_explain_far_from_the_process_names_the_distance_and_the_kernel_width(capsys):
+    # Every process-aware point lies near the distribution's mean, about 42
+    # units from (30, 30), so every kernel weight underflows to 0.
+    code, stdout, stderr = _run(["explain", "30", "30", "--sampler", "process-aware"], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr == (
+        "error: fitting stage failed: every kernel weight is 0: the nearest drawn point lies 41.5 "
+        "from the sample, too far for kernel width 1.06\n"
+    )
+    code, stdout, _ = _run(["explain", "20", "20", "--sampler", "process-aware"], capsys)
+    assert code == 0 and json.loads(stdout)["coefficients"]
 
 
 def test_explain_at_overflowing_coordinates_names_the_overflow(capsys):

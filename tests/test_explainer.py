@@ -16,6 +16,7 @@ from prolime.core import (
     Explanation,
     FeatureVector,
     LimeHyperparameters,
+    NoiseMode,
 )
 from prolime.explainer import (
     BatchExplainError,
@@ -94,6 +95,20 @@ def _request(model, sampler, *, hyper=None, sample=None, stream=0) -> ExplainReq
     )
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        (StandardSpec(center_mode=CenterMode.MEAN, training_mean=(0.0, 0.0)), r"\(mean, gaussian\)"),
+        (StandardSpec(noise_mode=NoiseMode.LATIN_HYPERCUBE), r"\(sample, lhs\)"),
+    ],
+)
+def test_request_rejects_sampler_modes_that_differ_from_the_hyperparameters(spec, message):
+    with pytest.raises(ValueError, match=message + r" differ from the hyperparameters' \(sample, gaussian\)"):
+        _request(ConstantModel((0.5, 0.5)), spec)
+    hyper = LimeHyperparameters(neighborhood_size=500, center_mode=spec.center_mode, noise_mode=spec.noise_mode)
+    _request(ConstantModel((0.5, 0.5)), spec, hyper=hyper)
+
+
 def test_explain_reports_the_model_prediction_at_the_sample():
     explanation = explain(_request(ConstantModel((0.3, 0.7)), StandardSpec()))
     assert isinstance(explanation, Explanation)
@@ -138,8 +153,9 @@ def test_benchmark_explanation_sign_pattern():
 
 def test_sampling_failure_is_stage_labeled():
     sampler = StandardSpec(center_mode=CenterMode.MEAN, training_mean=None)
+    hyper = LimeHyperparameters(neighborhood_size=500, center_mode=CenterMode.MEAN)
     with pytest.raises(ExplainStageError) as info:
-        explain(_request(ConstantModel((0.5, 0.5)), sampler))
+        explain(_request(ConstantModel((0.5, 0.5)), sampler, hyper=hyper))
     assert info.value.stage == "sampling"
     assert "sampling stage failed" in str(info.value)
 
@@ -172,7 +188,8 @@ def test_proximity_stays_anchored_at_the_sample_under_mean_centering(monkeypatch
     monkeypatch.setattr("prolime.explainer.neighborhood_weights", spy)
     sample = _fv(0.25, -0.25)
     sampler = StandardSpec(center_mode=CenterMode.MEAN, training_mean=(5.0, 5.0))
-    explain(_request(ConstantModel((0.5, 0.5)), sampler, sample=sample))
+    hyper = LimeHyperparameters(neighborhood_size=500, center_mode=CenterMode.MEAN)
+    explain(_request(ConstantModel((0.5, 0.5)), sampler, hyper=hyper, sample=sample))
     assert seen["origin"] == sample
 
 

@@ -1,4 +1,5 @@
-"""SVG scatter: tick placement, limits, per-marker styles and radii, and input checks."""
+"""SVG scatter: tick placement, the square limit, axis names, per-marker styles
+and radii, and input checks."""
 
 from __future__ import annotations
 
@@ -20,37 +21,40 @@ def _tick_labels(svg: str) -> list[str]:
 
 
 def test_spans_up_to_twenty_get_a_tick_per_integer():
-    labels = _tick_labels(svg_scatter(*NO_MARKERS, xlim=(-10.0, 10.0), ylim=(-4.0, 4.0)))
-    assert labels == [str(k) for k in range(-10, 11)] + [str(k) for k in range(-4, 5)]
+    labels = _tick_labels(svg_scatter(*NO_MARKERS, 10.0, "t"))
+    assert labels == [str(k) for k in range(-10, 11)] * 2
 
 
 def test_wider_spans_get_power_of_ten_ticks():
-    labels = _tick_labels(svg_scatter(*NO_MARKERS, xlim=(-26.0, 26.0), ylim=(0.0, 2000.0)))
-    assert labels == ["-20", "-10", "0", "10", "20"] + [f"{k * 100}" for k in range(21)]
+    labels = _tick_labels(svg_scatter(*NO_MARKERS, 26.0, "t"))
+    assert labels == ["-20", "-10", "0", "10", "20"] * 2
 
 
-@pytest.mark.parametrize("lo, hi", [(-MAX_FLOAT, MAX_FLOAT), (0.0, MAX_FLOAT), (-1e300, 3.0)])
-def test_tick_count_stays_bounded_at_extreme_limits(lo, hi):
-    marker = (np.array([[hi, hi]]), [(2.0, "#000000", 1.0)], np.array([0]))
-    svg = svg_scatter(*marker, xlim=(lo, hi), ylim=(lo, hi))
+def test_the_axes_are_credit_and_risk_under_the_title():
+    svg = svg_scatter(*NO_MARKERS, 4.0, "a title")
+    assert re.findall(r'font-size="1[36]"[^>]*>([^<]*)</text>', svg) == ["a title", "credit", "risk"]
+
+
+@pytest.mark.parametrize("limit", [MAX_FLOAT, 1e300, 1e-300])
+def test_tick_count_stays_bounded_at_extreme_limits(limit):
+    marker = (np.array([[limit, -limit]]), [(2.0, "#000000", 1.0)], np.array([0]))
+    svg = svg_scatter(*marker, limit, "t")
     assert 2 <= svg.count("<line") <= 2 * 21
     assert "nan" not in svg and "inf" not in svg
     assert svg.count("<circle") == 1
 
 
-@pytest.mark.parametrize(
-    "xlim", [(0.0, float("inf")), (float("nan"), 1.0), (1.0, 1.0), (2.0, 1.0), (0.0, 5e-324)]
-)
-def test_limits_must_be_finite_and_increasing(xlim):
-    with pytest.raises(ValueError):
-        svg_scatter(*NO_MARKERS, xlim=xlim)
+@pytest.mark.parametrize("limit", [float("inf"), float("nan"), 0.0, -1.0, -0.0, 5e-324])
+def test_the_limit_must_be_finite_and_positive(limit):
+    with pytest.raises(ValueError, match="limit must be finite"):
+        svg_scatter(*NO_MARKERS, limit, "t")
 
 
 def test_each_marker_keeps_its_own_style_text():
     centers = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [-1.0, -1.0], [-2.0, -2.0]])
     marker_styles = [(2.0, "#111111", 0.5), (0.0, "#111111", 0.5), (-0.0, "#111111", 0.5),
                      (2.0, "#111111", -0.0), (2.0, "#111111", 0.0), (2.0, "#222222", 0.5)]
-    svg = svg_scatter(centers, marker_styles, np.arange(6))
+    svg = svg_scatter(centers, marker_styles, np.arange(6), 4.0, "t")
     styles = re.findall(r'<circle cx="[^"]*" cy="[^"]*" (r=.*)/>', svg)
     assert styles == [
         'r="2.00" fill="#111111" fill-opacity="0.50"',
@@ -66,14 +70,14 @@ def test_fill_must_not_contain_nul():
     # The circle rows are NUL-padded and the padding is stripped afterwards,
     # so a NUL in the style text would be lost silently.
     with pytest.raises(ValueError, match="NUL"):
-        svg_scatter(np.zeros((1, 2)), [(2.0, "#11\0", 0.5)], np.array([0]))
+        svg_scatter(np.zeros((1, 2)), [(2.0, "#11\0", 0.5)], np.array([0]), 4.0, "t")
 
 
 @pytest.mark.parametrize("radii", [np.array([1.0, 0.5]), np.array([1.0, np.nan]), np.array([8192.0, 1.0]),
                                    np.array([1.0])])
 def test_radii_must_match_the_markers_and_lie_in_the_exact_range(radii):
     with pytest.raises(ValueError, match="radii must"):
-        svg_scatter(np.zeros((2, 2)), [(2.0, "#111111", 0.5)], np.array([0, 0]), radii=radii)
+        svg_scatter(np.zeros((2, 2)), [(2.0, "#111111", 0.5)], np.array([0, 0]), 4.0, "t", radii=radii)
 
 
 @pytest.mark.parametrize("bad", [-0.5, 1.5, np.nan])
@@ -82,3 +86,11 @@ def test_neighborhood_weights_must_lie_in_the_unit_interval(bad):
     nbhd = Neighborhood(np.zeros((2, 2)), origin)
     with pytest.raises(ValueError, match=r"weights must lie in \[0, 1\]"):
         plot_neighborhood(nbhd, np.array([0.5, bad]))
+
+
+@pytest.mark.parametrize("names", [("credit", "risk", "income"), ("credit",), ("risk", "credit")])
+def test_a_neighborhood_plot_draws_only_credit_and_risk(names):
+    origin = FeatureVector((0.0,) * len(names), names)
+    nbhd = Neighborhood(np.zeros((5, len(names))), origin)
+    with pytest.raises(ValueError, match=f"draws the features credit, risk, got {', '.join(names)}"):
+        plot_neighborhood(nbhd, np.ones(5))

@@ -183,12 +183,12 @@ def test_fixed_point_kernel_equals_format(values):
     assert texts == [format(v, ".2f") for v in values]
 
 
-def _reference_svg_scatter(markers, xlim, ylim, title="", xlabel="credit", ylabel="risk"):
-    """The per-marker renderer: markers are (x, y, radius, fill, opacity)."""
+def _reference_svg_scatter(markers, limit, title):
+    """The per-marker renderer on the box [-limit, limit]² with general axis
+    arithmetic: markers are (x, y, radius, fill, opacity)."""
     width = height = 640
     margin = 56
-    x0, x1 = float(xlim[0]), float(xlim[1])
-    y0, y1 = float(ylim[0]), float(ylim[1])
+    x0, x1 = y0, y1 = -limit, limit
     inner_w = width - 2 * margin
     inner_h = height - 2 * margin
     half_x0, half_y0 = x0 * 0.5, y0 * 0.5
@@ -214,12 +214,9 @@ def _reference_svg_scatter(markers, xlim, ylim, title="", xlabel="credit", ylabe
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
         f'<rect x="{margin}" y="{margin}" width="{inner_w}" height="{inner_h}" '
         f'fill="none" stroke="#444444" stroke-width="1"/>',
+        f'<text x="{width / 2:.1f}" y="{margin - 22}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="16">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{width / 2:.1f}" y="{margin - 22}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="16">{title}</text>'
-        )
     for tick, label in ticks(x0, x1):
         x = px(tick)
         parts.append(
@@ -239,11 +236,11 @@ def _reference_svg_scatter(markers, xlim, ylim, title="", xlabel="credit", ylabe
         )
     parts.append(
         f'<text x="{width / 2:.1f}" y="{height - 14}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
+        f'font-family="sans-serif" font-size="13">credit</text>'
     )
     parts.append(
         f'<text x="16" y="{height / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
-        f'font-size="13" transform="rotate(-90 16 {height / 2:.1f})">{ylabel}</text>'
+        f'font-size="13" transform="rotate(-90 16 {height / 2:.1f})">risk</text>'
     )
     for x, y, radius, fill, opacity in markers:
         if x0 <= x <= x1 and y0 <= y <= y1:
@@ -267,19 +264,18 @@ style_floats = st.one_of(st.sampled_from((0.0, -0.0, 0.005, -0.005, 2.4, 0.125))
 
 @st.composite
 def scatter_inputs(draw):
-    xlim = tuple(sorted(draw(st.lists(plot_floats, min_size=2, max_size=2, unique=True))))
-    ylim = tuple(sorted(draw(st.lists(plot_floats, min_size=2, max_size=2, unique=True))))
-    assume(xlim[1] * 0.5 - xlim[0] * 0.5 > 0 and ylim[1] * 0.5 - ylim[0] * 0.5 > 0)
+    limit = abs(draw(plot_floats))
+    assume(limit * 0.5 > 0)
     # Markers on the limits, just inside and outside them, and anywhere.
-    near = [*xlim, *ylim, *(math.nextafter(v, math.inf) for v in (*xlim, *ylim)),
-            *(math.nextafter(v, -math.inf) for v in (*xlim, *ylim))]
+    edges = (-limit, limit)
+    near = [*edges, *(math.nextafter(v, math.inf) for v in edges), *(math.nextafter(v, -math.inf) for v in edges)]
     coordinate = st.one_of(plot_floats, st.sampled_from(near), st.just(math.nan), st.just(math.inf))
     n = draw(st.integers(0, 40))
     centers = [(draw(coordinate), draw(coordinate)) for _ in range(n)]
     fills = st.sampled_from(("#e07a3f", "#3566a8", "none"))
     styles = draw(st.lists(st.tuples(style_floats, fills, style_floats), min_size=1, max_size=4))
     index = [draw(st.integers(0, len(styles) - 1)) for _ in range(n)]
-    return centers, styles, index, xlim, ylim
+    return centers, styles, index, limit
 
 
 @settings(deadline=None, max_examples=200)
@@ -288,28 +284,26 @@ def scatter_inputs(draw):
     [(0.0, -0.0), (MAX_FLOAT, -MAX_FLOAT), (1e300, 3.0)],
     [(-0.0, "#e07a3f", 0.75), (2.4, "#3566a8", -0.0)],
     [0, 1, 0],
-    (-MAX_FLOAT, MAX_FLOAT),
-    (-1e300, MAX_FLOAT),
+    MAX_FLOAT,
 ))
 def test_svg_scatter_equals_the_per_marker_reference(inputs):
-    centers, styles, index, xlim, ylim = inputs
+    centers, styles, index, limit = inputs
     markers = [(x, y, *styles[i]) for (x, y), i in zip(centers, index)]
-    expected = _reference_svg_scatter(markers, xlim, ylim, title="t")
-    got = svg_scatter(np.array(centers, dtype=float).reshape(-1, 2), styles, np.array(index, dtype=int),
-                      xlim=xlim, ylim=ylim, title="t")
+    expected = _reference_svg_scatter(markers, limit, "t")
+    got = svg_scatter(np.array(centers, dtype=float).reshape(-1, 2), styles, np.array(index, dtype=int), limit, "t")
     assert got == expected
 
 
 @settings(deadline=None, max_examples=100)
 @given(inputs=scatter_inputs(), data=st.data())
 def test_svg_scatter_with_per_marker_radii_equals_the_reference(inputs, data):
-    centers, styles, index, xlim, ylim = inputs
+    centers, styles, index, limit = inputs
     radius = st.one_of(st.sampled_from((1.0, 1.005, 4.995, 5.0, 8191.994)), st.floats(1.0, 8191.99))
     radii = [data.draw(radius) for _ in centers]
     markers = [(x, y, r, *styles[i][1:]) for (x, y), i, r in zip(centers, index, radii)]
-    expected = _reference_svg_scatter(markers, xlim, ylim)
+    expected = _reference_svg_scatter(markers, limit, "t")
     got = svg_scatter(np.array(centers, dtype=float).reshape(-1, 2), styles, np.array(index, dtype=int),
-                      xlim=xlim, ylim=ylim, radii=np.array(radii))
+                      limit, "t", radii=np.array(radii))
     assert got == expected
 
 

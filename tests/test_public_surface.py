@@ -36,6 +36,7 @@ def test_package_all_is_the_union_of_the_module_lists():
 
 def test_names_left_out_of_the_surface_stay_importable_from_their_modules():
     from prolime.evaluation import CellFailure, CellStats, ExperimentReport  # noqa: F401
+    from prolime.plots import svg_scatter  # noqa: F401
     from prolime.samplers import SamplerSpec  # noqa: F401
     from prolime.simulation import GroundTruthBoundary  # noqa: F401
 
