@@ -356,9 +356,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     ev = sub.add_parser("evaluate", help="run the paired sampler comparison")
     _add_common_flags(ev)
-    ev.add_argument("--trials", type=_int_at_most(MAX_TRIALS), default=100,
+    ev.add_argument("--trials", type=_int_at_most(MAX_TRIALS), default=ExperimentConfig.trials,
                     help=f"trial count (default %(default)s, at most {MAX_TRIALS})")
-    ev.add_argument("--sizes", type=_parse_sizes, default="1000,5000", metavar="N1,N2,...",
+    ev.add_argument("--sizes", type=_parse_sizes, metavar="N1,N2,...",
+                    default=",".join(map(str, ExperimentConfig.neighborhood_sizes)),
                     help=f"neighborhood sizes (default %(default)s, each at most {MAX_NEIGHBORHOOD_SIZE})")
     _add_hyper_flags(ev)
     ev.add_argument("--out", type=_file_path, default="report.csv",

@@ -15,8 +15,7 @@ from .simulation import (
     FEATURE_NAMES,
     BenchmarkDistribution,
     GroundTruthBoundary,
-    Quadrant,
-    _pdf_values,
+    gaussian_pdf,
     ground_truth_for,
     oracle_model,
 )
@@ -24,7 +23,6 @@ from .simulation import (
 __all__ = [
     "SAMPLER_NAMES",
     "ExperimentConfig",
-    "MismatchResult",
     "coefficient_mismatch",
     "draw_test_point",
     "report_to_csv",
@@ -37,28 +35,14 @@ __all__ = [
 SAMPLER_NAMES = ("standard", "process-aware")
 
 
-@dataclass(frozen=True)
-class MismatchResult:
-    """Per-feature absolute gap between a surrogate and its local ground truth."""
-
-    credit_mismatch: float
-    risk_mismatch: float
-    quadrant: Quadrant
-
-    def __post_init__(self) -> None:
-        for value in (self.credit_mismatch, self.risk_mismatch):
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError("mismatches must be finite and nonnegative")
-
-
-def coefficient_mismatch(surrogate: LocalSurrogate, truth: GroundTruthBoundary) -> MismatchResult:
-    """Absolute per-feature coefficient differences; the intercept is ignored."""
+def coefficient_mismatch(surrogate: LocalSurrogate, truth: GroundTruthBoundary) -> tuple[float, float]:
+    """Absolute (credit, risk) coefficient differences; the intercept is ignored."""
     missing = [name for name in FEATURE_NAMES if name not in surrogate.feature_names]
     if missing:
         raise ValueError(f"surrogate lacks coefficients for {missing}")
     credit = abs(surrogate.coefficient("credit") - truth.credit_coef)
     risk = abs(surrogate.coefficient("risk") - truth.risk_coef)
-    return MismatchResult(credit, risk, truth.quadrant)
+    return credit, risk
 
 
 @dataclass(frozen=True)
@@ -72,13 +56,17 @@ class ExperimentConfig:
     distribution: BenchmarkDistribution = BenchmarkDistribution()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "neighborhood_sizes", tuple(int(s) for s in self.neighborhood_sizes))
+        sizes = tuple(int(s) for s in self.neighborhood_sizes)
+        object.__setattr__(self, "neighborhood_sizes", sizes)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not self.neighborhood_sizes:
+        if not sizes:
             raise ValueError("at least one neighborhood size is required")
-        if any(size < 2 for size in self.neighborhood_sizes):
+        if any(size < 2 for size in sizes):
             raise ValueError("neighborhood sizes must be at least 2")
+        repeated = [size for i, size in enumerate(sizes) if size in sizes[:i]]
+        if repeated:
+            raise ValueError(f"neighborhood size {repeated[0]} is given more than once")
 
 
 @dataclass(frozen=True)
@@ -116,7 +104,7 @@ def draw_test_point(dist: BenchmarkDistribution, rng: RngStream) -> FeatureVecto
     gen = rng.generator()
     while True:
         row = _gaussian_rows(dist.spec, 1, gen)
-        if _pdf_values(row, dist)[0] >= dist.density_threshold:
+        if gaussian_pdf(row, dist)[0] >= dist.density_threshold:
             return FeatureVector(tuple(row[0].tolist()), FEATURE_NAMES)
 
 
@@ -169,8 +157,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
             except ExplainStageError as exc:
                 failures.append(CellFailure(name, size, trial, exc.stage, str(exc)))
                 continue
-            result = coefficient_mismatch(explanation.surrogate, truth)
-            mismatch[cell_index, :, trial] = result.credit_mismatch, result.risk_mismatch
+            mismatch[cell_index, :, trial] = coefficient_mismatch(explanation.surrogate, truth)
     stats = []
     for (name, size), (credit, risk) in zip(cells, mismatch):
         done = ~np.isnan(credit)

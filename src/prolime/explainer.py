@@ -133,10 +133,11 @@ def explain(req: ExplainRequest) -> Explanation:
             # Squared distances that overflow are inf, and so is their root.
             with np.errstate(over="ignore"):
                 nearest = np.sqrt(_squared_distances(points, req.sample.values).min())
-            raise ValueError(
-                f"every kernel weight is 0: the nearest drawn point lies {nearest:.3g} from the "
-                f"sample, too far for kernel width {hyper.kernel_width:.3g}"
-            )
+            if np.isfinite(nearest):
+                where = f"the nearest drawn point lies {nearest:.3g} from the sample"
+            else:
+                where = "the nearest drawn point's distance from the sample exceeds the float range"
+            raise ValueError(f"every kernel weight is 0: {where}, too far for kernel width {hyper.kernel_width:.3g}")
         design = WeightedDesign(points, targets, weights, req.sample.feature_names)
         surrogate = fit_weighted_ridge(design, hyper.ridge_strength)
         # A ridge fits a feature that never varies to a zero coefficient; that

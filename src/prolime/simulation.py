@@ -95,36 +95,35 @@ QUADRANT_BOUNDARIES = {
 }
 
 
-def approval_label(credit: float, risk: float) -> int:
-    """1 inside the diamond |credit+risk| < 1 and |credit-risk| < 1, else 0."""
-    return int(_diamond_mask(np.array([[credit, risk]], dtype=float))[0])
+def _rows(points: np.ndarray) -> np.ndarray:
+    rows = np.asarray(points, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 2:
+        raise ValueError(f"expected an (n, 2) array of (credit, risk) rows, got shape {rows.shape}")
+    return rows
 
 
-def _diamond_mask(points: np.ndarray) -> np.ndarray:
-    c = points[:, 0]
-    r = points[:, 1]
+def approval_label(points: np.ndarray) -> np.ndarray:
+    """Per (credit, risk) row of an ``(n, 2)`` array: inside the diamond
+    |credit+risk| < 1 and |credit-risk| < 1, as an ``(n,)`` bool mask."""
+    c, r = _rows(points).T
     # Far out, c + r may overflow to inf, which correctly fails the test.
     with np.errstate(over="ignore"):
         return (np.abs(c + r) < 1.0) & (np.abs(c - r) < 1.0)
 
 
-def _pdf_values(points: np.ndarray, dist: BenchmarkDistribution) -> np.ndarray:
+def gaussian_pdf(points: np.ndarray, dist: BenchmarkDistribution) -> np.ndarray:
+    """Exact density of the benchmark distribution at each (credit, risk) row
+    of an ``(n, 2)`` array, as an ``(n,)`` float array."""
+    credit, risk = _rows(points).T
     rho = dist.rho
     det = 1.0 - rho * rho
-    c = points[:, 0] - dist.mean[0]
-    r = points[:, 1] - dist.mean[1]
+    c = credit - dist.mean[0]
+    r = risk - dist.mean[1]
     # Far out, the quadratic form overflows to inf (or inf - inf = nan); both
     # fail every density-threshold comparison, as a density of ~0 should.
     with np.errstate(over="ignore", invalid="ignore"):
         quad = (c * c - 2.0 * rho * c * r + r * r) / det
     return np.exp(-0.5 * quad) / (2.0 * math.pi * math.sqrt(det))
-
-
-def gaussian_pdf(x: FeatureVector, dist: BenchmarkDistribution) -> float:
-    """Exact density of the benchmark distribution at a point."""
-    if x.dim != 2:
-        raise ValueError("the benchmark density is bivariate")
-    return float(_pdf_values(np.array([x.values]), dist)[0])
 
 
 def _first_invalid_row(features: np.ndarray, labels: np.ndarray) -> tuple[int, str] | None:
@@ -180,7 +179,7 @@ def generate_dataset(
 ) -> Dataset:
     """Draw n labeled rows from the benchmark distribution."""
     rows = _gaussian_rows(dist.spec, n, rng.generator())
-    return Dataset(rows, _diamond_mask(rows))
+    return Dataset(rows, approval_label(rows))
 
 
 class OracleModel(BlackBoxModel):
@@ -212,16 +211,14 @@ class OracleModel(BlackBoxModel):
         return np.frombuffer(bytes(first_bytes), dtype=np.uint8) & 1
 
     def predict_proba(self, X: np.ndarray, feature_names: Sequence[str] | None = None) -> np.ndarray:
-        rows = np.asarray(X, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != 2:
-            raise ValueError(f"expected an (n, 2) array of (credit, risk) rows, got shape {rows.shape}")
+        rows = _rows(X)
         if not np.isfinite(rows).all():
             first = int(np.argmin(np.isfinite(rows).all(axis=1)))
             raise ValueError(f"row {first}: feature values must be finite")
         out = np.empty((rows.shape[0], 2))
         labels = out[:, 1]
-        labels[:] = _diamond_mask(rows)
-        off = ~(_pdf_values(rows, self._dist) >= self._dist.density_threshold)
+        labels[:] = approval_label(rows)
+        off = ~(gaussian_pdf(rows, self._dist) >= self._dist.density_threshold)
         if off.any():
             labels[off] = self._coins(rows[off])
         np.subtract(1.0, labels, out=out[:, 0])

@@ -7,14 +7,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlackBoxModel, FeatureVector, LocalSurrogate, _by_column, _require_kernel_width
+from .core import BlackBoxModel, LocalSurrogate, _by_column, _require_kernel_width
 from .samplers import Neighborhood
 
 __all__ = [
     "SingularFitError",
     "WeightedDesign",
     "fit_weighted_ridge",
-    "kernel_weight",
     "label_neighborhood",
     "neighborhood_weights",
 ]
@@ -62,13 +61,6 @@ class WeightedDesign:
         object.__setattr__(self, "feature_names", tuple(str(n) for n in self.feature_names))
 
 
-def kernel_weight(x: FeatureVector, z: FeatureVector, width: float) -> float:
-    """exp(-distance(x, z)^2 / width^2); equals 1 at zero distance."""
-    if x.dim != z.dim:
-        raise ValueError("points must share a dimension")
-    return float(neighborhood_weights(Neighborhood(np.array([z.values]), x), width)[0])
-
-
 def _squared_distances(points: np.ndarray, origin: tuple[float, ...]) -> np.ndarray:
     """Squared Euclidean distance of each row from the origin, summed column
     by column. For d < 8 that adds in the order of ``np.sum(diff ** 2, axis=1)``,
@@ -82,7 +74,8 @@ def _squared_distances(points: np.ndarray, origin: tuple[float, ...]) -> np.ndar
 
 
 def neighborhood_weights(nbhd: Neighborhood, width: float) -> np.ndarray:
-    """Proximity weight of every neighborhood point, anchored at its origin."""
+    """Proximity weight exp(-distance^2 / width^2) of every neighborhood
+    point from its origin; 1 at zero distance."""
     _require_kernel_width(width, "kernel width")
     # A squared distance, or its ratio to a tiny squared width, that
     # overflows to inf gets weight exp(-inf) = 0.

@@ -14,6 +14,7 @@ from prolime.core import FeatureVector, LimeHyperparameters, LocalSurrogate, Noi
 from prolime.evaluation import ExperimentConfig, coefficient_mismatch, run_experiment
 from prolime.explainer import ExplainRequest, explain, explain_batch
 from prolime.samplers import (
+    Neighborhood,
     ProcessAwareSpec,
     RngStream,
     StandardSpec,
@@ -30,7 +31,7 @@ from prolime.simulation import (
     ground_truth_for,
     oracle_model,
 )
-from prolime.surrogate import WeightedDesign, fit_weighted_ridge, kernel_weight
+from prolime.surrogate import WeightedDesign, fit_weighted_ridge, neighborhood_weights
 
 NAMES = ("credit", "risk")
 
@@ -46,9 +47,9 @@ def _report(label: str, ok: bool) -> None:
 def test_criterion_1_mismatch_metric_reference_value():
     truth = ground_truth_for(_fv(0.41, -0.51))
     surrogate = LocalSurrogate(1.0, (-0.66, 0.69), NAMES)
-    result = coefficient_mismatch(surrogate, truth)
-    credit_ok = abs(result.credit_mismatch - 0.34) <= 1e-12
-    risk_ok = abs(result.risk_mismatch - 0.31) <= 1e-12
+    credit, risk = coefficient_mismatch(surrogate, truth)
+    credit_ok = abs(credit - 0.34) <= 1e-12
+    risk_ok = abs(risk - 0.31) <= 1e-12
     _report("criterion 1", credit_ok and risk_ok)
     assert credit_ok
     assert risk_ok
@@ -117,22 +118,17 @@ def test_criterion_4_oracle_grid_behavior():
     dist = BenchmarkDistribution()
     model = oracle_model(dist, model_seed=0)
     axis = np.linspace(-3.0, 3.0, 200)
-    points = [_fv(c, r) for c in axis for r in axis]
-    first = model.predict_proba(np.array([p.values for p in points]))
-    second = model.predict_proba(np.array([p.values for p in points]))
+    points = np.array([(c, r) for c in axis for r in axis])
+    first = model.predict_proba(points)
+    second = model.predict_proba(points)
     repeat_ok = np.array_equal(first, second)
 
-    exact_ok = True
-    ood_labels = []
-    for point, prob in zip(points, first):
-        label = int(prob[1])
-        if gaussian_pdf(point, dist) >= dist.density_threshold:
-            if label != approval_label(point.values[0], point.values[1]):
-                exact_ok = False
-        else:
-            ood_labels.append(label)
+    labels = first[:, 1]
+    on = gaussian_pdf(points, dist) >= dist.density_threshold
+    exact_ok = bool(np.array_equal(labels[on], approval_label(points[on])))
+    ood_labels = labels[~on]
     enough_ood = len(ood_labels) >= 10000
-    fraction = sum(ood_labels) / len(ood_labels)
+    fraction = float(ood_labels.mean())
     fraction_ok = 0.45 <= fraction <= 0.55
     ok = repeat_ok and exact_ok and enough_ood and fraction_ok
     _report("criterion 4", ok)
@@ -192,12 +188,12 @@ def test_criterion_5_weighted_ridge_matches_brute_force():
 def test_criterion_6_proximity_kernel_shape():
     width = 0.75 * math.sqrt(2.0)
     origin = _fv(0.3, -0.7)
-    at_origin = kernel_weight(origin, origin, width)
+    at_origin = neighborhood_weights(Neighborhood(np.array([origin.values]), origin), width)[0]
     identity_ok = at_origin == 1.0
-    at_width = kernel_weight(_fv(0.0, 0.0), _fv(width, 0.0), width)
-    width_ok = abs(at_width - math.exp(-1.0)) <= 1e-12
     distances = np.linspace(0.1, 5.0, 80)
-    values = [kernel_weight(_fv(0.0, 0.0), _fv(float(d), 0.0), width) for d in distances]
+    on_axis = Neighborhood(np.column_stack([[width, *distances], np.zeros(81)]), _fv(0.0, 0.0))
+    at_width, *values = neighborhood_weights(on_axis, width).tolist()
+    width_ok = abs(at_width - math.exp(-1.0)) <= 1e-12
     monotone_ok = all(a > b for a, b in zip(values, values[1:]))
     ok = identity_ok and width_ok and monotone_ok
     _report("criterion 6", ok)

@@ -207,6 +207,17 @@ def test_explain_far_from_the_process_names_the_distance_and_the_kernel_width(ca
     assert code == 0 and json.loads(stdout)["coefficients"]
 
 
+def test_explain_names_a_nearest_distance_beyond_the_float_range(capsys):
+    # The squared distance of every drawn point from the sample overflows to inf.
+    argv = ["explain", "1.7e308", "-1.7e308", "--sampler", "process-aware", "--kernel-width", "1e-100"]
+    assert _run(argv, capsys) == (
+        1,
+        "",
+        "error: fitting stage failed: every kernel weight is 0: the nearest drawn point's distance "
+        "from the sample exceeds the float range, too far for kernel width 1e-100\n",
+    )
+
+
 def test_explain_at_overflowing_coordinates_names_the_overflow(capsys):
     code, stdout, stderr = _run(["explain", "1.7e308", "1.7e308"], capsys)
     assert code == 1
@@ -853,6 +864,15 @@ def test_malformed_sizes_are_usage_errors(sizes, capsys, monkeypatch):
     assert stderr.endswith(
         f"error: argument --sizes: expected comma-separated integers, got {sizes!r}\n"
     )
+
+
+def test_repeated_sizes_are_usage_errors_and_write_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_experiment", _refuse_to_run)
+    monkeypatch.chdir(tmp_path)
+    code, stdout, stderr = _run(["evaluate", "--trials", "2", "--sizes", "50,50", "--seed", "0"], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr == "error: neighborhood size 50 is given more than once\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def _innermost(argv: list[str]) -> tuple[argparse.ArgumentParser, list[str]]:

@@ -15,7 +15,6 @@ import prolime.simulation as simulation_module
 from prolime.core import FeatureVector, LimeHyperparameters, LocalSurrogate, NoiseMode
 from prolime.evaluation import (
     ExperimentConfig,
-    MismatchResult,
     coefficient_mismatch,
     draw_test_point,
     report_to_csv,
@@ -45,41 +44,29 @@ def _fv(credit: float, risk: float) -> FeatureVector:
     return FeatureVector((credit, risk), NAMES)
 
 
-def test_mismatch_result_rejects_invalid_values():
-    with pytest.raises(ValueError):
-        MismatchResult(-0.1, 0.2, Quadrant.I)
-    with pytest.raises(ValueError):
-        MismatchResult(float("nan"), 0.2, Quadrant.I)
-    assert MismatchResult(0.0, 0.0, Quadrant.II).quadrant is Quadrant.II
-
-
 def test_coefficient_mismatch_quadrant_four_example():
     truth = ground_truth_for(_fv(0.41, -0.51))
-    result = coefficient_mismatch(_surrogate(-0.66, 0.69), truth)
-    assert abs(result.credit_mismatch - 0.34) <= 1e-12
-    assert abs(result.risk_mismatch - 0.31) <= 1e-12
-    assert result.quadrant == Quadrant.IV
+    assert truth.quadrant == Quadrant.IV
+    credit, risk = coefficient_mismatch(_surrogate(-0.66, 0.69), truth)
+    assert abs(credit - 0.34) <= 1e-12
+    assert abs(risk - 0.31) <= 1e-12
 
 
 def test_coefficient_mismatch_exact_recovery_is_zero():
     truth = ground_truth_for(_fv(0.41, -0.51))
-    result = coefficient_mismatch(_surrogate(-1.0, 1.0), truth)
-    assert result.credit_mismatch == 0.0
-    assert result.risk_mismatch == 0.0
+    assert coefficient_mismatch(_surrogate(-1.0, 1.0), truth) == (0.0, 0.0)
 
 
 def test_coefficient_mismatch_zero_surrogate():
     truth = ground_truth_for(_fv(0.41, -0.51))
-    result = coefficient_mismatch(_surrogate(0.0, 0.0), truth)
-    assert result.credit_mismatch == 1.0
-    assert result.risk_mismatch == 1.0
+    assert coefficient_mismatch(_surrogate(0.0, 0.0), truth) == (1.0, 1.0)
 
 
 def test_coefficient_mismatch_ignores_the_intercept():
     truth = ground_truth_for(_fv(0.41, -0.51))
     a = coefficient_mismatch(_surrogate(-0.66, 0.69, intercept=1.0), truth)
     b = coefficient_mismatch(_surrogate(-0.66, 0.69, intercept=-7.5), truth)
-    assert (a.credit_mismatch, a.risk_mismatch) == (b.credit_mismatch, b.risk_mismatch)
+    assert a == b
 
 
 def test_coefficient_mismatch_requires_both_benchmark_features():
@@ -94,7 +81,7 @@ def test_draw_test_point_stays_on_distribution():
     dist = BenchmarkDistribution()
     for stream in range(20):
         point = draw_test_point(dist, RngStream(17, stream))
-        assert gaussian_pdf(point, dist) >= dist.density_threshold
+        assert gaussian_pdf(point.as_array()[None, :], dist)[0] >= dist.density_threshold
     again = draw_test_point(dist, RngStream(17, 0))
     assert again == draw_test_point(dist, RngStream(17, 0))
 
@@ -126,6 +113,13 @@ def test_experiment_config_validation():
         ExperimentConfig(master_seed=0, neighborhood_sizes=())
     with pytest.raises(ValueError):
         ExperimentConfig(master_seed=0, neighborhood_sizes=(1,))
+
+
+def test_experiment_config_rejects_a_repeated_size():
+    # Two cells of one sampler and size would each claim the same report row.
+    with pytest.raises(ValueError, match="^neighborhood size 50 is given more than once$"):
+        ExperimentConfig(master_seed=0, neighborhood_sizes=(50, 100, 50))
+    assert ExperimentConfig(master_seed=0, neighborhood_sizes=(100, 50)).neighborhood_sizes == (100, 50)
 
 
 def test_sampler_spec_builds_each_named_sampler():
@@ -163,9 +157,7 @@ def test_single_trial_uses_the_documented_stream_layout():
         explanation = explain(
             ExplainRequest(test_point, model, hyper, samplers[stream], RngStream(41, stream))
         )
-        expected = coefficient_mismatch(explanation.surrogate, truth)
-        assert cell.credit_mean == expected.credit_mismatch
-        assert cell.risk_mean == expected.risk_mismatch
+        assert (cell.credit_mean, cell.risk_mean) == coefficient_mismatch(explanation.surrogate, truth)
 
 
 def test_a_failed_trial_drops_out_of_its_cell_alone(monkeypatch):
@@ -192,9 +184,9 @@ def test_a_failed_trial_drops_out_of_its_cell_alone(monkeypatch):
     for trial in (0, 2):
         test_point = draw_test_point(dist, RngStream(5, trial * 5))
         explanation = explain(ExplainRequest(test_point, model, hyper, standard, RngStream(5, trial * 5 + 1)))
-        result = coefficient_mismatch(explanation.surrogate, ground_truth_for(test_point))
-        credit.append(result.credit_mismatch)
-        risk.append(result.risk_mismatch)
+        credit_gap, risk_gap = coefficient_mismatch(explanation.surrogate, ground_truth_for(test_point))
+        credit.append(credit_gap)
+        risk.append(risk_gap)
     cell = report.cells[0]
     assert (cell.credit_mean, cell.credit_std) == (float(np.mean(credit)), float(np.std(credit)))
     assert (cell.risk_mean, cell.risk_std) == (float(np.mean(risk)), float(np.std(risk)))

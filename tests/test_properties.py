@@ -1,4 +1,5 @@
-"""Property tests of the oracle, the SVG renderer and the dataset CSV reader
+"""Property tests of the benchmark's row functions against their one-row
+calls, of the oracle, the SVG renderer and the dataset CSV reader
 against per-row references, of the labeling stage's probability check, of
 the CSV round trip, of the proximity kernel, the ridge fit and the inverse
 normal CDF against numpy and scipy references, of the Latin hypercube strata
@@ -36,8 +37,8 @@ from prolime.simulation import (
     Dataset,
     DatasetFormatError,
     OracleModel,
-    _diamond_mask,
-    _pdf_values,
+    approval_label,
+    gaussian_pdf,
     read_dataset_csv,
     write_dataset_csv,
 )
@@ -66,8 +67,8 @@ def rows_with_far_points(draw) -> np.ndarray:
 def _reference_oracle(dist: BenchmarkDistribution, model_seed: int, rows: np.ndarray) -> np.ndarray:
     """The per-row oracle loop: exact label on-distribution, one blake2b coin per row off it."""
     seed_bytes = struct.pack("<Q", model_seed % 2**64)
-    densities = _pdf_values(rows, dist)
-    in_diamond = _diamond_mask(rows)
+    densities = gaussian_pdf(rows, dist)
+    in_diamond = approval_label(rows)
     out = []
     for i in range(rows.shape[0]):
         if densities[i] >= dist.density_threshold:
@@ -77,6 +78,27 @@ def _reference_oracle(dist: BenchmarkDistribution, model_seed: int, rows: np.nda
             label = hashlib.blake2b(payload, digest_size=8).digest()[0] & 1
         out.append((0.0, 1.0) if label == 1 else (1.0, 0.0))
     return np.array(out, dtype=float).reshape(-1, 2)
+
+
+@settings(deadline=None)
+@given(
+    rows=rows_with_far_points(),
+    rho=st.sampled_from((-0.9, 0.0, 0.6)),
+    width=st.sampled_from((1, 3)),
+)
+def test_benchmark_row_functions_equal_their_one_row_calls(rows, rho, width):
+    dist = BenchmarkDistribution(rho)
+    labels, densities = approval_label(rows), gaussian_pdf(rows, dist)
+    assert labels.shape == densities.shape == (rows.shape[0],)
+    for i, row in enumerate(rows):
+        assert approval_label(row[None, :]).tolist() == [labels[i]]
+        assert gaussian_pdf(row[None, :], dist).tobytes() == densities[i:i + 1].tobytes()
+    # Only (n, 2) arrays of (credit, risk) rows are accepted.
+    for bad in (np.zeros((rows.shape[0], width)), rows[0], rows.ravel()):
+        with pytest.raises(ValueError, match=r"^expected an \(n, 2\) array of \(credit, risk\) rows"):
+            approval_label(bad)
+        with pytest.raises(ValueError, match=r"^expected an \(n, 2\) array of \(credit, risk\) rows"):
+            gaussian_pdf(bad, dist)
 
 
 @settings(deadline=None)

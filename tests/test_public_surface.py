@@ -94,3 +94,17 @@ def test_only_the_samplers_module_reads_the_cholesky_factor():
         )
     )
     assert readers == ["samplers.py"]
+
+
+def test_private_names_shared_between_modules_stay_few():
+    # A private name imported by a sibling module is a decision that module
+    # shares without declaring it; each one here is a deliberate exception.
+    shared = {
+        alias.name
+        for path in Path(prolime.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    }
+    assert shared == {"_gaussian_rows", "_collapse_cause", "_squared_distances", "_by_column", "_require_kernel_width"}

@@ -72,20 +72,16 @@ def test_density_threshold_must_lie_below_the_peak_density():
     assert BenchmarkDistribution.density_threshold < 1.0 / (2.0 * math.pi)
     for rho in (-0.999999, -0.9, 0.0, 0.5):
         dist = BenchmarkDistribution(rho)
-        assert gaussian_pdf(_fv(0.0, 0.0), dist) >= dist.density_threshold
+        assert gaussian_pdf(np.zeros((1, 2)), dist)[0] >= dist.density_threshold
 
 
 def test_approval_label_examples():
-    assert approval_label(0.0, 0.0) == 1
-    assert approval_label(1.5, 0.2) == 0
-    assert approval_label(0.3, -0.4) == 1
+    assert approval_label(np.array([[0.0, 0.0], [1.5, 0.2], [0.3, -0.4]])).tolist() == [True, False, True]
 
 
 def test_approval_boundary_is_exclusive():
-    assert approval_label(0.5, -0.5) == 0
-    assert approval_label(0.5, 0.5) == 0
-    assert approval_label(1.0, 0.0) == 0
-    assert approval_label(0.0, -1.0) == 0
+    boundary = np.array([[0.5, -0.5], [0.5, 0.5], [1.0, 0.0], [0.0, -1.0]])
+    assert not approval_label(boundary).any()
 
 
 def test_denied_points_have_a_rotated_coordinate_at_least_one():
@@ -98,37 +94,36 @@ def test_denied_points_have_a_rotated_coordinate_at_least_one():
 
 
 def test_pdf_at_origin_matches_closed_form():
-    value = gaussian_pdf(_fv(0.0, 0.0), BenchmarkDistribution())
+    value = gaussian_pdf(np.zeros((1, 2)), BenchmarkDistribution())[0]
     assert value == 0.3651264806855467
     assert abs(value - 1.0 / (2.0 * math.pi * math.sqrt(0.19))) <= 1e-15
     assert abs(value - 0.365135) < 1e-5
 
 
 def test_pdf_uncorrelated_origin():
-    value = gaussian_pdf(_fv(0.0, 0.0), BenchmarkDistribution(0.0))
+    value = gaussian_pdf(np.zeros((1, 2)), BenchmarkDistribution(0.0))[0]
     assert value == 0.15915494309189535
 
 
 def test_pdf_symmetry():
     dist = BenchmarkDistribution()
-    for credit, risk in [(0.3, -0.7), (1.2, 0.4), (-2.0, 1.5)]:
-        assert gaussian_pdf(_fv(credit, risk), dist) == gaussian_pdf(_fv(-credit, -risk), dist)
-        swapped = gaussian_pdf(_fv(risk, credit), dist)
-        assert abs(gaussian_pdf(_fv(credit, risk), dist) - swapped) <= 1e-12
+    points = np.array([[0.3, -0.7], [1.2, 0.4], [-2.0, 1.5]])
+    values = gaussian_pdf(points, dist)
+    assert gaussian_pdf(-points, dist).tolist() == values.tolist()
+    assert np.max(np.abs(gaussian_pdf(points[:, ::-1], dist) - values)) <= 1e-12
 
 
 def test_pdf_agrees_with_reference_implementation():
     dist = BenchmarkDistribution()
     reference = multivariate_normal(mean=[0.0, 0.0], cov=[[1.0, -0.9], [-0.9, 1.0]])
     gen = np.random.default_rng(2)
-    for point in gen.normal(size=(40, 2)):
-        ours = gaussian_pdf(_fv(point[0], point[1]), dist)
-        assert abs(ours - float(reference.pdf(point))) <= 1e-12
+    points = gen.normal(size=(40, 2))
+    assert np.max(np.abs(gaussian_pdf(points, dist) - reference.pdf(points))) <= 1e-12
 
 
 def test_pdf_rejects_wrong_dimension():
-    with pytest.raises(ValueError):
-        gaussian_pdf(FeatureVector((1.0,), ("credit",)), BenchmarkDistribution())
+    with pytest.raises(ValueError, match=r"expected an \(n, 2\) array of \(credit, risk\) rows, got shape \(1, 1\)"):
+        gaussian_pdf(np.array([[1.0]]), BenchmarkDistribution())
 
 
 def test_generate_dataset_is_deterministic():
@@ -140,8 +135,7 @@ def test_generate_dataset_is_deterministic():
 
 def test_generate_dataset_labels_follow_the_diamond_rule():
     dataset = generate_dataset(3000, RngStream(21))
-    for (credit, risk), label in zip(dataset.features.tolist(), dataset.labels.tolist()):
-        assert label == approval_label(credit, risk)
+    assert dataset.labels.tolist() == approval_label(dataset.features).astype(int).tolist()
 
 
 def test_generate_dataset_statistics():
@@ -175,33 +169,29 @@ def test_generate_dataset_rejects_empty_request():
 def test_oracle_examples():
     model = oracle_model(BenchmarkDistribution(), model_seed=0)
     assert model.predict_proba(np.array([[0.41, -0.51]])).tolist() == [[0.0, 1.0]]
-    assert gaussian_pdf(_fv(3.0, 3.0), BenchmarkDistribution()) < 0.01
+    assert gaussian_pdf(np.array([[3.0, 3.0]]), BenchmarkDistribution())[0] < 0.01
 
 
 def test_oracle_is_exact_wherever_density_clears_the_threshold():
     dist = BenchmarkDistribution()
     model = oracle_model(dist, model_seed=5)
     axis = np.linspace(-3.0, 3.0, 60)
-    points = [_fv(c, r) for c in axis for r in axis]
-    probabilities = model.predict_proba(_rows(points))
-    checked = 0
-    for point, prob in zip(points, probabilities):
-        if gaussian_pdf(point, dist) < dist.density_threshold:
-            continue
-        checked += 1
-        expected = approval_label(point.values[0], point.values[1])
-        assert prob.tolist() == ([0.0, 1.0] if expected == 1 else [1.0, 0.0])
-    assert checked > 100
+    points = np.array([(c, r) for c in axis for r in axis])
+    probabilities = model.predict_proba(points)
+    on = gaussian_pdf(points, dist) >= dist.density_threshold
+    expected = approval_label(points[on])
+    assert probabilities[on].tolist() == [[0.0, 1.0] if e else [1.0, 0.0] for e in expected]
+    assert on.sum() > 100
 
 
 def test_oracle_far_out_coin_is_roughly_fair():
     dist = BenchmarkDistribution()
     model = oracle_model(dist, model_seed=0)
     axis = np.linspace(-10.0, 10.0, 150)
-    points = [_fv(c, r) for c in axis for r in axis]
-    ood = [p for p in points if gaussian_pdf(p, dist) < dist.density_threshold]
+    points = np.array([(c, r) for c in axis for r in axis])
+    ood = points[gaussian_pdf(points, dist) < dist.density_threshold]
     assert len(ood) >= 10000
-    ones = float(model.predict_proba(_rows(ood))[:, 1].sum())
+    ones = float(model.predict_proba(ood)[:, 1].sum())
     assert 0.45 <= ones / len(ood) <= 0.55
 
 
@@ -289,9 +279,8 @@ def _line_distances(credit: float, risk: float) -> dict[Quadrant, float]:
 def test_own_quadrant_edge_is_strictly_nearest_on_distribution():
     dist = BenchmarkDistribution()
     checked = 0
-    for credit, risk in generate_dataset(4000, RngStream(7), dist).features.tolist():
-        if gaussian_pdf(_fv(credit, risk), dist) < dist.density_threshold:
-            continue
+    rows = generate_dataset(4000, RngStream(7), dist).features
+    for credit, risk in rows[gaussian_pdf(rows, dist) >= dist.density_threshold].tolist():
         checked += 1
         own = ground_truth_for(_fv(credit, risk)).quadrant
         distances = _line_distances(credit, risk)
@@ -302,7 +291,8 @@ def test_own_quadrant_edge_is_strictly_nearest_on_distribution():
 def test_strict_nearest_edge_holds_exactly_inside_the_unit_square():
     dist = BenchmarkDistribution()
     on_distribution_violations = 0
-    for credit, risk in generate_dataset(4000, RngStream(7), dist).features.tolist():
+    rows = generate_dataset(4000, RngStream(7), dist).features
+    for (credit, risk), density in zip(rows.tolist(), gaussian_pdf(rows, dist).tolist()):
         low, high = sorted((abs(credit), abs(risk)))
         if low < 1e-9 or abs(high - 1.0) < 1e-9:
             continue
@@ -310,7 +300,7 @@ def test_strict_nearest_edge_holds_exactly_inside_the_unit_square():
         distances = _line_distances(credit, risk)
         strictly_nearest = all(distances[own] < d for q, d in distances.items() if q != own)
         assert strictly_nearest == (high < 1.0)
-        if not strictly_nearest and gaussian_pdf(_fv(credit, risk), dist) >= dist.density_threshold:
+        if not strictly_nearest and density >= dist.density_threshold:
             on_distribution_violations += 1
     assert on_distribution_violations > 0
 

@@ -20,7 +20,6 @@ from prolime.surrogate import (
     SingularFitError,
     WeightedDesign,
     fit_weighted_ridge,
-    kernel_weight,
     label_neighborhood,
     neighborhood_weights,
 )
@@ -37,9 +36,7 @@ def _nbhd(rows) -> Neighborhood:
 
 
 def test_kernel_width_must_be_positive():
-    for width in (0.0, -1.0):
-        with pytest.raises(ValueError, match="kernel width must be positive and finite"):
-            kernel_weight(_fv(0.0, 0.0), _fv(3.0, 4.0), width)
+    for width in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="kernel width must be positive and finite"):
             neighborhood_weights(_nbhd([[0.0, 0.0], [3.0, 4.0]]), width)
 
@@ -47,31 +44,23 @@ def test_kernel_width_must_be_positive():
 def test_kernel_width_whose_square_underflows_is_rejected():
     below = math.nextafter(1.4916681462400413e-154, 0.0)
     with pytest.raises(ValueError, match="kernel width must be at least 1.49"):
-        kernel_weight(_fv(0.0, 0.0), _fv(3.0, 4.0), below)
-    with pytest.raises(ValueError, match="kernel width must be at least 1.49"):
         neighborhood_weights(_nbhd([[0.0, 0.0], [3.0, 4.0]]), below)
     tiny = 1.4916681462400413e-154
-    x = _fv(0.0, 0.0)
-    assert kernel_weight(x, x, tiny) == 1.0
-    assert kernel_weight(x, _fv(3.0, 4.0), tiny) == 0.0
     assert neighborhood_weights(_nbhd([[0.0, 0.0], [3.0, 4.0]]), tiny).tolist() == [1.0, 0.0]
 
 
 def test_kernel_is_one_at_zero_distance():
     x = _fv(0.41, -0.51)
-    assert kernel_weight(x, x, 1.0) == 1.0
+    assert neighborhood_weights(Neighborhood(np.array([x.values]), x), 1.0).tolist() == [1.0]
 
 
 def test_kernel_at_width_distance_is_inverse_e():
     width = 0.75 * math.sqrt(2.0)
-    x = _fv(0.0, 0.0)
-    z = _fv(width, 0.0)
-    assert abs(kernel_weight(x, z, width) - math.exp(-1.0)) <= 1e-12
+    assert abs(neighborhood_weights(_nbhd([[width, 0.0]]), width)[0] - math.exp(-1.0)) <= 1e-12
 
 
 def test_kernel_three_four_five_distance():
-    weight = kernel_weight(_fv(0.0, 0.0), _fv(3.0, 4.0), 5.0)
-    assert weight == math.exp(-1.0)
+    assert neighborhood_weights(_nbhd([[3.0, 4.0]]), 5.0).tolist() == [math.exp(-1.0)]
 
 
 def test_kernel_matches_closed_form_on_random_pairs():
@@ -80,25 +69,23 @@ def test_kernel_matches_closed_form_on_random_pairs():
         x = gen.standard_normal(2)
         z = gen.standard_normal(2)
         expected = math.exp(-float(np.sum((x - z) ** 2)) / (1.7 * 1.7))
-        got = kernel_weight(_fv(*x), _fv(*z), 1.7)
+        got = neighborhood_weights(Neighborhood(z[None, :], _fv(*x)), 1.7)[0]
         assert abs(got - expected) <= 1e-15
 
 
 def test_kernel_weighs_a_point_whose_squared_distance_overflows_zero():
-    assert kernel_weight(_fv(0.0, 0.0), _fv(1e200, 0.0), 1.0) == 0.0
     assert neighborhood_weights(_nbhd([[1e200, 0.0]]), 1.0).tolist() == [0.0]
 
 
 def test_kernel_rejects_dimension_mismatch():
-    with pytest.raises(ValueError, match="points must share a dimension"):
-        kernel_weight(_fv(0.0, 0.0), _fv(0.0), 1.0)
+    with pytest.raises(ValueError, match="every neighborhood point must match the origin's dimension"):
+        neighborhood_weights(Neighborhood(np.array([[0.0]]), _fv(0.0, 0.0)), 1.0)
 
 
 def test_kernel_strictly_decreases_with_distance():
-    x = _fv(0.0, 0.0)
     distances = np.linspace(0.05, 6.0, 40)
-    weights = [kernel_weight(x, _fv(d, 0.0), 1.0606601717798214) for d in distances]
-    assert all(a > b for a, b in zip(weights, weights[1:]))
+    weights = neighborhood_weights(_nbhd(np.column_stack([distances, np.zeros(40)])), 1.0606601717798214)
+    assert np.all(np.diff(weights) < 0.0)
 
 
 def test_neighborhood_weights_match_the_scalar_kernel():
@@ -107,7 +94,7 @@ def test_neighborhood_weights_match_the_scalar_kernel():
     origin = _fv(0.3, -0.2)
     nbhd = Neighborhood(rows, origin)
     vector = neighborhood_weights(nbhd, 0.9)
-    scalar = [kernel_weight(origin, _fv(*p), 0.9) for p in nbhd.points.tolist()]
+    scalar = [math.exp(-((c - 0.3) ** 2 + (r + 0.2) ** 2) / 0.9**2) for c, r in nbhd.points.tolist()]
     assert np.max(np.abs(vector - np.array(scalar))) <= 1e-15
     assert np.all(vector > 0.0) and np.all(vector <= 1.0)
 
