@@ -34,8 +34,8 @@ from .evaluation import (
     sampler_spec,
     summary_table,
 )
-from .explainer import ExplainRequest, ExplainStageError, draw_neighborhood, explain
-from .samplers import RngStream
+from .explainer import ExplainRequest, ExplainStageError, explain
+from .samplers import RngStream, draw_neighborhood
 from .simulation import (
     BenchmarkDistribution,
     DatasetFormatError,

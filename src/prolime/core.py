@@ -5,6 +5,7 @@ from __future__ import annotations
 import abc
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from enum import Enum
@@ -171,6 +172,9 @@ class LimeHyperparameters:
     explained_class: int = 1
 
     def __post_init__(self) -> None:
+        for name, cast in (("neighborhood_size", operator.index), ("explained_class", operator.index),
+                           ("kernel_width", float), ("ridge_strength", float)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
         if self.neighborhood_size < 2:
             raise ValueError("neighborhood_size must be at least 2")
         _require_kernel_width(self.kernel_width, "kernel_width")

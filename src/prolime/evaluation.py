@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -14,7 +15,6 @@ from .samplers import RngStream, SamplerSpec, StandardSpec, _gaussian_rows
 from .simulation import (
     FEATURE_NAMES,
     BenchmarkDistribution,
-    GroundTruthBoundary,
     gaussian_pdf,
     ground_truth_for,
     oracle_model,
@@ -35,14 +35,18 @@ __all__ = [
 SAMPLER_NAMES = ("standard", "process-aware")
 
 
-def coefficient_mismatch(surrogate: LocalSurrogate, truth: GroundTruthBoundary) -> tuple[float, float]:
-    """Absolute (credit, risk) coefficient differences; the intercept is ignored."""
+def coefficient_mismatch(surrogate: LocalSurrogate, truth: np.ndarray) -> tuple[float, float]:
+    """Absolute (credit, risk) gaps between the surrogate's coefficients and
+    ``truth``, one ``(2,)`` row of :func:`ground_truth_for`; the intercept is
+    ignored."""
     missing = [name for name in FEATURE_NAMES if name not in surrogate.feature_names]
     if missing:
         raise ValueError(f"surrogate lacks coefficients for {missing}")
-    credit = abs(surrogate.coefficient("credit") - truth.credit_coef)
-    risk = abs(surrogate.coefficient("risk") - truth.risk_coef)
-    return credit, risk
+    truth = np.asarray(truth, dtype=float)
+    if truth.shape != (2,):
+        raise ValueError(f"truth must be one (credit, risk) row of shape (2,), got shape {truth.shape}")
+    credit, risk = truth.tolist()
+    return abs(surrogate.coefficient("credit") - credit), abs(surrogate.coefficient("risk") - risk)
 
 
 @dataclass(frozen=True)
@@ -56,8 +60,11 @@ class ExperimentConfig:
     distribution: BenchmarkDistribution = BenchmarkDistribution()
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(s) for s in self.neighborhood_sizes)
+        sizes = tuple(map(operator.index, self.neighborhood_sizes))
         object.__setattr__(self, "neighborhood_sizes", sizes)
+        object.__setattr__(self, "trials", operator.index(self.trials))
+        # Every stream of the run is seeded with the master seed.
+        object.__setattr__(self, "master_seed", RngStream(self.master_seed).seed)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if not sizes:
@@ -142,7 +149,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     failures: list[CellFailure] = []
     for trial in range(config.trials):
         test_point = draw_test_point(dist, RngStream(config.master_seed, trial * stride))
-        truth = ground_truth_for(test_point)
+        truth = ground_truth_for([test_point.values])[0]
         for cell_index, (name, size) in enumerate(cells):
             stream = RngStream(config.master_seed, trial * stride + 1 + cell_index)
             request = ExplainRequest(

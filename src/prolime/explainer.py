@@ -18,15 +18,7 @@ from .core import (
     FeatureVector,
     LimeHyperparameters,
 )
-from .samplers import (
-    Neighborhood,
-    ProcessAwareSpec,
-    RngStream,
-    SamplerSpec,
-    StandardSpec,
-    sample_process_aware,
-    sample_standard,
-)
+from .samplers import RngStream, SamplerSpec, StandardSpec, draw_neighborhood
 from .surrogate import (
     SingularFitError,
     WeightedDesign,
@@ -41,7 +33,6 @@ __all__ = [
     "BatchExplainError",
     "ExplainRequest",
     "ExplainStageError",
-    "draw_neighborhood",
     "explain",
     "explain_batch",
 ]
@@ -81,8 +72,7 @@ class ExplainRequest:
 
     def __post_init__(self) -> None:
         sampler = self.sampler
-        dim = len(sampler.per_feature_scale if isinstance(sampler, StandardSpec) else sampler.mean)
-        if dim != self.sample.dim:
+        if len(sampler.per_feature_scale) != self.sample.dim:
             raise ValueError("sampler dimension does not match the explained sample")
         # The spec draws the neighborhood, and reports read the modes from hyper.
         if isinstance(sampler, StandardSpec):
@@ -92,20 +82,6 @@ class ExplainRequest:
                     f"the sampler's center and noise modes ({', '.join(spec)}) differ from the "
                     f"hyperparameters' ({', '.join(hyper)})"
                 )
-
-
-def draw_neighborhood(
-    sample: FeatureVector,
-    sampler: SamplerSpec,
-    n: int,
-    rng: RngStream,
-) -> Neighborhood:
-    """Dispatch neighborhood generation to the configured strategy."""
-    if isinstance(sampler, StandardSpec):
-        return sample_standard(sample, sampler, n, rng)
-    if isinstance(sampler, ProcessAwareSpec):
-        return sample_process_aware(sampler, n, rng, origin=sample)
-    raise TypeError(f"unknown sampler spec: {type(sampler).__name__}")
 
 
 def explain(req: ExplainRequest) -> Explanation:
@@ -150,11 +126,7 @@ def explain(req: ExplainRequest) -> Explanation:
         # Where a feature's float spacing reaches its noise scale, the
         # perturbations land on a lattice of a few values and the fit
         # explains the lattice, not the model.
-        sampler = req.sampler
-        if isinstance(sampler, StandardSpec):
-            scales = np.asarray(sampler.per_feature_scale)
-        else:
-            scales = np.sqrt(np.diag(sampler.covariance))
+        scales = req.sampler.per_feature_scale
         spacings = np.spacing(np.abs(points[0]))
         if (coarse := spacings >= scales).any():
             j = int(np.argmax(coarse))

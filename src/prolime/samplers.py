@@ -10,6 +10,8 @@ the proximity kernel rather than by the sampler.
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
@@ -24,10 +26,9 @@ __all__ = [
     "RngStream",
     "StandardSpec",
     "cholesky",
+    "draw_neighborhood",
     "inverse_normal_cdf",
     "latin_hypercube_uniforms",
-    "sample_process_aware",
-    "sample_standard",
 ]
 
 class NotPositiveDefiniteError(ValueError):
@@ -55,7 +56,7 @@ class RngStream:
 
     def __post_init__(self) -> None:
         for name in ("seed", "stream_id"):
-            value = int(getattr(self, name))
+            value = operator.index(getattr(self, name))
             if not 0 <= value < 2**64:
                 raise ValueError(f"{name} must fit in an unsigned 64-bit integer")
             object.__setattr__(self, name, value)
@@ -71,7 +72,7 @@ class StandardSpec:
 
     ``per_feature_scale`` is the noise standard deviation per feature,
     normally the training data's per-feature standard deviation.
-    ``training_mean`` is only consulted under mean-centered mode.
+    ``training_mean`` is the center under mean-centered mode, which requires it.
     """
 
     center_mode: CenterMode = CenterMode.SAMPLE
@@ -84,13 +85,17 @@ class StandardSpec:
         object.__setattr__(self, "per_feature_scale", scales)
         if not scales:
             raise ValueError("per_feature_scale must not be empty")
-        if any(not s > 0 for s in scales):
-            raise ValueError("per-feature scales must be positive")
+        if any(not 0 < s < math.inf for s in scales):
+            raise ValueError("per-feature scales must be positive and finite")
         if self.training_mean is not None:
             mean = tuple(float(m) for m in self.training_mean)
             object.__setattr__(self, "training_mean", mean)
             if len(mean) != len(scales):
                 raise ValueError("training_mean and per_feature_scale must have equal length")
+            if not all(map(math.isfinite, mean)):
+                raise ValueError("training_mean must be finite")
+        elif self.center_mode is CenterMode.MEAN:
+            raise ValueError("mean-centered sampling requires a training mean")
 
 
 @dataclass(frozen=True)
@@ -99,6 +104,8 @@ class ProcessAwareSpec:
 
     mean: tuple[float, ...]
     covariance: tuple[tuple[float, ...], ...]
+    # Each feature's standard deviation, the root of the covariance's diagonal.
+    per_feature_scale: tuple[float, ...] = field(init=False, repr=False, compare=False)
     # The covariance's read-only Cholesky factor, computed once per spec.
     _lower: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -110,11 +117,14 @@ class ProcessAwareSpec:
         n = len(mean)
         if n == 0:
             raise ValueError("mean must not be empty")
+        if not all(map(math.isfinite, mean)):
+            raise ValueError("mean must be finite")
         if len(cov) != n or any(len(row) != n for row in cov):
             raise ValueError("covariance must be square and match the mean's length")
         lower = cholesky(cov)
         lower.flags.writeable = False
         object.__setattr__(self, "_lower", lower)
+        object.__setattr__(self, "per_feature_scale", tuple(math.sqrt(cov[j][j]) for j in range(n)))
 
 
 SamplerSpec = Union[StandardSpec, ProcessAwareSpec]
@@ -229,79 +239,49 @@ def latin_hypercube_uniforms(n: int, n_features: int, gen: np.random.Generator) 
     return u
 
 
-def sample_standard(
-    origin: FeatureVector,
-    spec: StandardSpec,
+def draw_neighborhood(
+    sample: FeatureVector,
+    sampler: SamplerSpec,
     n: int,
     rng: RngStream,
 ) -> Neighborhood:
-    """Perturb independently per feature around the configured center.
+    """``n`` neighborhood points for ``sample``, bit for bit the same for the same inputs.
 
-    Parameters
-    ----------
-    origin : FeatureVector
-        The explained sample; also the center under sample-centered mode.
-    spec : StandardSpec
-        Center, noise mode, per-feature noise scales, and the training mean
-        that mean-centered mode centers on.
-    n : int
-        Number of points to draw.
-    rng : RngStream
-        Stream to draw from; identical inputs reproduce the neighborhood
-        bit for bit.
-
-    Notes
-    -----
-    Gaussian mode draws standard normals and scales them per feature. Latin
-    hypercube mode draws one stratified uniform per stratum per feature,
-    maps each through :func:`inverse_normal_cdf`, and applies the same
-    per-feature scaling, so both modes share their marginal distributions.
+    A :class:`StandardSpec` adds per-feature scaled noise to the sample, or to
+    the training mean under mean-centered mode: standard normals, or under
+    Latin hypercube mode stratified uniforms mapped through
+    :func:`inverse_normal_cdf`, so both noise modes share their marginals. A
+    :class:`ProcessAwareSpec` draws rows of N(mean, covariance) wherever the
+    sample lies; the sample is only recorded, to anchor proximity weighting.
     """
-    n = int(n)
+    if not isinstance(sampler, (StandardSpec, ProcessAwareSpec)):
+        raise TypeError(f"unknown sampler spec: {type(sampler).__name__}")
+    d = sample.dim
+    if len(sampler.per_feature_scale) != d:
+        raise ValueError("per_feature_scale must match the origin's dimension")
+    gen = rng.generator()
+    if isinstance(sampler, ProcessAwareSpec):
+        return Neighborhood(_gaussian_rows(sampler, n, gen), sample)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be at least 1")
-    d = origin.dim
-    if len(spec.per_feature_scale) != d:
-        raise ValueError("per_feature_scale must match the origin's dimension")
-    if spec.center_mode is CenterMode.MEAN:
-        if spec.training_mean is None:
-            raise ValueError("mean-centered sampling requires a training mean")
-        center = spec.training_mean
-    else:
-        center = origin.values
-    gen = rng.generator()
-    if spec.noise_mode is NoiseMode.GAUSSIAN:
+    if sampler.noise_mode is NoiseMode.GAUSSIAN:
         normals = gen.standard_normal((n, d))
     else:
         # Built per call from the module global, so a wrapper swapped in for
         # inverse_normal_cdf still sees every scalar call.
         icdf = np.frompyfunc(inverse_normal_cdf, 1, 1)
         normals = icdf(latin_hypercube_uniforms(n, d, gen)).astype(float)
-    noise = _by_column(np.multiply, normals, spec.per_feature_scale)
-    return Neighborhood(_by_column(np.add, noise, center), origin)
-
-
-def sample_process_aware(
-    spec: ProcessAwareSpec,
-    n: int,
-    rng: RngStream,
-    *,
-    origin: FeatureVector,
-) -> Neighborhood:
-    """Draw the neighborhood directly from the declared feature distribution.
-
-    Points are i.i.d. from N(mean, covariance) via the lower Cholesky factor;
-    the origin sample does not shift the distribution, it is only recorded so
-    downstream proximity weighting stays anchored at the explained sample.
-    """
-    return Neighborhood(_gaussian_rows(spec, n, rng.generator()), origin)
+    center = sampler.training_mean if sampler.center_mode is CenterMode.MEAN else sample.values
+    noise = _by_column(np.multiply, normals, sampler.per_feature_scale)
+    return Neighborhood(_by_column(np.add, noise, center), sample)
 
 
 def _gaussian_rows(spec: ProcessAwareSpec, n: int, gen: np.random.Generator) -> np.ndarray:
     """``n >= 1`` rows of N(mean, covariance) as an ``(n, d)`` array: standard
     normals from ``gen`` through the spec's Cholesky factor, the mean added
     column by column. The one place the benchmark's Gaussian is drawn."""
-    n = int(n)
+    n = operator.index(n)
     if n < 1:
         raise ValueError("n must be at least 1")
     return _by_column(np.add, gen.standard_normal((n, len(spec.mean))) @ spec._lower.T, spec.mean)

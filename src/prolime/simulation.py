@@ -3,7 +3,7 @@
 A correlated bivariate Gaussian feature distribution over (credit, risk), a
 diamond-shaped approval rule, an oracle classifier that is exact wherever the
 feature density is non-negligible and coin-flips elsewhere, and the local
-linear boundary associated with each Cartesian quadrant.
+linear boundary of the diamond edge in each point's Cartesian quadrant.
 """
 
 from __future__ import annotations
@@ -13,12 +13,11 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import ClassVar, Sequence
 
 import numpy as np
 
-from .core import BlackBoxModel, FeatureVector
+from .core import BlackBoxModel
 from .samplers import ProcessAwareSpec, RngStream, _gaussian_rows
 
 __all__ = [
@@ -27,8 +26,6 @@ __all__ = [
     "DatasetFormatError",
     "FEATURE_NAMES",
     "OracleModel",
-    "QUADRANT_BOUNDARIES",
-    "Quadrant",
     "approval_label",
     "gaussian_pdf",
     "generate_dataset",
@@ -70,35 +67,20 @@ class BenchmarkDistribution:
         return ((1.0, self.rho), (self.rho, 1.0))
 
 
-class Quadrant(Enum):
-    I = "I"
-    II = "II"
-    III = "III"
-    IV = "IV"
-
-
-@dataclass(frozen=True)
-class GroundTruthBoundary:
-    """Linear boundary 0 = intercept + credit_coef*credit + risk_coef*risk."""
-
-    quadrant: Quadrant
-    intercept: float
-    credit_coef: float
-    risk_coef: float
-
-
-QUADRANT_BOUNDARIES = {
-    Quadrant.I: GroundTruthBoundary(Quadrant.I, 1.0, -1.0, -1.0),
-    Quadrant.II: GroundTruthBoundary(Quadrant.II, 1.0, 1.0, -1.0),
-    Quadrant.III: GroundTruthBoundary(Quadrant.III, 1.0, 1.0, 1.0),
-    Quadrant.IV: GroundTruthBoundary(Quadrant.IV, 1.0, -1.0, 1.0),
-}
-
-
 def _rows(points: np.ndarray) -> np.ndarray:
     rows = np.asarray(points, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 2:
         raise ValueError(f"expected an (n, 2) array of (credit, risk) rows, got shape {rows.shape}")
+    return rows
+
+
+def _finite_rows(points: np.ndarray) -> np.ndarray:
+    """:func:`_rows`, naming the first row that holds a non-finite value."""
+    rows = _rows(points)
+    # A reduction along the rows' short axis is slow; only a failure pays for it.
+    if not np.isfinite(rows).all():
+        first = int(np.argmin(np.isfinite(rows).all(axis=1)))
+        raise ValueError(f"row {first}: feature values must be finite")
     return rows
 
 
@@ -197,7 +179,8 @@ class OracleModel(BlackBoxModel):
 
     def __init__(self, dist: BenchmarkDistribution, model_seed: int):
         self._dist = dist
-        self._seed_bytes = struct.pack("<Q", int(model_seed) % 2**64)
+        # A model seed obeys the rule of a stream seed.
+        self._seed_bytes = struct.pack("<Q", RngStream(model_seed).seed)
 
     def _coins(self, rows: np.ndarray) -> np.ndarray:
         """Per row: low bit of the first byte of blake2b(seed bytes + the row as two "<f8")."""
@@ -211,10 +194,7 @@ class OracleModel(BlackBoxModel):
         return np.frombuffer(bytes(first_bytes), dtype=np.uint8) & 1
 
     def predict_proba(self, X: np.ndarray, feature_names: Sequence[str] | None = None) -> np.ndarray:
-        rows = _rows(X)
-        if not np.isfinite(rows).all():
-            first = int(np.argmin(np.isfinite(rows).all(axis=1)))
-            raise ValueError(f"row {first}: feature values must be finite")
+        rows = _finite_rows(X)
         out = np.empty((rows.shape[0], 2))
         labels = out[:, 1]
         labels[:] = approval_label(rows)
@@ -230,16 +210,12 @@ def oracle_model(dist: BenchmarkDistribution, model_seed: int) -> BlackBoxModel:
     return OracleModel(dist, model_seed)
 
 
-def ground_truth_for(x: FeatureVector) -> GroundTruthBoundary:
-    """Boundary of the Cartesian quadrant containing x; zeros count as positive."""
-    if x.dim != 2:
-        raise ValueError("ground truth is defined for bivariate points")
-    credit, risk = x.values
-    if credit >= 0.0:
-        quadrant = Quadrant.I if risk >= 0.0 else Quadrant.IV
-    else:
-        quadrant = Quadrant.II if risk >= 0.0 else Quadrant.III
-    return QUADRANT_BOUNDARIES[quadrant]
+def ground_truth_for(points: np.ndarray) -> np.ndarray:
+    """Per finite (credit, risk) row of an ``(n, 2)`` array, the coefficients
+    ``(c, r)`` of the local boundary ``1 + c*credit + r*risk = 0``: the diamond
+    edge in the row's Cartesian quadrant, where zeros (-0.0 too) count as
+    positive. Each coefficient is -1 where its feature is >= 0, else +1."""
+    return np.where(_finite_rows(points) >= 0.0, -1.0, 1.0)
 
 
 class DatasetFormatError(ValueError):

@@ -19,9 +19,8 @@ from prolime.samplers import (
     RngStream,
     StandardSpec,
     cholesky,
+    draw_neighborhood,
     inverse_normal_cdf,
-    sample_process_aware,
-    sample_standard,
 )
 from prolime.simulation import (
     BenchmarkDistribution,
@@ -45,7 +44,7 @@ def _report(label: str, ok: bool) -> None:
 
 
 def test_criterion_1_mismatch_metric_reference_value():
-    truth = ground_truth_for(_fv(0.41, -0.51))
+    (truth,) = ground_truth_for([(0.41, -0.51)])
     surrogate = LocalSurrogate(1.0, (-0.66, 0.69), NAMES)
     credit, risk = coefficient_mismatch(surrogate, truth)
     credit_ok = abs(credit - 0.34) <= 1e-12
@@ -92,18 +91,18 @@ def test_criterion_2_process_aware_sampling_wins_the_comparison():
 def test_criterion_3_sampler_distributions():
     dist = BenchmarkDistribution()
     origin = _fv(0.41, -0.51)
-    aware = sample_process_aware(
+    aware = draw_neighborhood(
+        origin,
         ProcessAwareSpec(mean=dist.mean, covariance=dist.covariance),
         10000,
         RngStream(2026, 0),
-        origin=origin,
     )
     rows = aware.points
     correlation = float(np.corrcoef(rows.T)[0, 1])
     corr_ok = -0.95 <= correlation <= -0.85
     means_ok = abs(float(rows[:, 0].mean())) <= 0.05 and abs(float(rows[:, 1].mean())) <= 0.05
 
-    standard = sample_standard(origin, StandardSpec(), 10000, RngStream(2026, 1))
+    standard = draw_neighborhood(origin, StandardSpec(), 10000, RngStream(2026, 1))
     srows = standard.points
     cross = float(np.corrcoef(srows.T)[0, 1])
     cross_ok = abs(cross) <= 0.05
@@ -261,7 +260,7 @@ def test_criterion_8_latin_hypercube_stratification():
     ok = True
     for n in (4, 16, 100):
         boundaries = [inverse_normal_cdf(k / n) for k in range(1, n)]
-        nbhd = sample_standard(
+        nbhd = draw_neighborhood(
             _fv(0.0, 0.0),
             StandardSpec(noise_mode=NoiseMode.LATIN_HYPERCUBE),
             n,

@@ -104,6 +104,14 @@ def test_hyperparameter_validation():
             LimeHyperparameters(ridge_strength=bad)
     with pytest.raises(ValueError):
         LimeHyperparameters(explained_class=-1)
+    # Counts are whole numbers, and every value is a plain Python number.
+    with pytest.raises(TypeError):
+        LimeHyperparameters(neighborhood_size=2.5)
+    with pytest.raises(TypeError):
+        LimeHyperparameters(explained_class=1.0)
+    hyper = LimeHyperparameters(np.int64(5), kernel_width=np.float32(1), ridge_strength=np.int8(2), explained_class=np.uint8(0))
+    values = (hyper.neighborhood_size, hyper.kernel_width, hyper.ridge_strength, hyper.explained_class)
+    assert [type(v) for v in values] == [int, float, float, int]
 
 
 def test_local_surrogate_lookup_and_validation():

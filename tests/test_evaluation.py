@@ -12,7 +12,7 @@ import pytest
 import prolime.evaluation as evaluation_module
 import prolime.samplers as samplers_module
 import prolime.simulation as simulation_module
-from prolime.core import FeatureVector, LimeHyperparameters, LocalSurrogate, NoiseMode
+from prolime.core import LimeHyperparameters, LocalSurrogate, NoiseMode
 from prolime.evaluation import (
     ExperimentConfig,
     coefficient_mismatch,
@@ -27,7 +27,6 @@ from prolime.explainer import ExplainRequest, ExplainStageError, explain
 from prolime.samplers import ProcessAwareSpec, RngStream, StandardSpec
 from prolime.simulation import (
     BenchmarkDistribution,
-    Quadrant,
     gaussian_pdf,
     ground_truth_for,
     oracle_model,
@@ -40,41 +39,40 @@ def _surrogate(credit: float, risk: float, intercept: float = 1.0) -> LocalSurro
     return LocalSurrogate(intercept, (credit, risk), NAMES)
 
 
-def _fv(credit: float, risk: float) -> FeatureVector:
-    return FeatureVector((credit, risk), NAMES)
-
-
 def test_coefficient_mismatch_quadrant_four_example():
-    truth = ground_truth_for(_fv(0.41, -0.51))
-    assert truth.quadrant == Quadrant.IV
+    (truth,) = ground_truth_for([(0.41, -0.51)])
+    assert truth.tolist() == [-1.0, 1.0]
     credit, risk = coefficient_mismatch(_surrogate(-0.66, 0.69), truth)
     assert abs(credit - 0.34) <= 1e-12
     assert abs(risk - 0.31) <= 1e-12
 
 
 def test_coefficient_mismatch_exact_recovery_is_zero():
-    truth = ground_truth_for(_fv(0.41, -0.51))
+    (truth,) = ground_truth_for([(0.41, -0.51)])
     assert coefficient_mismatch(_surrogate(-1.0, 1.0), truth) == (0.0, 0.0)
 
 
 def test_coefficient_mismatch_zero_surrogate():
-    truth = ground_truth_for(_fv(0.41, -0.51))
+    (truth,) = ground_truth_for([(0.41, -0.51)])
     assert coefficient_mismatch(_surrogate(0.0, 0.0), truth) == (1.0, 1.0)
 
 
 def test_coefficient_mismatch_ignores_the_intercept():
-    truth = ground_truth_for(_fv(0.41, -0.51))
+    (truth,) = ground_truth_for([(0.41, -0.51)])
     a = coefficient_mismatch(_surrogate(-0.66, 0.69, intercept=1.0), truth)
     b = coefficient_mismatch(_surrogate(-0.66, 0.69, intercept=-7.5), truth)
     assert a == b
 
 
 def test_coefficient_mismatch_requires_both_benchmark_features():
-    truth = ground_truth_for(_fv(0.41, -0.51))
+    (truth,) = ground_truth_for([(0.41, -0.51)])
     stranger = LocalSurrogate(0.0, (1.0, 2.0), ("credit", "duration"))
     with pytest.raises(ValueError) as info:
         coefficient_mismatch(stranger, truth)
     assert "risk" in str(info.value)
+    # The truth is one row of ground_truth_for, not the whole array.
+    with pytest.raises(ValueError, match=r"truth must be one \(credit, risk\) row of shape \(2,\), got shape \(1, 2\)"):
+        coefficient_mismatch(_surrogate(-0.66, 0.69), ground_truth_for([(0.41, -0.51)]))
 
 
 def test_draw_test_point_stays_on_distribution():
@@ -113,6 +111,15 @@ def test_experiment_config_validation():
         ExperimentConfig(master_seed=0, neighborhood_sizes=())
     with pytest.raises(ValueError):
         ExperimentConfig(master_seed=0, neighborhood_sizes=(1,))
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
+            ExperimentConfig(master_seed=seed)
+    for whole_numbers_only in ({"trials": 2.5}, {"neighborhood_sizes": (50.7,)}, {"master_seed": 1.5}):
+        with pytest.raises(TypeError):
+            ExperimentConfig(**{"master_seed": 0, **whole_numbers_only})
+    # numpy integers become Python ints, which the JSON report can write.
+    config = ExperimentConfig(master_seed=np.uint64(3), trials=np.int64(1), neighborhood_sizes=(np.int32(50),))
+    assert [type(v) for v in (config.master_seed, config.trials, *config.neighborhood_sizes)] == [int, int, int]
 
 
 def test_experiment_config_rejects_a_repeated_size():
@@ -146,7 +153,7 @@ def test_single_trial_uses_the_documented_stream_layout():
 
     dist = config.distribution
     test_point = draw_test_point(dist, RngStream(41, 0))
-    truth = ground_truth_for(test_point)
+    (truth,) = ground_truth_for([test_point.values])
     model = oracle_model(dist, model_seed=41)
     hyper = replace(config.hyper, neighborhood_size=500)
     samplers = {
@@ -184,7 +191,7 @@ def test_a_failed_trial_drops_out_of_its_cell_alone(monkeypatch):
     for trial in (0, 2):
         test_point = draw_test_point(dist, RngStream(5, trial * 5))
         explanation = explain(ExplainRequest(test_point, model, hyper, standard, RngStream(5, trial * 5 + 1)))
-        credit_gap, risk_gap = coefficient_mismatch(explanation.surrogate, ground_truth_for(test_point))
+        credit_gap, risk_gap = coefficient_mismatch(explanation.surrogate, ground_truth_for([test_point.values])[0])
         credit.append(credit_gap)
         risk.append(risk_gap)
     cell = report.cells[0]

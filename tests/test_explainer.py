@@ -22,7 +22,6 @@ from prolime.explainer import (
     BatchExplainError,
     ExplainRequest,
     ExplainStageError,
-    draw_neighborhood,
     explain,
     explain_batch,
 )
@@ -31,8 +30,7 @@ from prolime.samplers import (
     ProcessAwareSpec,
     RngStream,
     StandardSpec,
-    sample_process_aware,
-    sample_standard,
+    draw_neighborhood,
 )
 from prolime.simulation import BenchmarkDistribution, generate_dataset, oracle_model
 
@@ -75,14 +73,24 @@ def test_request_rejects_dimension_mismatch():
         )
 
 
-def test_draw_neighborhood_dispatches_to_the_matching_sampler():
-    origin = _fv(0.41, -0.51)
-    standard = StandardSpec()
-    direct = sample_standard(origin, standard, 32, RngStream(5, 1))
-    assert draw_neighborhood(origin, standard, 32, RngStream(5, 1)) == direct
+class _GridSpec:
+    """A sampler spec that no strategy draws."""
+
+    per_feature_scale = (1.0, 1.0)
+
+
+def test_draw_neighborhood_rejects_an_unknown_spec_by_its_type_name():
+    with pytest.raises(TypeError, match="unknown sampler spec: _GridSpec"):
+        draw_neighborhood(_fv(0.41, -0.51), _GridSpec(), 32, RngStream(5, 1))
+
+
+def test_process_aware_draw_gives_the_same_points_for_any_origin():
     process = ProcessAwareSpec(mean=(0.0, 0.0), covariance=BENCH_COV)
-    direct = sample_process_aware(process, 32, RngStream(5, 2), origin=origin)
-    assert draw_neighborhood(origin, process, 32, RngStream(5, 2)) == direct
+    near, far = (
+        draw_neighborhood(origin, process, 32, RngStream(5, 2)) for origin in (_fv(0.41, -0.51), _fv(-7.0, 9.0))
+    )
+    assert np.array_equal(near.points, far.points)
+    assert far.origin == _fv(-7.0, 9.0)
 
 
 def _request(model, sampler, *, hyper=None, sample=None, stream=0) -> ExplainRequest:
@@ -152,12 +160,10 @@ def test_benchmark_explanation_sign_pattern():
 
 
 def test_sampling_failure_is_stage_labeled():
-    sampler = StandardSpec(center_mode=CenterMode.MEAN, training_mean=None)
-    hyper = LimeHyperparameters(neighborhood_size=500, center_mode=CenterMode.MEAN)
     with pytest.raises(ExplainStageError) as info:
-        explain(_request(ConstantModel((0.5, 0.5)), sampler, hyper=hyper))
+        explain(_request(ConstantModel((0.5, 0.5)), _GridSpec()))
     assert info.value.stage == "sampling"
-    assert "sampling stage failed" in str(info.value)
+    assert str(info.value) == "sampling stage failed: unknown sampler spec: _GridSpec"
 
 
 def test_labeling_failure_is_stage_labeled():
@@ -170,7 +176,7 @@ def test_fitting_failure_is_stage_labeled(monkeypatch):
     def degenerate(origin, spec, n, rng):
         return Neighborhood(np.tile([0.1, 0.2], (4, 1)), origin)
 
-    monkeypatch.setattr("prolime.explainer.sample_standard", degenerate)
+    monkeypatch.setattr("prolime.explainer.draw_neighborhood", degenerate)
     hyper = LimeHyperparameters(neighborhood_size=4, ridge_strength=0.0)
     with pytest.raises(ExplainStageError) as info:
         explain(_request(ConstantModel((0.5, 0.5)), StandardSpec(), hyper=hyper))

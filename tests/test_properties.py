@@ -27,10 +27,9 @@ from prolime.samplers import (
     ProcessAwareSpec,
     RngStream,
     StandardSpec,
+    draw_neighborhood,
     inverse_normal_cdf,
     latin_hypercube_uniforms,
-    sample_process_aware,
-    sample_standard,
 )
 from prolime.simulation import (
     BenchmarkDistribution,
@@ -39,6 +38,7 @@ from prolime.simulation import (
     OracleModel,
     approval_label,
     gaussian_pdf,
+    ground_truth_for,
     read_dataset_csv,
     write_dataset_csv,
 )
@@ -66,7 +66,7 @@ def rows_with_far_points(draw) -> np.ndarray:
 
 def _reference_oracle(dist: BenchmarkDistribution, model_seed: int, rows: np.ndarray) -> np.ndarray:
     """The per-row oracle loop: exact label on-distribution, one blake2b coin per row off it."""
-    seed_bytes = struct.pack("<Q", model_seed % 2**64)
+    seed_bytes = struct.pack("<Q", model_seed)
     densities = gaussian_pdf(rows, dist)
     in_diamond = approval_label(rows)
     out = []
@@ -88,17 +88,25 @@ def _reference_oracle(dist: BenchmarkDistribution, model_seed: int, rows: np.nda
 )
 def test_benchmark_row_functions_equal_their_one_row_calls(rows, rho, width):
     dist = BenchmarkDistribution(rho)
-    labels, densities = approval_label(rows), gaussian_pdf(rows, dist)
+    # The four quadrants' sign pairs, and signed zeros, which count as positive.
+    signs = np.array([(0.5, 0.5), (-0.5, 0.5), (-0.5, -0.5), (0.5, -0.5), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)])
+    rows = np.concatenate([rows, signs])
+    labels, densities, truths = approval_label(rows), gaussian_pdf(rows, dist), ground_truth_for(rows)
     assert labels.shape == densities.shape == (rows.shape[0],)
+    assert truths.shape == rows.shape
+    assert truths[-len(signs):].tolist() == [[-1, -1], [1, -1], [1, 1], [-1, 1], [-1, -1], [-1, -1], [-1, -1]]
     for i, row in enumerate(rows):
         assert approval_label(row[None, :]).tolist() == [labels[i]]
         assert gaussian_pdf(row[None, :], dist).tobytes() == densities[i:i + 1].tobytes()
+        assert ground_truth_for(row[None, :]).tolist() == [truths[i].tolist()]
     # Only (n, 2) arrays of (credit, risk) rows are accepted.
     for bad in (np.zeros((rows.shape[0], width)), rows[0], rows.ravel()):
         with pytest.raises(ValueError, match=r"^expected an \(n, 2\) array of \(credit, risk\) rows"):
             approval_label(bad)
         with pytest.raises(ValueError, match=r"^expected an \(n, 2\) array of \(credit, risk\) rows"):
             gaussian_pdf(bad, dist)
+        with pytest.raises(ValueError, match=r"^expected an \(n, 2\) array of \(credit, risk\) rows"):
+            ground_truth_for(bad)
 
 
 @settings(deadline=None)
@@ -556,7 +564,7 @@ moment_centers = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3))
 @given(scales=moment_scales, centers=moment_centers, noise=st.sampled_from(NoiseMode), seed=st.integers(0, 2**64 - 1))
 def test_standard_sampler_moments_match_its_scales_and_center(scales, centers, noise, seed):
     spec = StandardSpec(noise_mode=noise, per_feature_scale=scales)
-    nbhd = sample_standard(FeatureVector(centers, ("a", "b")), spec, 4000, RngStream(seed))
+    nbhd = draw_neighborhood(FeatureVector(centers, ("a", "b")), spec, 4000, RngStream(seed))
     _assert_moments_within_six_standard_errors(nbhd.points, centers, np.diag(np.square(scales)))
 
 
@@ -565,5 +573,5 @@ def test_standard_sampler_moments_match_its_scales_and_center(scales, centers, n
 def test_process_aware_sampler_moments_match_its_spec(scales, centers, rho, seed):
     (s0, s1), off = scales, rho * scales[0] * scales[1]
     spec = ProcessAwareSpec(mean=centers, covariance=((s0 * s0, off), (off, s1 * s1)))
-    nbhd = sample_process_aware(spec, 4000, RngStream(seed), origin=FeatureVector((0.0, 0.0), ("a", "b")))
+    nbhd = draw_neighborhood(FeatureVector((0.0, 0.0), ("a", "b")), spec, 4000, RngStream(seed))
     _assert_moments_within_six_standard_errors(nbhd.points, centers, spec.covariance)

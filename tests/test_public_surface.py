@@ -38,7 +38,6 @@ def test_names_left_out_of_the_surface_stay_importable_from_their_modules():
     from prolime.evaluation import CellFailure, CellStats, ExperimentReport  # noqa: F401
     from prolime.plots import svg_scatter  # noqa: F401
     from prolime.samplers import SamplerSpec  # noqa: F401
-    from prolime.simulation import GroundTruthBoundary  # noqa: F401
 
 
 def test_package_exports_every_name_the_benchmark_imports():
@@ -94,6 +93,23 @@ def test_only_the_samplers_module_reads_the_cholesky_factor():
         )
     )
     assert readers == ["samplers.py"]
+
+
+def test_only_the_samplers_module_branches_on_the_process_aware_spec():
+    # Code outside samplers.py reads what both specs share, such as
+    # per_feature_scale, and draws through draw_neighborhood.
+    checkers = sorted(
+        path.name
+        for path in Path(prolime.__file__).parent.glob("*.py")
+        if any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and any(isinstance(n, ast.Name) and n.id == "ProcessAwareSpec" for n in ast.walk(node))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        )
+    )
+    assert checkers == ["samplers.py"]
 
 
 def test_private_names_shared_between_modules_stay_few():

@@ -15,10 +15,9 @@ from prolime.samplers import (
     RngStream,
     StandardSpec,
     cholesky,
+    draw_neighborhood,
     inverse_normal_cdf,
     latin_hypercube_uniforms,
-    sample_process_aware,
-    sample_standard,
 )
 
 BENCH_COV = ((1.0, -0.9), (-0.9, 1.0))
@@ -36,6 +35,8 @@ def test_rng_stream_validates_range():
         RngStream(-1)
     with pytest.raises(ValueError):
         RngStream(0, 2**64)
+    with pytest.raises(TypeError):
+        RngStream(1.5)
 
 
 def test_rng_stream_reproducible_and_distinct():
@@ -177,6 +178,10 @@ def test_standard_spec_validation():
         StandardSpec(per_feature_scale=())
     with pytest.raises(ValueError):
         StandardSpec(per_feature_scale=(1.0, 1.0), training_mean=(0.0,))
+    with pytest.raises(ValueError, match="positive and finite"):
+        StandardSpec(per_feature_scale=(1.0, math.inf))
+    with pytest.raises(ValueError, match="training_mean must be finite"):
+        StandardSpec(training_mean=(0.0, math.nan))
 
 
 def test_process_aware_spec_requires_positive_definite_covariance():
@@ -186,6 +191,8 @@ def test_process_aware_spec_requires_positive_definite_covariance():
         ProcessAwareSpec(mean=(0.0, 0.0), covariance=((1.0, 0.0),))
     with pytest.raises(ValueError):
         ProcessAwareSpec(mean=(), covariance=())
+    with pytest.raises(ValueError, match="mean must be finite"):
+        ProcessAwareSpec(mean=(math.nan, 0.0), covariance=((1.0, 0.0), (0.0, 1.0)))
 
 
 def test_neighborhood_requires_matching_dimensions():
@@ -212,7 +219,7 @@ def test_neighborhood_holds_a_validated_read_only_copy():
 def test_sample_centered_perturbation_statistics():
     origin = FeatureVector((0.41, -0.51), ("credit", "risk"))
     spec = StandardSpec()
-    nbhd = sample_standard(origin, spec, 1000, RngStream(0))
+    nbhd = draw_neighborhood(origin, spec, 1000, RngStream(0))
     assert len(nbhd.points) == 1000
     assert nbhd.origin == origin
     rows = nbhd.points
@@ -224,7 +231,7 @@ def test_sample_centered_perturbation_statistics():
 def test_gaussian_noise_matches_declared_scales():
     origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
     spec = StandardSpec(per_feature_scale=(0.7, 1.3))
-    rows = sample_standard(origin, spec, 10000, RngStream(1)).points
+    rows = draw_neighborhood(origin, spec, 10000, RngStream(1)).points
     for j, scale in enumerate((0.7, 1.3)):
         variance = rows[:, j].var()
         assert abs(variance - scale * scale) < 0.1 * scale * scale
@@ -233,33 +240,30 @@ def test_gaussian_noise_matches_declared_scales():
 def test_vanishing_noise_collapses_onto_the_center():
     origin = FeatureVector((0.41, -0.51), ("credit", "risk"))
     spec = StandardSpec(per_feature_scale=(1e-12, 1e-12))
-    rows = sample_standard(origin, spec, 100, RngStream(2)).points
+    rows = draw_neighborhood(origin, spec, 100, RngStream(2)).points
     assert np.max(np.abs(rows - origin.as_array())) < 1e-10
 
 
 def test_mean_centered_perturbation_centers_on_training_mean():
     origin = FeatureVector((10.0, -10.0), ("credit", "risk"))
     spec = StandardSpec(center_mode=CenterMode.MEAN, training_mean=(0.0, 0.0))
-    rows = sample_standard(origin, spec, 5000, RngStream(3)).points
+    rows = draw_neighborhood(origin, spec, 5000, RngStream(3)).points
     assert abs(rows[:, 0].mean()) < 0.1
     assert abs(rows[:, 1].mean()) < 0.1
 
 
 def test_mean_centered_mode_requires_a_training_mean():
-    origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
-    spec = StandardSpec(center_mode=CenterMode.MEAN)
+    with pytest.raises(ValueError, match="mean-centered sampling requires a training mean"):
+        StandardSpec(center_mode=CenterMode.MEAN)
     with pytest.raises(ValueError):
-        sample_standard(origin, spec, 10, RngStream(0))
-    with pytest.raises(ValueError):
-        mismatched = StandardSpec(center_mode=CenterMode.MEAN, training_mean=(0.0,))
-        sample_standard(origin, mismatched, 10, RngStream(0))
+        StandardSpec(center_mode=CenterMode.MEAN, training_mean=(0.0,))
 
 
 def test_latin_hypercube_noise_keeps_stratified_preimages():
     origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
     spec = StandardSpec(noise_mode=NoiseMode.LATIN_HYPERCUBE)
     n = 500
-    rows = sample_standard(origin, spec, n, RngStream(4)).points
+    rows = draw_neighborhood(origin, spec, n, RngStream(4)).points
     for j in range(2):
         preimages = np.array([_phi(z) for z in rows[:, j]])
         strata = np.floor(preimages * n).astype(int)
@@ -269,7 +273,7 @@ def test_latin_hypercube_noise_keeps_stratified_preimages():
 def test_latin_hypercube_noise_respects_scales():
     origin = FeatureVector((1.0, -1.0), ("credit", "risk"))
     spec = StandardSpec(noise_mode=NoiseMode.LATIN_HYPERCUBE, per_feature_scale=(0.5, 2.0))
-    rows = sample_standard(origin, spec, 10000, RngStream(5)).points
+    rows = draw_neighborhood(origin, spec, 10000, RngStream(5)).points
     assert abs(rows[:, 0].mean() - 1.0) < 0.05
     assert abs(rows[:, 1].mean() + 1.0) < 0.2
     assert abs(rows[:, 0].var() - 0.25) < 0.025
@@ -279,23 +283,25 @@ def test_latin_hypercube_noise_respects_scales():
 def test_sample_standard_validates_inputs():
     origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
     with pytest.raises(ValueError):
-        sample_standard(origin, StandardSpec(per_feature_scale=(1.0,)), 10, RngStream(0))
+        draw_neighborhood(origin, StandardSpec(per_feature_scale=(1.0,)), 10, RngStream(0))
     with pytest.raises(ValueError):
-        sample_standard(origin, StandardSpec(), 0, RngStream(0))
+        draw_neighborhood(origin, StandardSpec(), 0, RngStream(0))
+    with pytest.raises(TypeError):
+        draw_neighborhood(origin, StandardSpec(), 2.5, RngStream(0))
 
 
 def test_sample_standard_is_bitwise_deterministic():
     origin = FeatureVector((0.41, -0.51), ("credit", "risk"))
     for spec in (StandardSpec(), StandardSpec(noise_mode=NoiseMode.LATIN_HYPERCUBE)):
-        first = sample_standard(origin, spec, 64, RngStream(6, 2))
-        second = sample_standard(origin, spec, 64, RngStream(6, 2))
+        first = draw_neighborhood(origin, spec, 64, RngStream(6, 2))
+        second = draw_neighborhood(origin, spec, 64, RngStream(6, 2))
         assert first == second
 
 
 def test_process_aware_sampling_matches_the_declared_distribution():
     origin = FeatureVector((0.41, -0.51), ("credit", "risk"))
     spec = ProcessAwareSpec(mean=(0.0, 0.0), covariance=BENCH_COV)
-    nbhd = sample_process_aware(spec, 10000, RngStream(7), origin=origin)
+    nbhd = draw_neighborhood(origin, spec, 10000, RngStream(7))
     assert nbhd.origin == origin
     rows = nbhd.points
     corr = np.corrcoef(rows.T)[0, 1]
@@ -309,13 +315,13 @@ def test_process_aware_sampling_matches_the_declared_distribution():
 def test_process_aware_sampling_reuses_the_spec_factor(monkeypatch):
     origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
     spec = ProcessAwareSpec(mean=(0.0, 0.0), covariance=BENCH_COV)
-    expected = sample_process_aware(spec, 64, RngStream(9, 3), origin=origin)
+    expected = draw_neighborhood(origin, spec, 64, RngStream(9, 3))
 
     def no_factorization(matrix):
-        raise AssertionError("sample_process_aware factored the covariance again")
+        raise AssertionError("draw_neighborhood factored the covariance again")
 
     monkeypatch.setattr("prolime.samplers.cholesky", no_factorization)
-    assert sample_process_aware(spec, 64, RngStream(9, 3), origin=origin) == expected
+    assert draw_neighborhood(origin, spec, 64, RngStream(9, 3)) == expected
 
 
 def test_process_aware_spec_factor_is_read_only_and_not_part_of_its_value():
@@ -324,6 +330,9 @@ def test_process_aware_spec_factor_is_read_only_and_not_part_of_its_value():
     with pytest.raises(ValueError):
         spec._lower[0, 0] = 2.0
     assert "_lower" not in repr(spec)
+    assert spec.per_feature_scale == (1.0, 1.0)
+    assert ProcessAwareSpec(mean=(0.0, 0.0), covariance=((4.0, 0.5), (0.5, 0.25))).per_feature_scale == (2.0, 0.5)
+    assert "per_feature_scale" not in repr(spec)
     assert spec == ProcessAwareSpec(mean=(0.0, 0.0), covariance=BENCH_COV)
     assert hash(spec) == hash(ProcessAwareSpec(mean=(0.0, 0.0), covariance=BENCH_COV))
 
@@ -331,7 +340,7 @@ def test_process_aware_spec_factor_is_read_only_and_not_part_of_its_value():
 def test_process_aware_sampling_uncorrelated_case():
     origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
     spec = ProcessAwareSpec(mean=(5.0, 5.0), covariance=((1.0, 0.0), (0.0, 1.0)))
-    rows = sample_process_aware(spec, 10000, RngStream(8), origin=origin).points
+    rows = draw_neighborhood(origin, spec, 10000, RngStream(8)).points
     assert abs(np.corrcoef(rows.T)[0, 1]) < 0.05
     assert abs(rows[:, 0].mean() - 5.0) < 0.05
     assert abs(rows[:, 1].mean() - 5.0) < 0.05
@@ -341,11 +350,11 @@ def test_process_aware_sampling_validates_and_reproduces():
     origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
     spec = ProcessAwareSpec(mean=(0.0, 0.0), covariance=BENCH_COV)
     with pytest.raises(ValueError):
-        sample_process_aware(spec, 0, RngStream(0), origin=origin)
+        draw_neighborhood(origin, spec, 0, RngStream(0))
+    with pytest.raises(TypeError):
+        draw_neighborhood(origin, spec, 2.5, RngStream(0))
     with pytest.raises(ValueError):
-        sample_process_aware(
-            spec, 4, RngStream(0), origin=FeatureVector((0.0,), ("credit",))
-        )
-    first = sample_process_aware(spec, 64, RngStream(9, 3), origin=origin)
-    second = sample_process_aware(spec, 64, RngStream(9, 3), origin=origin)
+        draw_neighborhood(FeatureVector((0.0,), ("credit",)), spec, 4, RngStream(0))
+    first = draw_neighborhood(origin, spec, 64, RngStream(9, 3))
+    second = draw_neighborhood(origin, spec, 64, RngStream(9, 3))
     assert first == second

@@ -10,14 +10,12 @@ import pytest
 from scipy.stats import multivariate_normal
 
 from prolime.core import FeatureVector
-from prolime.samplers import RngStream, sample_process_aware
+from prolime.samplers import RngStream, draw_neighborhood
 from prolime.simulation import (
-    QUADRANT_BOUNDARIES,
     BenchmarkDistribution,
     Dataset,
     DatasetFormatError,
     OracleModel,
-    Quadrant,
     approval_label,
     gaussian_pdf,
     generate_dataset,
@@ -28,6 +26,8 @@ from prolime.simulation import (
 )
 
 NAMES = ("credit", "risk")
+# The (credit, risk) signs of the four Cartesian quadrants, I to IV.
+SIGN_PAIRS = ((1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0))
 
 
 def _fv(credit: float, risk: float) -> FeatureVector:
@@ -157,7 +157,7 @@ def test_generate_dataset_honors_the_correlation_parameter():
 def test_generate_dataset_draws_what_the_process_aware_sampler_draws():
     # Datasets and process-aware neighborhoods share one Gaussian draw.
     dist = BenchmarkDistribution(0.3)
-    neighborhood = sample_process_aware(dist.spec, 257, RngStream(9, 4), origin=_fv(0.0, 0.0))
+    neighborhood = draw_neighborhood(_fv(0.0, 0.0), dist.spec, 257, RngStream(9, 4))
     assert generate_dataset(257, RngStream(9, 4), dist).features.tobytes() == neighborhood.points.tobytes()
 
 
@@ -231,44 +231,44 @@ def test_oracle_coin_depends_on_the_model_seed():
     b = oracle_model(dist, model_seed=1)
     points = [_fv(5.0 + 0.1 * k, 5.0 - 0.1 * k) for k in range(64)]
     assert not np.array_equal(a.predict_proba(_rows(points)), b.predict_proba(_rows(points)))
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed must fit in an unsigned 64-bit integer"):
+            oracle_model(dist, model_seed=seed)
 
 
 def test_oracle_reports_the_failing_point_index():
     model = oracle_model(BenchmarkDistribution(), model_seed=0)
     with pytest.raises(ValueError, match="^row 1: feature values must be finite$"):
         model.predict_proba(np.array([[0.0, 0.0], [math.nan, 0.0]]))
+    with pytest.raises(ValueError, match="^row 1: feature values must be finite$"):
+        ground_truth_for([[0.0, 0.0], [0.0, -math.inf]])
     with pytest.raises(ValueError):
         model.predict_proba(np.zeros((2, 1)))
 
 
 def test_ground_truth_examples():
-    assert ground_truth_for(_fv(0.41, -0.51)).quadrant == Quadrant.IV
-    assert ground_truth_for(_fv(-0.2, 0.3)).quadrant == Quadrant.II
-    assert ground_truth_for(_fv(0.0, 0.0)).quadrant == Quadrant.I
-    assert ground_truth_for(_fv(0.0, -0.3)).quadrant == Quadrant.IV
-    assert ground_truth_for(_fv(-0.3, 0.0)).quadrant == Quadrant.II
+    rows = [(0.41, -0.51), (-0.2, 0.3), (0.0, 0.0), (0.0, -0.3), (-0.3, 0.0), (-0.0, -0.0), (-0.3, -0.2)]
+    # Zeros, -0.0 too, count as positive.
+    expected = [(-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (-1.0, 1.0), (1.0, -1.0), (-1.0, -1.0), (1.0, 1.0)]
+    assert list(map(tuple, ground_truth_for(rows).tolist())) == expected
+    with pytest.raises(ValueError, match="expected an \\(n, 2\\) array"):
+        ground_truth_for([0.41, -0.51])
 
 
 def test_ground_truth_boundaries_are_unit_diamond_edges():
-    assert set(QUADRANT_BOUNDARIES) == set(Quadrant)
-    signs = {
-        Quadrant.I: (-1.0, -1.0),
-        Quadrant.II: (1.0, -1.0),
-        Quadrant.III: (1.0, 1.0),
-        Quadrant.IV: (-1.0, 1.0),
-    }
-    for quadrant, boundary in QUADRANT_BOUNDARIES.items():
-        assert boundary.intercept == 1.0
-        assert (boundary.credit_coef, boundary.risk_coef) == signs[quadrant]
-        assert boundary.quadrant == quadrant
+    for signs in SIGN_PAIRS:
+        (coefficients,) = ground_truth_for([np.multiply(signs, (0.5, 0.25))])
+        assert coefficients.tolist() == [-s for s in signs]
+        # The line 1 + c*credit + r*risk = 0 joins the diamond's two corners
+        # on the quadrant's half-axes.
+        for corner in ((signs[0], 0.0), (0.0, signs[1])):
+            assert 1.0 + coefficients @ corner == 0.0
 
 
-def _line_distances(credit: float, risk: float) -> dict[Quadrant, float]:
+def _line_distances(credit: float, risk: float) -> dict[tuple[float, float], float]:
+    """Distance to each quadrant's boundary, keyed by its (credit, risk) coefficients."""
     root_two = math.sqrt(2.0)
-    return {
-        quadrant: abs(b.intercept + b.credit_coef * credit + b.risk_coef * risk) / root_two
-        for quadrant, b in QUADRANT_BOUNDARIES.items()
-    }
+    return {(-sc, -sr): abs(1.0 - sc * credit - sr * risk) / root_two for sc, sr in SIGN_PAIRS}
 
 
 @pytest.mark.xfail(
@@ -282,7 +282,7 @@ def test_own_quadrant_edge_is_strictly_nearest_on_distribution():
     rows = generate_dataset(4000, RngStream(7), dist).features
     for credit, risk in rows[gaussian_pdf(rows, dist) >= dist.density_threshold].tolist():
         checked += 1
-        own = ground_truth_for(_fv(credit, risk)).quadrant
+        own = tuple(ground_truth_for([(credit, risk)])[0].tolist())
         distances = _line_distances(credit, risk)
         assert all(distances[own] < d for q, d in distances.items() if q != own)
     assert checked > 0
@@ -296,7 +296,7 @@ def test_strict_nearest_edge_holds_exactly_inside_the_unit_square():
         low, high = sorted((abs(credit), abs(risk)))
         if low < 1e-9 or abs(high - 1.0) < 1e-9:
             continue
-        own = ground_truth_for(_fv(credit, risk)).quadrant
+        own = tuple(ground_truth_for([(credit, risk)])[0].tolist())
         distances = _line_distances(credit, risk)
         strictly_nearest = all(distances[own] < d for q, d in distances.items() if q != own)
         assert strictly_nearest == (high < 1.0)
