@@ -40,6 +40,7 @@ from .simulation import (
     BenchmarkDistribution,
     DatasetFormatError,
     FEATURE_NAMES,
+    _overwrite,
     generate_dataset,
     oracle_model,
     read_dataset_csv,
@@ -216,7 +217,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     text = explain(request).to_json(indent=2)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        _overwrite(args.out, text + "\n")
     return 0
 
 
@@ -250,8 +251,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     report = run_experiment(experiment)
-    Path(out).write_text(report_to_csv(report), encoding="utf-8")
-    Path(json_path).write_text(report_to_json(report), encoding="utf-8")
+    _overwrite(out, report_to_csv(report))
+    _overwrite(json_path, report_to_json(report))
     print(summary_table(report))
     print(f"wrote {out} and {json_path}")
     empty_cells = [cell for cell in report.cells if cell.trials == 0]
@@ -287,7 +288,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
             spec = sampler_spec(args.sampler, hyper, dist)
             nbhd = draw_neighborhood(origin, spec, hyper.neighborhood_size, RngStream(seed, 0))
             svg = plot_neighborhood(nbhd, neighborhood_weights(nbhd, hyper.kernel_width))
-    Path(args.out).write_text(svg, encoding="utf-8")
+    _overwrite(args.out, svg)
     print(f"wrote {args.out}")
     return 0
 

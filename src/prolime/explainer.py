@@ -18,7 +18,7 @@ from .core import (
     FeatureVector,
     LimeHyperparameters,
 )
-from .samplers import RngStream, SamplerSpec, StandardSpec, draw_neighborhood
+from .samplers import RngStream, SamplerSpec, StandardSpec, _require_spec, draw_neighborhood
 from .surrogate import (
     SingularFitError,
     WeightedDesign,
@@ -72,6 +72,7 @@ class ExplainRequest:
 
     def __post_init__(self) -> None:
         sampler = self.sampler
+        _require_spec(sampler)
         if len(sampler.per_feature_scale) != self.sample.dim:
             raise ValueError("sampler dimension does not match the explained sample")
         # The spec draws the neighborhood, and reports read the modes from hyper.

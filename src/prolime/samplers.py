@@ -239,6 +239,12 @@ def latin_hypercube_uniforms(n: int, n_features: int, gen: np.random.Generator) 
     return u
 
 
+def _require_spec(sampler: object) -> None:
+    """Raise the TypeError naming ``sampler``'s type unless it is a sampler spec."""
+    if not isinstance(sampler, (StandardSpec, ProcessAwareSpec)):
+        raise TypeError(f"unknown sampler spec: {type(sampler).__name__}")
+
+
 def draw_neighborhood(
     sample: FeatureVector,
     sampler: SamplerSpec,
@@ -254,8 +260,7 @@ def draw_neighborhood(
     :class:`ProcessAwareSpec` draws rows of N(mean, covariance) wherever the
     sample lies; the sample is only recorded, to anchor proximity weighting.
     """
-    if not isinstance(sampler, (StandardSpec, ProcessAwareSpec)):
-        raise TypeError(f"unknown sampler spec: {type(sampler).__name__}")
+    _require_spec(sampler)
     d = sample.dim
     if len(sampler.per_feature_scale) != d:
         raise ValueError("per_feature_scale must match the origin's dimension")

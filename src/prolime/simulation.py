@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import math
+import os
+import stat
 import struct
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
@@ -226,12 +229,36 @@ class DatasetFormatError(ValueError):
         self.line_number = line_number
 
 
+def _overwrite(path: str, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path``, created if missing, in place: a
+    regular file is overwritten from its start and then cut to the bytes
+    written, also when a write fails, and any other target, such as
+    ``/dev/null``, is written through.
+
+    Not ``open(path, "w")``: ext4 (its ``auto_da_alloc`` heuristic) flushes a
+    non-empty file truncated to zero and rewritten when it is closed. Neither
+    way is atomic. A failed write leaves a prefix of the new text; after a
+    crash, a file overwritten in place may hold old and new blocks mixed,
+    where that flush made the new text or an empty file more likely.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    written = 0
+    try:
+        while written < len(data):
+            written += os.write(fd, data[written:])
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+        finally:
+            os.close(fd)
+
+
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
     """Write a dataset as CSV with header credit,risk,label, full float precision."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("credit,risk,label\n")
-        for (credit, risk), label in zip(dataset.features.tolist(), dataset.labels.tolist()):
-            fh.write(f"{credit!r},{risk!r},{label}\n")
+    rows = zip(dataset.features.tolist(), dataset.labels.tolist())
+    _overwrite(path, "credit,risk,label\n" + "".join(f"{c!r},{r!r},{label}\n" for (c, r), label in rows))
 
 
 def _undecodable(row: list[str]) -> ValueError | None:
@@ -242,18 +269,69 @@ def _undecodable(row: list[str]) -> ValueError | None:
     return None
 
 
+_HEADER = b"credit,risk,label\n"
+# Every character of the rows write_dataset_csv writes: float reprs, 0/1 labels, commas, \n.
+_ROW_BYTES = b"0123456789+-.e,\n"
+_ROW_DTYPE = np.dtype([("credit", "f8"), ("risk", "f8"), ("label", "i8")])
+
+
+def _read_writer_form(data: bytes) -> Dataset | None:
+    """The valid dataset in ``data``, parsed in one pass of numpy's C reader,
+    if ``data`` is in :func:`write_dataset_csv`'s own form; else None.
+
+    Over the form's characters numpy parses each field to what ``float()`` or
+    ``int()`` gives, or fails where they fail. Other characters, such as
+    spaces, control characters, quotes, carriage returns, underscores and
+    non-ASCII digits, are read differently by one side or the other.
+    """
+    if not data.startswith(_HEADER) or len(data) == len(_HEADER) or not data.endswith(b"\n"):
+        return None
+    # numpy skips blank lines, which the per-row reader rejects, and warns
+    # when every line is blank.
+    if b"\n\n" in data or data[len(_HEADER):].translate(None, _ROW_BYTES):
+        return None
+    chars = np.frombuffer(data, dtype=np.uint8, offset=len(_HEADER))
+    ends = np.flatnonzero(chars == ord("\n"))
+    # Each label is written as one digit after a comma; numpy before 2.0
+    # reads an int field such as "1.0" through a float, where int() fails.
+    # No line is blank, so ends - 2 is at least -1, the final newline.
+    if not (np.isin(chars[ends - 1], (ord("0"), ord("1"))) & (chars[ends - 2] == ord(","))).all():
+        return None
+    # numpy parses a field that the csv module finds longer than its limit.
+    if (np.diff(ends, prepend=-1) - 1).max() > csv.field_size_limit():
+        return None
+    rows_in = io.BytesIO(data)
+    rows_in.seek(len(_HEADER))
+    try:
+        rows = np.loadtxt(rows_in, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1, encoding="ascii")
+        # Dataset rejects the rows the per-row reader names.
+        return Dataset(np.column_stack((rows["credit"], rows["risk"])), rows["label"])
+    except ValueError:
+        return None
+
+
 def read_dataset_csv(path: str) -> Dataset:
     """Read a dataset written by :func:`write_dataset_csv`.
 
     An empty file reads as an empty dataset. Raises
     :class:`DatasetFormatError` naming the first line that fails.
     """
+    # Read once: the path may be a pipe, which a second open finds drained.
+    with open(path, "rb") as fh:
+        data = fh.read()
+    dataset = _read_writer_form(data)
+    return dataset if dataset is not None else _read_rows(data)
+
+
+def _read_rows(data: bytes) -> Dataset:
+    """:func:`read_dataset_csv` row by row: every file the writer's form
+    refuses, each error message and line number."""
     values: list[float] = []
     labels: list[int] = []
     failure = None
     # Undecodable bytes read as lone surrogates, which no number parses, so a
     # bad byte fails on its own line and lines after a failure are never split.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         line_number = 0  # the last line read whole
         try:

@@ -451,6 +451,35 @@ def test_plot_data(tmp_path, capsys):
     assert _circle_count(figure.read_text(encoding="utf-8")) >= 100
 
 
+@contextlib.contextmanager
+def _pipe_path(data: bytes):
+    """A path that reads ``data`` once from a pipe, as ``--data <(...)`` does."""
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, data)  # under the pipe's 64 KiB buffer
+        os.close(write_end)
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+
+
+def test_plot_data_reads_a_pipe(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    assert _run(["generate", "--n", "40", "--seed", "2", "--out", str(data)], capsys)[0] == 0
+    from_file, from_pipe = tmp_path / "file.svg", tmp_path / "pipe.svg"
+    assert _run(["plot", "data", "--data", str(data), "--out", str(from_file)], capsys)[0] == 0
+    # CRLF line ends send the file to the per-row reader.
+    for text in (data.read_bytes(), data.read_bytes().replace(b"\n", b"\r\n")):
+        with _pipe_path(text) as pipe:
+            assert _run(["plot", "data", "--data", pipe, "--out", str(from_pipe)], capsys)[0] == 0
+        assert from_pipe.read_bytes() == from_file.read_bytes()
+    with _pipe_path(data.read_bytes() + b"0.1,0.2\n") as pipe:
+        code, stdout, stderr = _run(["plot", "data", "--data", pipe, "--out", str(tmp_path / "bad.svg")], capsys)
+    assert (code, stdout) == (2, "")
+    assert "line 42: expected 3 columns, got 2" in stderr
+    assert not (tmp_path / "bad.svg").exists()
+
+
 def test_plot_data_requires_dataset_flag(capsys):
     code, _, stderr = _run(["plot", "data"], capsys)
     assert code == 2
@@ -952,3 +981,93 @@ def test_every_option_is_read_by_its_handler(name, tmp_path, capsys, monkeypatch
         if any(option.startswith("--") for option in action.option_strings)
     }
     assert options - {"help", "config"} - read == set()
+
+
+# One small run of each command that writes a file, by the path it writes.
+WRITERS = {
+    "generate": lambda out: ["generate", "--n", "5", "--seed", "1", "--out", out],
+    "explain": lambda out: ["explain", "0.41", "-0.51", "--neighborhood-size", "100", "--out", out],
+    "evaluate": lambda out: ["evaluate", "--trials", "2", "--sizes", "50", "--out", out],
+    "plot": lambda out: ["plot", "model-grid", "--resolution", "2", "--out", out],
+}
+
+
+def _out_name(command: str) -> str:
+    return "report.csv" if command == "evaluate" else "out.txt"
+
+
+def _outputs(command: str, out: Path) -> list[Path]:
+    """The files a WRITERS run with ``--out out`` writes: ``evaluate`` puts its JSON beside the CSV."""
+    return [out, out.with_suffix(".json")] if command == "evaluate" else [out]
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_rewriting_a_longer_output_leaves_no_stale_tail(command, tmp_path, capsys):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    fresh.mkdir()
+    reused.mkdir()
+    name = _out_name(command)
+    for path in _outputs(command, reused / name):
+        path.write_bytes(b"stale\n" * 20_000)
+    assert _run(WRITERS[command](str(fresh / name)), capsys)[0] == 0
+    assert _run(WRITERS[command](str(reused / name)), capsys)[0] == 0
+    for new, old in zip(_outputs(command, fresh / name), _outputs(command, reused / name)):
+        assert old.read_bytes() == new.read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_an_output_keeps_the_mode_an_existing_file_has_and_open_would_give_a_new_one(command, tmp_path, capsys):
+    name = _out_name(command)
+    existing, new, opened = (tmp_path / f"{prefix}-{name}" for prefix in ("existing", "new", "opened"))
+    existing.write_bytes(b"old\n")
+    existing.chmod(0o604)
+    with open(opened, "w", encoding="utf-8"):
+        pass
+    assert _run(WRITERS[command](str(existing)), capsys)[0] == 0
+    assert _run(WRITERS[command](str(new)), capsys)[0] == 0
+    assert existing.stat().st_mode & 0o777 == 0o604
+    assert new.stat().st_mode & 0o777 == opened.stat().st_mode & 0o777
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_a_symlinked_output_is_written_through(command, tmp_path, capsys):
+    name = _out_name(command)
+    target, link, fresh = tmp_path / f"target-{name}", tmp_path / name, tmp_path / f"fresh-{name}"
+    target.write_bytes(b"stale\n" * 20_000)
+    link.symlink_to(target)
+    assert _run(WRITERS[command](str(link)), capsys)[0] == 0
+    assert _run(WRITERS[command](str(fresh)), capsys)[0] == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_an_output_to_dev_null_is_written_through(command, tmp_path, capsys):
+    if command == "evaluate":
+        # The JSON report lands beside the CSV, so a link stands in for
+        # /dev/null: --out /dev/null would create /dev/null.json.
+        out = tmp_path / "report.csv"
+        out.symlink_to(os.devnull)
+    else:
+        out = Path(os.devnull)
+    code, _, stderr = _run(WRITERS[command](str(out)), capsys)
+    assert (code, stderr) == (0, "")
+    assert Path(os.devnull).is_char_device()
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+@pytest.mark.parametrize("target", ["directory", "read-only file"])
+def test_an_unwritable_output_exits_1_with_the_error_of_open(command, target, tmp_path, capsys):
+    out = tmp_path / _out_name(command)
+    if target == "directory":
+        out.mkdir()
+    else:
+        out.write_bytes(b"old\n")
+        out.chmod(0o444)
+        if os.access(out, os.W_OK):
+            pytest.skip("this user may write a read-only file")
+    with pytest.raises(OSError) as info:
+        open(out, "w", encoding="utf-8")
+    code, _, stderr = _run(WRITERS[command](str(out)), capsys)
+    assert code == 1
+    assert stderr == f"error: {info.value}\n"

@@ -84,6 +84,12 @@ def test_draw_neighborhood_rejects_an_unknown_spec_by_its_type_name():
         draw_neighborhood(_fv(0.41, -0.51), _GridSpec(), 32, RngStream(5, 1))
 
 
+@pytest.mark.parametrize("sampler", [_GridSpec(), object()], ids=["spec-like", "object"])
+def test_request_rejects_a_sampler_that_is_not_a_spec_by_its_type_name(sampler):
+    with pytest.raises(TypeError, match=f"^unknown sampler spec: {type(sampler).__name__}$"):
+        _request(ConstantModel((0.5, 0.5)), sampler)
+
+
 def test_process_aware_draw_gives_the_same_points_for_any_origin():
     process = ProcessAwareSpec(mean=(0.0, 0.0), covariance=BENCH_COV)
     near, far = (
@@ -159,11 +165,15 @@ def test_benchmark_explanation_sign_pattern():
     )
 
 
-def test_sampling_failure_is_stage_labeled():
+def test_sampling_failure_is_stage_labeled(monkeypatch):
+    def exhausted(origin, spec, n, rng):
+        raise MemoryError("no room for the neighborhood")
+
+    monkeypatch.setattr("prolime.explainer.draw_neighborhood", exhausted)
     with pytest.raises(ExplainStageError) as info:
-        explain(_request(ConstantModel((0.5, 0.5)), _GridSpec()))
+        explain(_request(ConstantModel((0.5, 0.5)), StandardSpec()))
     assert info.value.stage == "sampling"
-    assert str(info.value) == "sampling stage failed: unknown sampler spec: _GridSpec"
+    assert str(info.value) == "sampling stage failed: no room for the neighborhood"
 
 
 def test_labeling_failure_is_stage_labeled():

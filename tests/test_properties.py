@@ -178,19 +178,32 @@ edge_floats = st.sampled_from(
 csv_floats = st.one_of(edge_floats, st.floats(allow_nan=False, allow_infinity=False))
 
 
+# Spellings of a whole file that the per-row reader reads as the writer's own.
+FILE_SPELLINGS = {
+    "as-written": lambda text: text,
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "no-final-newline": lambda text: text[:-1],
+    "quoted": lambda text: "".join(",".join(f'"{field}"' for field in line.split(",")) + "\n"
+                                   for line in text.splitlines()),
+}
+
+
 @settings(deadline=None)
 @given(
     features=arrays(float, st.tuples(st.integers(0, 30), st.just(2)), elements=csv_floats),
+    spelling=st.sampled_from(sorted(FILE_SPELLINGS)),
     data=st.data(),
 )
-def test_dataset_csv_round_trip_is_bit_exact(features, data, tmp_path_factory):
+def test_dataset_csv_round_trip_is_bit_exact(features, spelling, data, tmp_path_factory):
     labels = data.draw(arrays(np.int64, features.shape[0], elements=st.integers(0, 1)))
     path = tmp_path_factory.mktemp("csv") / "dataset.csv"
     write_dataset_csv(Dataset(features, labels), str(path))
+    path.write_bytes(FILE_SPELLINGS[spelling](path.read_text(encoding="utf-8")).encode("utf-8"))
     back = read_dataset_csv(str(path))
     assert back.features.shape == features.shape
     assert np.array_equal(back.features.view("<u8"), features.astype("<f8").view("<u8"))
     assert back.labels.tolist() == labels.tolist()
+    assert _reference_read_dataset_csv(str(path)) == (features.tolist(), labels.tolist())
 
 
 MAX_FLOAT = 1.7976931348623157e308
@@ -342,24 +355,29 @@ def _reference_read_dataset_csv(path):
     values, labels, failure = [], [], None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is not None and header != ["credit", "risk", "label"]:
-            return 1, "expected header credit,risk,label"
-        for line_number, row in enumerate(reader, start=2):
-            try:
-                if len(row) != 3:
-                    raise ValueError(f"expected 3 columns, got {len(row)}")
-                credit, risk, label = float(row[0]), float(row[1]), int(row[2])
-            except ValueError as exc:
-                failure = line_number, str(exc)
-                break
-            if not (math.isfinite(credit) and math.isfinite(risk)):
-                bad = credit if not math.isfinite(credit) else risk
-                return line_number, f"feature values must be finite, got {bad!r}"
-            if label not in (0, 1):
-                return line_number, f"label must be 0 or 1, got {label!r}"
-            values.append((credit, risk))
-            labels.append(label)
+        line_number = 0  # the last line read whole
+        try:
+            header = next(reader, None)
+            line_number = 1
+            if header is not None and header != ["credit", "risk", "label"]:
+                return 1, "expected header credit,risk,label"
+            for line_number, row in enumerate(reader, start=2):
+                try:
+                    if len(row) != 3:
+                        raise ValueError(f"expected 3 columns, got {len(row)}")
+                    credit, risk, label = float(row[0]), float(row[1]), int(row[2])
+                except ValueError as exc:
+                    failure = line_number, str(exc)
+                    break
+                if not (math.isfinite(credit) and math.isfinite(risk)):
+                    bad = credit if not math.isfinite(credit) else risk
+                    return line_number, f"feature values must be finite, got {bad!r}"
+                if label not in (0, 1):
+                    return line_number, f"label must be 0 or 1, got {label!r}"
+                values.append([credit, risk])
+                labels.append(label)
+        except csv.Error as exc:
+            return line_number + 1, str(exc)
     return failure or (values, labels)
 
 
@@ -375,31 +393,73 @@ CSV_FAULTS = {
     "bad-label": lambda row: [row[0], row[1], "2"],
     "non-integer-label": lambda row: [row[0], row[1], "1.0"],
     "huge-label": lambda row: [row[0], row[1], str(10**20)],
+    "underscore-label": lambda row: [row[0], row[1], "1_0"],
+    "full-width-label-2": lambda row: [row[0], row[1], "\uff12"],
+    "whitespace-line": lambda row: [" "],
+    # numpy strips a trailing unit separator as whitespace; float() does not.
+    "control-character": lambda row: [row[0] + "\x1f", row[1], row[2]],
+    "long-finite-field": lambda row: ["0." + "0" * csv.field_size_limit() + "1", row[1], row[2]],
+}
+
+# Row spellings that float() and int() accept, whether numpy reads them alike or not.
+CSV_SPELLINGS = {
+    "underscore-feature": lambda row: ["1_0", row[1], row[2]],
+    "full-width-feature": lambda row: [row[0], "\uff11", row[2]],
+    "full-width-label": lambda row: [row[0], row[1], "\uff11"],
+    "plus-label": lambda row: [row[0], row[1], "+1"],
+    "zero-padded-label": lambda row: [row[0], row[1], "01"],
+    "negative-zero-label": lambda row: [row[0], row[1], "-0"],
+    "space-label": lambda row: [row[0], row[1], " 1"],
+    "quoted-feature": lambda row: [f'"{row[0]}"', row[1], row[2]],
 }
 
 
-@settings(deadline=None)
-@given(
-    n=st.integers(1, 30),
-    faults=st.lists(
-        st.tuples(st.integers(0, 29), st.sampled_from(sorted(CSV_FAULTS))), min_size=1, max_size=2
-    ),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_read_dataset_csv_reports_the_line_of_the_per_row_reference(n, faults, seed, tmp_path_factory):
+def _spelled_rows(n, changes, seed):
+    """n clean rows from ``seed``, each ``(line, name)`` change applied to row ``line % n``."""
     gen = np.random.default_rng(seed)
     rows = [[repr(c), repr(r), str(label)] for (c, r), label in
             zip(gen.standard_normal((n, 2)).tolist(), gen.integers(0, 2, n).tolist())]
     clean = list(rows)
-    for line, fault in faults:
-        rows[line % n] = CSV_FAULTS[fault](clean[line % n])
+    for line, name in changes:
+        rows[line % n] = {**CSV_FAULTS, **CSV_SPELLINGS}[name](clean[line % n])
+    return rows
+
+
+def _each_change_alone(test):
+    """Run ``test`` on a file with each fault or spelling alone, in its middle
+    row: a change reaches numpy's reader only when nothing else in the file
+    sends it to the per-row reader."""
+    for name in sorted(CSV_FAULTS) + sorted(CSV_SPELLINGS):
+        test = example(n=3, changes=[(1, name)], seed=0)(test)
+    return test
+
+
+@settings(deadline=None)
+@_each_change_alone
+@given(
+    n=st.integers(1, 30),
+    changes=st.lists(
+        st.tuples(st.integers(0, 29), st.sampled_from(sorted(CSV_FAULTS) + sorted(CSV_SPELLINGS))),
+        min_size=1, max_size=3,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_read_dataset_csv_reports_the_line_of_the_per_row_reference(n, changes, seed, tmp_path_factory):
+    # A file with a fault fails on the reference's line with its message, and
+    # one with only other spellings reads to the reference's dataset.
     path = tmp_path_factory.mktemp("csv") / "dataset.csv"
-    path.write_text("credit,risk,label\n" + "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    path.write_text("credit,risk,label\n" + "".join(",".join(row) + "\n" for row in _spelled_rows(n, changes, seed)),
+                    encoding="utf-8")
     expected = _reference_read_dataset_csv(str(path))
-    assert isinstance(expected[0], int), "every fault makes the file invalid"
-    with pytest.raises(DatasetFormatError) as info:
-        read_dataset_csv(str(path))
-    assert (info.value.line_number, str(info.value)) == (expected[0], f"line {expected[0]}: {expected[1]}")
+    last_change_by_row = {line % n: name for line, name in changes}
+    assert isinstance(expected[0], int) == any(name in CSV_FAULTS for name in last_change_by_row.values())
+    if isinstance(expected[0], int):
+        with pytest.raises(DatasetFormatError) as info:
+            read_dataset_csv(str(path))
+        assert (info.value.line_number, str(info.value)) == (expected[0], f"line {expected[0]}: {expected[1]}")
+    else:
+        back = read_dataset_csv(str(path))
+        assert (back.features.tolist(), back.labels.tolist()) == expected
 
 
 # Coordinates from subnormal to near the float maximum, where differences

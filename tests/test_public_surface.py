@@ -123,4 +123,52 @@ def test_private_names_shared_between_modules_stay_few():
         for alias in node.names
         if alias.name.startswith("_")
     }
-    assert shared == {"_gaussian_rows", "_collapse_cause", "_squared_distances", "_by_column", "_require_kernel_width"}
+    assert shared == {
+        "_gaussian_rows",
+        "_collapse_cause",
+        "_squared_distances",
+        "_by_column",
+        "_require_kernel_width",
+        "_require_spec",
+        "_overwrite",
+    }
+
+
+def _writes_a_file(node: ast.AST) -> bool:
+    """A call of ``write_text``, ``write_bytes`` or ``os.open``, or an ``open``
+    whose mode (any string argument made of mode letters) writes."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+        return True
+    modes = [
+        arg.value
+        for arg in (*node.args, *(keyword.value for keyword in node.keywords))
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str) and arg.value
+        and set(arg.value) <= set("rwxabt+")
+    ]
+    return any(set(mode) & set("wxa+") for mode in modes)
+
+
+def test_only_the_overwrite_helper_writes_files():
+    # Outputs are overwritten in place and cut to length, one way for every
+    # command; see simulation._overwrite.
+    writers = set()
+    for path in Path(prolime.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for owner in ast.walk(tree):
+            for child in ast.iter_child_nodes(owner):
+                child.parent = owner
+        for node in ast.walk(tree):
+            if _writes_a_file(node):
+                owner = node
+                while not isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
+                    owner = owner.parent
+                writers.add((path.name, getattr(owner, "name", "<module>")))
+    assert writers == {("simulation.py", "_overwrite")}

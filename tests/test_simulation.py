@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import math
+import os
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -341,6 +344,57 @@ def test_dataset_csv_round_trip_is_exact(tmp_path):
     assert read_dataset_csv(str(path)) == dataset
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == "credit,risk,label"
+
+
+def test_read_dataset_csv_reads_the_writers_form_without_the_row_loop(tmp_path, monkeypatch):
+    dataset = generate_dataset(200, RngStream(13))
+    path = tmp_path / "round_trip.csv"
+    write_dataset_csv(dataset, str(path))
+
+    def row_loop(data):
+        raise AssertionError("the per-row reader ran")
+
+    monkeypatch.setattr("prolime.simulation._read_rows", row_loop)
+    assert read_dataset_csv(str(path)) == dataset
+
+
+def test_read_dataset_csv_names_a_blank_line_without_a_warning(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("credit,risk,label\n\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DatasetFormatError, match="^line 2: expected 3 columns, got 0$"):
+            read_dataset_csv(str(path))
+
+
+def test_write_dataset_csv_over_a_longer_file_leaves_no_stale_tail(tmp_path):
+    dataset = generate_dataset(3, RngStream(13))
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    reused.write_bytes(b"9" * 100_000)
+    write_dataset_csv(dataset, str(fresh))
+    write_dataset_csv(dataset, str(reused))
+    assert reused.read_bytes() == fresh.read_bytes()
+
+
+def test_write_dataset_csv_cut_short_by_a_failed_write_holds_only_the_new_prefix(tmp_path, monkeypatch):
+    dataset = generate_dataset(50, RngStream(13))
+    fresh, reused = tmp_path / "fresh.csv", tmp_path / "reused.csv"
+    write_dataset_csv(dataset, str(fresh))
+    reused.write_bytes(b"9" * 100_000)
+    real_write = os.write
+    calls = []
+
+    def write_then_fail(fd, data):
+        calls.append(len(data))
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, bytes(data[:100]))
+
+    monkeypatch.setattr(os, "write", write_then_fail)
+    with pytest.raises(OSError, match="No space left on device"):
+        write_dataset_csv(dataset, str(reused))
+    monkeypatch.undo()
+    assert reused.read_bytes() == fresh.read_bytes()[:100]
 
 
 def test_dataset_csv_rejects_wrong_header(tmp_path):
