@@ -31,6 +31,11 @@ __all__ = [
     "latin_hypercube_uniforms",
 ]
 
+# Philox built from a fixed seed sequence draws no OS entropy; the state each
+# RngStream sets then replaces all it derived from it.
+_PHILOX_SEED = np.random.SeedSequence(0)
+
+
 class NotPositiveDefiniteError(ValueError):
     """A symmetric matrix failed its Cholesky factorization."""
 
@@ -62,8 +67,19 @@ class RngStream:
             object.__setattr__(self, name, value)
 
     def generator(self) -> np.random.Generator:
+        """The stream's generator: Philox keyed by (seed, stream_id), counter 0,
+        drawing what ``np.random.Philox(key=[seed, stream_id])`` draws."""
+        bits = np.random.Philox(_PHILOX_SEED)
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(key=key))
+        bits.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return np.random.Generator(bits)
 
 
 @dataclass(frozen=True)

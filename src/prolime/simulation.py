@@ -187,14 +187,14 @@ class OracleModel(BlackBoxModel):
 
     def _coins(self, rows: np.ndarray) -> np.ndarray:
         """Per row: low bit of the first byte of blake2b(seed bytes + the row as two "<f8")."""
-        data = np.asarray(rows, dtype="<f8").tobytes()
         seeded = hashlib.blake2b(self._seed_bytes, digest_size=8)
-        first_bytes = []
-        for start in range(0, len(data), 16):
+        digests = []
+        # Each row's 16 bytes as one bytes object.
+        for row in np.ascontiguousarray(rows, dtype="<f8").view("V16").ravel().tolist():
             h = seeded.copy()
-            h.update(data[start:start + 16])
-            first_bytes.append(h.digest()[0])
-        return np.frombuffer(bytes(first_bytes), dtype=np.uint8) & 1
+            h.update(row)
+            digests.append(h.digest())
+        return np.frombuffer(b"".join(digests), dtype=np.uint8)[::8] & 1
 
     def predict_proba(self, X: np.ndarray, feature_names: Sequence[str] | None = None) -> np.ndarray:
         rows = _finite_rows(X)
@@ -255,10 +255,184 @@ def _overwrite(path: str, text: str) -> None:
             os.close(fd)
 
 
+_U64 = np.uint64
+# Rows formatted in one numpy pass; bounds the writer's temporaries at a few MB.
+_CHUNK_ROWS = 4096
+# Below this many rows, repr per value costs less than the numpy pass's fixed cost.
+_BULK_MIN_ROWS = 128
+# Biased exponents of the doubles in [2**-14, 2**53), which the kernel formats.
+_BULK_EXPONENTS = (1023 - 14, 1023 + 53)
+_POW5 = np.array([5**q for q in range(24)], dtype=np.uint64)
+_POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
+
+
+def _word(text: str) -> int:
+    """``text`` as the little-endian uint64 of its ASCII bytes, NUL-padded to 8."""
+    return int.from_bytes(text.encode("ascii").ljust(8, b"\0"), "little")
+
+
+def _zone_masks() -> tuple[np.ndarray, ...]:
+    """Per word w of a value's three digit words and per 18 * (point + 4) + n,
+    for 0.d1...dn * 10**point with point in [-4, 16]: the mask of the bytes
+    taken from the digits, the mask of those taken from the digits moved one
+    byte up, and the "." in its byte.
+
+    For |x| >= 1 the zone is the digits up to max(n, point + 1), with "." at
+    byte point; below 1 it is the n digits, after the head word's "0." and zeros.
+    """
+    point = np.arange(-4, 17).reshape(-1, 1, 1)
+    n = np.arange(18).reshape(1, -1, 1)
+    byte = np.arange(24)
+    dotted = point >= 1
+    at = np.where(dotted, point, 24)
+    end = np.where(dotted, np.maximum(n, point + 1) + 1, n)
+
+    def words(where: np.ndarray, fill: int) -> np.ndarray:
+        masks = np.where(where & (byte < end), fill, 0).astype(np.uint8)
+        return np.ascontiguousarray(masks.view("<u8").reshape(-1, 3).T)
+
+    return words(byte < at, 0xFF), words(byte > at, 0xFF), words(byte == at, ord("."))
+
+
+_DIGIT_MASK, _MOVED_MASK, _DOT = _zone_masks()
+# The head word's "0." and zeros after the sign for 1e-4 <= |x| < 1, by point + 4.
+_PREFIX = np.array(
+    [_word(("0." + "0" * -point).rjust(8, "\0") if point <= 0 else "") for point in range(-4, 17)],
+    dtype=np.uint64,
+)
+# The head word's comma before a risk value.
+_SEPARATOR = np.array([0, ord(",")], dtype=np.uint64)
+
+
+def _shortest_digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The digits and decimal exponent of ``repr`` of each positive double in
+    [2**-14, 2**53), given as its uint64 bits: ``repr(x)`` reads as
+    ``digits * 10**exponent``, ``digits`` the fewest that round-trip, nearest
+    to ``x``, ties to even.
+
+    Ryū's digit removal (Adams, PLDI 2018, the general case) run on exact
+    bounds: x and its halfway neighbours times 10**q for q = 17 - floor(log10 x),
+    floored, and whether the floor of x dropped nothing. With x = m * 2**e,
+    x * 10**q is 4m * 5**q, a product of two uint64 limbs, shifted right by
+    s = 2 - e - q >= 0; a halfway neighbour adds 2 * 5**q or subtracts 5**q
+    (2 * 5**q unless m is a power of two).
+
+    Ryū also tracks whether the neighbours' floors are exact, for an output on
+    a neighbour, and moves up an output rounded below the lower neighbour.
+    Neither is needed in this range. A neighbour times 10**q has at most one
+    factor of 2, so it is exact only where s <= 1, for x in [2**51, 2**53),
+    and there it ends in 25, 50 or 75, never in a removed zero. Rounding below
+    the lower neighbour needs it nearer than the upper one, so x a power of
+    two, and a test writes every power of two in this range.
+    """
+    mantissa = bits & _U64(2**52 - 1)
+    q = 17 - np.floor(np.log10(bits.view(np.float64))).astype(np.intp)
+    shift = (1077 - (bits >> _U64(52)).astype(np.intp) - q).astype(np.uint64)
+    five = _POW5[q]
+    four_m = (mantissa | _U64(2**52)) << _U64(2)
+    low32 = _U64(2**32 - 1)
+    m_lo, m_hi, f_lo, f_hi = four_m & low32, four_m >> _U64(32), five & low32, five >> _U64(32)
+    product = m_lo * f_lo
+    cross = m_hi * f_lo + m_lo * f_hi
+    lo = product + (cross << _U64(32))
+    hi = m_hi * f_hi + (cross >> _U64(32)) + (lo < product)
+    # At s = 0, hi << 64 is 0 in numpy, and hi is 0 anyway.
+    up = _U64(64) - shift
+    vr = (hi << up) | (lo >> shift)
+    vr_exact = (lo & ((_U64(1) << shift) - _U64(1))) == 0
+    lo_p = lo + (five << _U64(1))
+    vp = ((hi + (lo_p < lo)) << up) | (lo_p >> shift)
+    lo_m = lo - (five << (mantissa != 0).astype(np.uint64))
+    vm = ((hi - (lo_m > lo)) << up) | (lo_m >> shift)
+    # The most digits k that can go: a multiple of 10**k lies in (vm, vp]. The
+    # test only turns false as k grows, so every value divides every round.
+    removed = np.zeros(len(bits), dtype=np.intp)
+    while True:
+        vp, vm = vp // _U64(10), vm // _U64(10)
+        more = vp > vm
+        if not more.any():
+            break
+        removed += more
+    scale = _POW10[removed]
+    digits = vr // scale
+    twice_rest = (vr - digits * scale) << _U64(1)
+    tie_to_even = vr_exact & (twice_rest == scale) & ((digits & _U64(1)) == 0)
+    digits += (twice_rest >= scale) & ~tie_to_even
+    return digits, removed - q
+
+
+def _ascii8(x: np.ndarray) -> np.ndarray:
+    """Each x < 10**8 as its 8 zero-padded digits in a little-endian uint64
+    of ASCII, the first digit in the low byte: split into 32-bit lanes of 4
+    digits, 16-bit lanes of 2, then bytes, dividing by multiply and shift."""
+    hi = x // _U64(10000)
+    lanes = hi | ((x - hi * _U64(10000)) << _U64(32))
+    tens = ((lanes * _U64(5243)) >> _U64(19)) & _U64(0x0000007F0000007F)
+    lanes = tens | ((lanes - tens * _U64(100)) << _U64(16))
+    tens = ((lanes * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)
+    return tens | ((lanes - tens * _U64(10)) << _U64(8)) | _U64(_word("0" * 8))
+
+
+def _format_rows(features: np.ndarray, labels: np.ndarray) -> bytes:
+    """The CSV lines of the rows: ``f"{credit!r},{risk!r},{label}\\n"`` each,
+    built in one numpy pass.
+
+    Each row is 9 uint64 words of NUL-padded ASCII, and the NULs are deleted at
+    the end: per value a head word (comma, sign, "0.000" prefix) and three
+    words of digits with the point, then a word with the comma, the label and
+    the newline. Values outside [1e-4, 2**53), and those whose ``repr`` is
+    scientific, are written with ``repr``, which never exceeds 24 bytes.
+    """
+    rows = len(labels)
+    if rows < _BULK_MIN_ROWS:
+        lines = zip(features.tolist(), labels.tolist())
+        return "".join(f"{c!r},{r!r},{label}\n" for (c, r), label in lines).encode("ascii")
+    bits = features.view(np.uint64)
+    exponent = (bits >> _U64(52)) & _U64(0x7FF)
+    bulk = (exponent >= _U64(_BULK_EXPONENTS[0])) & (exponent < _U64(_BULK_EXPONENTS[1]))
+    # Every other value is formatted as 1.0 here and then overwritten.
+    magnitude = np.where(bulk, bits & _U64(2**63 - 1), np.float64(1.0).view(np.uint64))
+    digits, exponent10 = (column.reshape(rows, 2) for column in _shortest_digits(magnitude.ravel()))
+    n = np.searchsorted(_POW10, digits, side="right")
+    point = n + exponent10  # repr is 0.d1...dn * 10**point
+    bulk &= point >= -3
+    # The 17 digits d1..dn0..0 as three words of 8, 8 and 1 ASCII bytes, and
+    # the same moved one byte up for the digits after the point.
+    left = digits * _POW10[17 - n]
+    first = left // _U64(10**9)
+    rest = left - first * _U64(10**9)
+    second = rest // _U64(10)
+    text = (_ascii8(first), _ascii8(second), rest - second * _U64(10) + _U64(ord("0")))
+    moved = [text[0] << _U64(8)] + [(text[w] << _U64(8)) | (text[w - 1] >> _U64(56)) for w in (1, 2)]
+    zone = (point + 4) * 18 + n
+    words = np.empty((rows, 9), dtype="<u8")
+    cells = words[:, :8].reshape(rows, 2, 4).transpose(2, 0, 1)
+    cells[0] = _PREFIX[point + 4] | ((bits >> _U64(63)) * _U64(ord("-") << 8)) | _SEPARATOR
+    for w in range(3):
+        cells[1 + w] = (text[w] & _DIGIT_MASK[w][zone]) | (moved[w] & _MOVED_MASK[w][zone]) | _DOT[w][zone]
+    words[:, 8] = (labels.astype(np.uint64) << _U64(8)) | _U64(_word(",0\n"))
+    fallback = np.nonzero(~bulk)
+    if fallback[0].size:
+        reprs = "".join([f"{value!r:\0<24}" for value in features[fallback].tolist()]).encode("ascii")
+        cells[0][fallback] = _SEPARATOR[fallback[1]]
+        cells[1:, fallback[0], fallback[1]] = np.frombuffer(reprs, dtype="<u8").reshape(-1, 3).T
+    return words.tobytes().translate(None, b"\0")
+
+
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
-    """Write a dataset as CSV with header credit,risk,label, full float precision."""
-    rows = zip(dataset.features.tolist(), dataset.labels.tolist())
-    _overwrite(path, "credit,risk,label\n" + "".join(f"{c!r},{r!r},{label}\n" for (c, r), label in rows))
+    """Write a dataset as CSV with header credit,risk,label, each float as its
+    ``repr`` and each label as 0 or 1.
+
+    The floats are formatted in bulk (see :func:`_format_rows`), in chunks of
+    a fixed number of rows, to the bytes ``repr`` gives; a property test pins
+    them to a per-row ``repr`` writer. ±0, subnormals, values below 1e-4 or
+    from 2**53 up, and any whose ``repr`` is scientific are written with
+    ``repr`` itself.
+    """
+    features, labels = dataset.features, dataset.labels
+    chunks = [_format_rows(features[start:start + _CHUNK_ROWS], labels[start:start + _CHUNK_ROWS])
+              for start in range(0, len(labels), _CHUNK_ROWS)]
+    _overwrite(path, b"".join([_HEADER, *chunks]).decode("ascii"))
 
 
 def _undecodable(row: list[str]) -> ValueError | None:

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import lstsq
 from scipy.special import ndtri
 
+from prolime import simulation
 from prolime.core import BlackBoxModel, FeatureVector, NoiseMode
 from prolime.plots import _fixed2, svg_scatter
 from prolime.samplers import (
@@ -207,6 +209,75 @@ def test_dataset_csv_round_trip_is_bit_exact(features, spelling, data, tmp_path_
 
 
 MAX_FLOAT = 1.7976931348623157e308
+
+
+def _reference_write_dataset_csv(features: np.ndarray, labels: np.ndarray) -> bytes:
+    """The per-row writer: one f-string of the two reprs and the label per row."""
+    rows = zip(features.tolist(), labels.tolist())
+    return ("credit,risk,label\n" + "".join(f"{c!r},{r!r},{label}\n" for (c, r), label in rows)).encode("ascii")
+
+
+def _with_neighbours(values):
+    steps = (math.nextafter(x, toward) for x in values for toward in (0.0, math.inf))
+    return sorted(set(values).union(x for x in steps if math.isfinite(x)))
+
+
+# Where the writer's cases meet: the bulk range [2**-14, 2**53), repr's
+# positional range [1e-4, 1e16), the subnormals and the ends of the float range.
+WRITER_EDGES = _with_neighbours(
+    [0.0, 5e-324, 2.2250738585072014e-308, 2.0**-14, 1e-4, 1.0, 1e15, 2.0**52, 2.0**53, 1e16, MAX_FLOAT]
+)
+writer_magnitudes = st.one_of(
+    st.floats(0.0, MAX_FLOAT),  # every finite double, subnormals included
+    st.floats(2.0**-14, 2.0**53),
+    st.sampled_from(WRITER_EDGES),
+    st.integers(-1074, 1023).map(lambda k: math.ldexp(1.0, k)),
+    st.integers(-323, 308).map(lambda k: float(f"1e{k}")),
+    # Short reprs such as 0.1, 100.0 and 1e15.
+    st.builds(lambda digits, k: float(f"{digits}e{k}"), st.integers(1, 999), st.integers(-8, 17)),
+    # Exact short decimals, where the digits dropped can be exactly half a unit.
+    st.builds(math.ldexp, st.integers(1, 2**30), st.integers(-40, 0)),
+)
+writer_floats = st.builds(lambda x, negative: -x if negative else x, writer_magnitudes, st.booleans())
+
+
+def _assert_write_dataset_csv_matches_the_reference(features, labels, path):
+    expected = _reference_write_dataset_csv(features, labels)
+    # Fewer rows than _BULK_MIN_ROWS go through repr unless the threshold is lowered.
+    for bulk_min_rows in (0, simulation._BULK_MIN_ROWS):
+        with mock.patch.object(simulation, "_BULK_MIN_ROWS", bulk_min_rows):
+            write_dataset_csv(Dataset(features, labels), str(path))
+        assert path.read_bytes() == expected
+
+
+@settings(deadline=None)
+@given(
+    rows=st.lists(st.tuples(writer_floats, writer_floats, st.integers(0, 1)), max_size=40),
+    beyond_a_chunk=st.booleans(),
+)
+# Bulk values interleaved with values written with repr, in both columns.
+@example(
+    rows=[(0.5, 1e-05, 1), (5e-324, 1.5, 0), (-0.0, -123.25, 1), (1e16, -2.0**-14, 0), (0.1, 1e300, 1),
+          (-2.0**53, 9007199254740991.0, 0), (0.0001, 9.999999999999999e-05, 1), (-1e15, 0.0, 0),
+          # A tie broken to the even digit, and a near tie just above it.
+          (0.011728286743164062, -0.00019273161888122559, 1)],
+    beyond_a_chunk=False,
+)
+@example(rows=[(1e-05, 0.3, 1), (0.25, -0.0, 0), (2.0**60, 7.0, 1)], beyond_a_chunk=True)
+def test_write_dataset_csv_writes_the_bytes_of_the_per_row_repr_writer(rows, beyond_a_chunk, tmp_path_factory):
+    features = np.array([row[:2] for row in rows], dtype=float).reshape(-1, 2)
+    labels = np.array([row[2] for row in rows], dtype=np.int64)
+    if beyond_a_chunk and rows:
+        count = simulation._CHUNK_ROWS + 2 * len(rows) + 1
+        features, labels = np.resize(features, (count, 2)), np.resize(labels, count)
+    _assert_write_dataset_csv_matches_the_reference(features, labels, tmp_path_factory.mktemp("csv") / "dataset.csv")
+
+
+def test_write_dataset_csv_writes_every_power_of_two_of_the_bulk_range_as_repr(tmp_path):
+    # The only doubles there whose lower halfway neighbour is the nearer one.
+    values = _with_neighbours([math.ldexp(1.0, k) for k in range(-14, 54)])
+    features = np.array(values + [-x for x in values]).reshape(-1, 2)
+    _assert_write_dataset_csv_matches_the_reference(features, np.arange(len(features)) % 2, tmp_path / "powers.csv")
 
 
 @settings(deadline=None)
