@@ -31,9 +31,13 @@ __all__ = [
     "latin_hypercube_uniforms",
 ]
 
-# Philox built from a fixed seed sequence draws no OS entropy; the state each
-# RngStream sets then replaces all it derived from it.
-_PHILOX_SEED = np.random.SeedSequence(0)
+
+@functools.cache
+def _philox_seed() -> np.random.SeedSequence:
+    """A fixed seed sequence: Philox built from it draws no OS entropy, and the
+    state each RngStream sets replaces all it derived. Made on first use, as
+    it imports ``numpy.random``."""
+    return np.random.SeedSequence(0)
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -69,7 +73,7 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """The stream's generator: Philox keyed by (seed, stream_id), counter 0,
         drawing what ``np.random.Philox(key=[seed, stream_id])`` draws."""
-        bits = np.random.Philox(_PHILOX_SEED)
+        bits = np.random.Philox(_philox_seed())
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         bits.state = {
             "bit_generator": "Philox",
