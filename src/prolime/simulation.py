@@ -258,7 +258,8 @@ def _overwrite(path: str, text: str) -> None:
 _U64 = np.uint64
 # Rows formatted in one numpy pass; bounds the writer's temporaries at a few MB.
 _CHUNK_ROWS = 4096
-# Below this many rows, repr per value costs less than the numpy pass's fixed cost.
+# Below this many rows, or with no value in the kernel's range, repr per value
+# costs less than the numpy pass.
 _BULK_MIN_ROWS = 128
 # Biased exponents of the doubles in [2**-14, 2**53), which the kernel formats.
 _BULK_EXPONENTS = (1023 - 14, 1023 + 53)
@@ -384,12 +385,12 @@ def _format_rows(features: np.ndarray, labels: np.ndarray) -> bytes:
     scientific, are written with ``repr``, which never exceeds 24 bytes.
     """
     rows = len(labels)
-    if rows < _BULK_MIN_ROWS:
-        lines = zip(features.tolist(), labels.tolist())
-        return "".join(f"{c!r},{r!r},{label}\n" for (c, r), label in lines).encode("ascii")
     bits = features.view(np.uint64)
     exponent = (bits >> _U64(52)) & _U64(0x7FF)
     bulk = (exponent >= _U64(_BULK_EXPONENTS[0])) & (exponent < _U64(_BULK_EXPONENTS[1]))
+    if rows < _BULK_MIN_ROWS or not bulk.any():
+        lines = zip(features.tolist(), labels.tolist())
+        return "".join(f"{c!r},{r!r},{label}\n" for (c, r), label in lines).encode("ascii")
     # Every other value is formatted as 1.0 here and then overwritten.
     magnitude = np.where(bulk, bits & _U64(2**63 - 1), np.float64(1.0).view(np.uint64))
     digits, exponent10 = (column.reshape(rows, 2) for column in _shortest_digits(magnitude.ravel()))
