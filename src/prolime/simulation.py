@@ -374,6 +374,12 @@ def _ascii8(x: np.ndarray) -> np.ndarray:
     return tens | ((lanes - tens * _U64(10)) << _U64(8)) | _U64(_word("0" * 8))
 
 
+def _repr_rows(features: np.ndarray, labels: np.ndarray) -> bytes:
+    """The CSV lines of the rows, each float formatted with ``repr``."""
+    lines = zip(features.tolist(), labels.tolist())
+    return "".join(f"{c!r},{r!r},{label}\n" for (c, r), label in lines).encode("ascii")
+
+
 def _format_rows(features: np.ndarray, labels: np.ndarray) -> bytes:
     """The CSV lines of the rows: ``f"{credit!r},{risk!r},{label}\\n"`` each,
     built in one numpy pass.
@@ -385,12 +391,13 @@ def _format_rows(features: np.ndarray, labels: np.ndarray) -> bytes:
     scientific, are written with ``repr``, which never exceeds 24 bytes.
     """
     rows = len(labels)
+    if rows < _BULK_MIN_ROWS:
+        return _repr_rows(features, labels)
     bits = features.view(np.uint64)
     exponent = (bits >> _U64(52)) & _U64(0x7FF)
     bulk = (exponent >= _U64(_BULK_EXPONENTS[0])) & (exponent < _U64(_BULK_EXPONENTS[1]))
-    if rows < _BULK_MIN_ROWS or not bulk.any():
-        lines = zip(features.tolist(), labels.tolist())
-        return "".join(f"{c!r},{r!r},{label}\n" for (c, r), label in lines).encode("ascii")
+    if not bulk.any():
+        return _repr_rows(features, labels)
     # Every other value is formatted as 1.0 here and then overwritten.
     magnitude = np.where(bulk, bits & _U64(2**63 - 1), np.float64(1.0).view(np.uint64))
     digits, exponent10 = (column.reshape(rows, 2) for column in _shortest_digits(magnitude.ravel()))
