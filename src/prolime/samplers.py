@@ -31,15 +31,6 @@ __all__ = [
     "latin_hypercube_uniforms",
 ]
 
-
-@functools.cache
-def _philox_seed() -> np.random.SeedSequence:
-    """A fixed seed sequence: Philox built from it draws no OS entropy, and the
-    state each RngStream sets replaces all it derived. Made on first use, as
-    it imports ``numpy.random``."""
-    return np.random.SeedSequence(0)
-
-
 class NotPositiveDefiniteError(ValueError):
     """A symmetric matrix failed its Cholesky factorization."""
 
@@ -71,19 +62,8 @@ class RngStream:
             object.__setattr__(self, name, value)
 
     def generator(self) -> np.random.Generator:
-        """The stream's generator: Philox keyed by (seed, stream_id), counter 0,
-        drawing what ``np.random.Philox(key=[seed, stream_id])`` draws."""
-        bits = np.random.Philox(_philox_seed())
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        bits.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return np.random.Generator(bits)
+        return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)

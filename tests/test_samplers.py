@@ -39,16 +39,6 @@ def test_rng_stream_validates_range():
         RngStream(1.5)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
-@pytest.mark.parametrize("stream_id", [0, 1, 2**64 - 1])
-def test_rng_stream_draws_what_philox_keyed_by_seed_and_stream_draws(seed, stream_id):
-    ours = RngStream(seed, stream_id).generator()
-    philox = np.random.Generator(np.random.Philox(key=np.array([seed, stream_id], dtype=np.uint64)))
-    assert ours.integers(0, 2**64, 9, dtype=np.uint64).tolist() == philox.integers(0, 2**64, 9, dtype=np.uint64).tolist()
-    assert ours.standard_normal(9).tobytes() == philox.standard_normal(9).tobytes()
-    assert ours.random(3).tobytes() == philox.random(3).tobytes()
-
-
 def test_rng_stream_reproducible_and_distinct():
     a = RngStream(42, 7).generator().random(8)
     b = RngStream(42, 7).generator().random(8)
