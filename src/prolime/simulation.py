@@ -187,14 +187,14 @@ class OracleModel(BlackBoxModel):
 
     def _coins(self, rows: np.ndarray) -> np.ndarray:
         """Per row: low bit of the first byte of blake2b(seed bytes + the row as two "<f8")."""
+        data = np.asarray(rows, dtype="<f8").tobytes()
         seeded = hashlib.blake2b(self._seed_bytes, digest_size=8)
-        digests = []
-        # Each row's 16 bytes as one bytes object.
-        for row in np.ascontiguousarray(rows, dtype="<f8").view("V16").ravel().tolist():
+        first_bytes = []
+        for start in range(0, len(data), 16):
             h = seeded.copy()
-            h.update(row)
-            digests.append(h.digest())
-        return np.frombuffer(b"".join(digests), dtype=np.uint8)[::8] & 1
+            h.update(data[start:start + 16])
+            first_bytes.append(h.digest()[0])
+        return np.frombuffer(bytes(first_bytes), dtype=np.uint8) & 1
 
     def predict_proba(self, X: np.ndarray, feature_names: Sequence[str] | None = None) -> np.ndarray:
         rows = _finite_rows(X)
