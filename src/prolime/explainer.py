@@ -7,7 +7,6 @@ and the surrogate fit are shared verbatim between sampler variants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,7 +33,6 @@ __all__ = [
     "ExplainRequest",
     "ExplainStageError",
     "explain",
-    "explain_batch",
 ]
 
 
@@ -47,17 +45,7 @@ class ExplainStageError(RuntimeError):
 
 
 class BatchExplainError(RuntimeError):
-    """One or more batch elements failed; completed ones are kept by index."""
-
-    def __init__(
-        self,
-        errors: Sequence[tuple[int, ExplainStageError]],
-        completed: dict[int, Explanation],
-    ):
-        indexes = ", ".join(str(i) for i, _ in errors)
-        super().__init__(f"explanation failed for sample index {indexes}")
-        self.errors = tuple(errors)
-        self.completed = dict(completed)
+    """Unused; kept only because ``perfbench/workloads.py`` imports and catches it."""
 
 
 @dataclass(frozen=True)
@@ -139,37 +127,3 @@ def explain(req: ExplainRequest) -> Explanation:
         raise ExplainStageError("fitting", exc) from exc
     return Explanation(req.sample, predicted, surrogate)
 
-
-def explain_batch(
-    samples: Sequence[FeatureVector],
-    model: BlackBoxModel,
-    hyper: LimeHyperparameters,
-    sampler: SamplerSpec,
-    master_seed: int,
-) -> list[Explanation]:
-    """Explain many samples with one stream per input index.
-
-    Element ``k`` is computed with ``RngStream(master_seed, k)``, so results
-    depend only on each sample's position in the input, never on execution
-    order. Per-sample failures are collected into a single
-    :class:`BatchExplainError` instead of aborting the rest of the batch.
-    """
-    if not samples:
-        raise ValueError("samples must be nonempty")
-    completed: dict[int, Explanation] = {}
-    errors: list[tuple[int, ExplainStageError]] = []
-    for k, sample in enumerate(samples):
-        request = ExplainRequest(
-            sample=sample,
-            model=model,
-            hyper=hyper,
-            sampler=sampler,
-            rng=RngStream(master_seed, k),
-        )
-        try:
-            completed[k] = explain(request)
-        except ExplainStageError as exc:
-            errors.append((k, exc))
-    if errors:
-        raise BatchExplainError(errors, completed)
-    return [completed[k] for k in range(len(samples))]

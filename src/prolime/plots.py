@@ -229,6 +229,10 @@ def plot_model_grid(model: BlackBoxModel, resolution: int) -> str:
     """Model predictions over a uniform grid on [-3, 3]², colored by the predicted class."""
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    if model.n_classes != len(_LABEL_COLORS):
+        raise ValueError(
+            f"a model-grid plot colors {len(_LABEL_COLORS)} classes, the model has n_classes={model.n_classes}"
+        )
     axis = np.linspace(-_GRID_LIMIT, _GRID_LIMIT, resolution)
     credit, risk = np.meshgrid(axis, axis)
     grid = np.column_stack((credit.ravel(), risk.ravel()))

@@ -1,8 +1,6 @@
-"""End-to-end pipeline: dispatch, stage labeling, batching, determinism."""
+"""End-to-end pipeline: dispatch, stage labeling, determinism."""
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 import pytest
@@ -18,13 +16,7 @@ from prolime.core import (
     LimeHyperparameters,
     NoiseMode,
 )
-from prolime.explainer import (
-    BatchExplainError,
-    ExplainRequest,
-    ExplainStageError,
-    explain,
-    explain_batch,
-)
+from prolime.explainer import ExplainRequest, ExplainStageError, explain
 from prolime.samplers import (
     Neighborhood,
     ProcessAwareSpec,
@@ -32,7 +24,7 @@ from prolime.samplers import (
     StandardSpec,
     draw_neighborhood,
 )
-from prolime.simulation import BenchmarkDistribution, generate_dataset, oracle_model
+from prolime.simulation import BenchmarkDistribution, oracle_model
 
 NAMES = ("credit", "risk")
 BENCH_COV = ((1.0, -0.9), (-0.9, 1.0))
@@ -227,70 +219,3 @@ def test_sampler_swap_reuses_the_same_downstream_stages(monkeypatch):
     explain(_request(model, ProcessAwareSpec(mean=(0.0, 0.0), covariance=BENCH_COV)))
     assert calls == [(500, 2), (500, 2)]
 
-
-def _batch_shared(size: int = 300) -> tuple:
-    """The model, hyperparameters and sampler that every batch element shares."""
-    return _LinearProbabilityModel(0.5, 0.1, -0.2), LimeHyperparameters(neighborhood_size=size), StandardSpec()
-
-
-def test_batch_of_one_equals_single_explain_on_stream_zero():
-    shared = _batch_shared()
-    sample = _fv(0.2, 0.4)
-    batch = explain_batch([sample], *shared, master_seed=9)
-    single = explain(
-        ExplainRequest(sample, *shared, RngStream(9, 0))
-    )
-    assert batch == [single]
-
-
-def test_batch_elements_follow_their_input_index():
-    shared = _batch_shared()
-    samples = [_fv(0.1, 0.0), _fv(-0.4, 0.3), _fv(0.8, -0.8)]
-    batch = explain_batch(samples, *shared, master_seed=31)
-    manual = {}
-    for k in reversed(range(len(samples))):
-        manual[k] = explain(
-            ExplainRequest(samples[k], *shared, RngStream(31, k))
-        )
-    assert batch == [manual[0], manual[1], manual[2]]
-
-
-def test_batch_streams_follow_position_after_permutation():
-    shared = _batch_shared()
-    a, b = _fv(0.1, 0.0), _fv(-0.4, 0.3)
-    forward = explain_batch([a, b], *shared, master_seed=31)
-    swapped = explain_batch([b, a], *shared, master_seed=31)
-    assert swapped[0] == explain(
-        ExplainRequest(b, *shared, RngStream(31, 0))
-    )
-    assert swapped[0] != forward[1]
-
-
-def test_batch_collects_per_sample_failures():
-    model, hyper = _RejectsLargeCredit(), LimeHyperparameters(neighborhood_size=50)
-    samples = [_fv(0.0, 0.0), _fv(100.0, 0.0), _fv(0.5, 0.5), _fv(-50.0, 2.0)]
-    with pytest.raises(BatchExplainError) as info:
-        explain_batch(samples, model, hyper, StandardSpec(), master_seed=3)
-    error = info.value
-    assert [index for index, _ in error.errors] == [1, 3]
-    assert all(stage_error.stage == "labeling" for _, stage_error in error.errors)
-    assert sorted(error.completed) == [0, 2]
-    assert "1, 3" in str(error)
-
-
-def test_batch_rejects_empty_input():
-    with pytest.raises(ValueError):
-        explain_batch([], *_batch_shared(), master_seed=0)
-
-
-def test_batch_reruns_are_bitwise_identical():
-    dist = BenchmarkDistribution()
-    samples = [_fv(credit, risk) for credit, risk in generate_dataset(100, RngStream(55), dist).features.tolist()]
-    shared = (
-        oracle_model(dist, model_seed=55),
-        LimeHyperparameters(neighborhood_size=200),
-        StandardSpec(training_mean=dist.mean),
-    )
-    first = explain_batch(samples, *shared, master_seed=55)
-    second = explain_batch(samples, *shared, master_seed=55)
-    assert first == second

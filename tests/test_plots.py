@@ -8,8 +8,8 @@ import re
 import numpy as np
 import pytest
 
-from prolime.core import FeatureVector
-from prolime.plots import plot_neighborhood, svg_scatter
+from prolime.core import ConstantModel, FeatureVector
+from prolime.plots import plot_model_grid, plot_neighborhood, svg_scatter
 from prolime.samplers import Neighborhood
 
 MAX_FLOAT = 1.7976931348623157e308
@@ -94,3 +94,11 @@ def test_a_neighborhood_plot_draws_only_credit_and_risk(names):
     nbhd = Neighborhood(np.zeros((5, len(names))), origin)
     with pytest.raises(ValueError, match=f"draws the features credit, risk, got {', '.join(names)}"):
         plot_neighborhood(nbhd, np.ones(5))
+
+
+@pytest.mark.parametrize("probabilities", [(0.2, 0.3, 0.5), (0.5, 0.3, 0.2), (1.0,)])
+def test_a_model_grid_plot_draws_only_two_class_models(probabilities):
+    # Checked before the model predicts: a 3-class model whose argmax stays
+    # below 2 would otherwise be drawn in two colors without complaint.
+    with pytest.raises(ValueError, match=f"the model has n_classes={len(probabilities)}"):
+        plot_model_grid(ConstantModel(probabilities), 5)

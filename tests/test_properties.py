@@ -275,21 +275,43 @@ def test_write_dataset_csv_writes_every_power_of_two_of_the_bulk_range_as_repr(t
     _assert_write_dataset_csv_matches_the_reference(features, np.arange(len(features)) % 2, tmp_path / "powers.csv")
 
 
+# The kernel's range [1, 8192): its low end, and the values whose rounding
+# carries into a new integer digit, each with 40 ulps on either side, and the
+# last double below 8192, which writes "8192.00".
+FIXED2_EDGES = sorted(
+    {
+        float(v)
+        for anchor in (1.0, 9.995, 99.995, 999.995, 8191.995)
+        for v in (np.array([anchor]).view(np.int64) + np.arange(-40, 41)).view(np.float64)
+        if 1.0 <= v < 8192.0
+    }
+    | {math.nextafter(8192.0, 0.0)}
+)
+
+
 @settings(deadline=None)
 @given(
     values=st.lists(
         st.one_of(
-            st.floats(56.0, 584.0),
-            st.integers(56 * 8, 584 * 8).map(lambda k: k / 8),
-            st.sampled_from((56.0, 584.0, math.nextafter(56.0, 100.0), math.nextafter(584.0, 0.0))),
+            st.floats(1.0, 8192.0, exclude_max=True),
+            # Exact eighths, where the dropped digits can be exactly half a cent.
+            st.integers(8, 8192 * 8 - 1).map(lambda k: k / 8),
+            st.sampled_from(FIXED2_EDGES),
         ),
         max_size=50,
     )
 )
+@example(values=FIXED2_EDGES)
 def test_fixed_point_kernel_equals_format(values):
     rows = _fixed2(np.array(values, dtype=float))
     texts = [bytes(row).replace(b"\0", b"").decode("ascii") for row in rows]
     assert texts == [format(v, ".2f") for v in values]
+
+
+@pytest.mark.parametrize("value", [0.999, 8192.0, math.nan])
+def test_fixed_point_kernel_rejects_values_outside_its_exact_range(value):
+    with pytest.raises(ValueError, match="exact only in"):
+        _fixed2(np.array([2.0, value]))
 
 
 def _reference_svg_scatter(markers, limit, title):

@@ -40,17 +40,50 @@ def test_names_left_out_of_the_surface_stay_importable_from_their_modules():
     from prolime.samplers import SamplerSpec  # noqa: F401
 
 
-def test_package_exports_every_name_the_benchmark_imports():
+def _benchmark_imports() -> set[str]:
+    """The names ``perfbench/workloads.py`` imports from the package."""
     tree = ast.parse(WORKLOADS.read_text(encoding="utf-8"))
-    imported = {
+    return {
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom) and node.module == "prolime"
         for alias in node.names
     }
+
+
+def test_package_exports_every_name_the_benchmark_imports():
+    imported = _benchmark_imports()
     submodules = {name for name in imported if importlib.util.find_spec(f"prolime.{name}") is not None}
     assert "oracle_model" in imported
     assert imported - submodules <= set(prolime.__all__)
+
+
+def _refers_to(node: ast.AST, name: str) -> bool:
+    """Whether ``node`` uses ``name`` (as a name, an attribute or an import)
+    outside the ``def`` or ``class`` that defines it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name == name:
+        return False
+    if (
+        (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, ast.alias) and node.name == name)
+    ):
+        return True
+    return any(_refers_to(child, name) for child in ast.iter_child_nodes(node))
+
+
+def test_every_public_name_is_used_by_the_package_or_the_benchmark():
+    # A public name that neither the package nor the benchmark uses is
+    # surface to keep up for no caller; its own definition and its __all__
+    # entry do not count as uses.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in Path(prolime.__file__).parent.glob("*.py")]
+    imported = _benchmark_imports()
+    unused = [
+        name
+        for name in prolime.__all__
+        if name not in imported and not any(_refers_to(tree, name) for tree in trees)
+    ]
+    assert unused == []
 
 
 @pytest.mark.parametrize("name", ["evaluate", "explain-lhs", "explain-small", "figures"])
