@@ -12,13 +12,7 @@ import numpy as np
 from .core import FeatureVector, LimeHyperparameters, LocalSurrogate
 from .explainer import ExplainRequest, ExplainStageError, explain
 from .samplers import RngStream, SamplerSpec, StandardSpec, _gaussian_rows
-from .simulation import (
-    FEATURE_NAMES,
-    BenchmarkDistribution,
-    gaussian_pdf,
-    ground_truth_for,
-    oracle_model,
-)
+from .simulation import FEATURE_NAMES, BenchmarkDistribution, ground_truth_for, oracle_model
 
 __all__ = [
     "SAMPLER_NAMES",
@@ -111,7 +105,7 @@ def draw_test_point(dist: BenchmarkDistribution, rng: RngStream) -> FeatureVecto
     gen = rng.generator()
     while True:
         row = _gaussian_rows(dist.spec, 1, gen)
-        if gaussian_pdf(row, dist)[0] >= dist.density_threshold:
+        if dist.on_distribution(row)[0]:
             return FeatureVector(tuple(row[0].tolist()), FEATURE_NAMES)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from typing import Sequence
@@ -11,7 +10,7 @@ import numpy as np
 
 from .core import BlackBoxModel
 from .samplers import Neighborhood
-from .simulation import FEATURE_NAMES, Dataset
+from .simulation import FEATURE_NAMES, Dataset, _ascii8
 
 __all__ = [
     "plot_dataset",
@@ -40,35 +39,12 @@ def _ticks(limit: float) -> list[tuple[float, str]]:
 
 
 # The digits of format(v, ".2f") are exact below for normal floats in
-# [_FIXED2_LO, _FIXED2_HI): 100 * mantissa < 2**60 fits in uint64, the
-# shift is 40 to 52 bits, and the result has at most four integer digits.
+# [_FIXED2_LO, _FIXED2_HI): 100 * mantissa < 2**60 fits in uint64, the shift is
+# 40 to 52 bits, and the result is below 10**6 cents, which _ascii8 writes as
+# "00IIIIFF" in one word. The integer part gains a digit at each _CENTS_DIGITS.
 _FIXED2_LO, _FIXED2_HI = 1.0, 8192.0
-
-
-def _digit_text(count: int, width: int) -> np.ndarray:
-    """ASCII digits of 0 .. count - 1, one zero-padded row of ``width`` bytes each."""
-    numbers = np.arange(count, dtype=np.uint16)
-    text = np.empty((count, width), dtype=np.uint8)
-    for column in range(width):
-        text[:, column] = numbers // 10 ** (width - 1 - column) % 10 + ord("0")
-    return text
-
-
-@functools.cache
-def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Integer parts up to 9999 (values just below _FIXED2_HI round up to it)
-    with their leading zeros as NUL, and two-digit fractions. Each row is one
-    4- or 2-byte word, so a lookup gathers words instead of bytes.
-
-    Built on first use: building them costs about half a megabyte of peak
-    memory, which processes that draw no figure should not pay.
-    """
-    integers = _digit_text(10000, 4)
-    integers[:, :3][np.logical_and.accumulate(integers[:, :3] == ord("0"), axis=1)] = 0
-    tables = integers.view(np.uint32).ravel(), _digit_text(100, 2).view(np.uint16).ravel()
-    for table in tables:
-        table.flags.writeable = False
-    return tables
+_CENTS_DIGITS = np.array([1000, 10000, 100000], dtype=np.uint64)
+_LEADING_ZEROS = np.array([2**64 - 2 ** (8 * k) for k in (3, 2, 1, 0)], dtype=np.uint64)
 
 
 def _fixed2(values: np.ndarray) -> np.ndarray:
@@ -77,7 +53,10 @@ def _fixed2(values: np.ndarray) -> np.ndarray:
 
     Works on the float's bits: ``100 * v`` is ``100 * mantissa`` shifted right
     by ``52 - exponent``, rounded half to even on exact ties, which is how the
-    correctly rounded decimal conversion of ``format`` rounds.
+    correctly rounded decimal conversion of ``format`` rounds. Each value is
+    one little-endian word "IIII.FF" and a NUL: the cents' digits shifted down
+    two bytes, the fraction's moved up one past the point, and the integer's
+    leading zeros masked to NUL by how many there are.
     """
     if values.size and not (values.min() >= _FIXED2_LO and values.max() < _FIXED2_HI):
         raise ValueError(f"fixed-point formatting is exact only in [{_FIXED2_LO}, {_FIXED2_HI})")
@@ -88,13 +67,11 @@ def _fixed2(values: np.ndarray) -> np.ndarray:
     remainder = scaled & ((np.uint64(1) << shift) - np.uint64(1))
     half = np.uint64(1) << (shift - np.uint64(1))
     round_up = (remainder > half) | ((remainder == half) & (quotient & np.uint64(1) == 1))
-    integer, fraction = np.divmod((quotient + round_up).astype(np.intp), 100)
-    integer_text, fraction_text = _digit_tables()
-    out = np.empty((values.size, 7), dtype=np.uint8)
-    out[:, :4] = integer_text[integer].view(np.uint8).reshape(-1, 4)
-    out[:, 4] = ord(".")
-    out[:, 5:] = fraction_text[fraction].view(np.uint8).reshape(-1, 2)
-    return out
+    cents = quotient + round_up
+    digits = _ascii8(cents) >> np.uint64(16)
+    words = (digits & np.uint64(0xFFFFFFFF)) | np.uint64(ord(".") << 32) | ((digits >> np.uint64(32)) << np.uint64(40))
+    words &= _LEADING_ZEROS[np.searchsorted(_CENTS_DIGITS, cents, side="right")]
+    return words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, :7]
 
 
 def _offsets(values: np.ndarray, limit: float) -> np.ndarray:

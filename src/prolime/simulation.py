@@ -48,7 +48,7 @@ class BenchmarkDistribution:
     Zero-mean, unit-variance features with a single correlation ``rho``, so
     the covariance is the correlation matrix [[1, rho], [rho, 1]]. The
     cutoff lies below the peak density 1/(2*pi*sqrt(1 - rho**2)) for every
-    valid ``rho``.
+    valid ``rho``; :meth:`on_distribution` is the one test against it.
     """
 
     rho: float = -0.9
@@ -68,6 +68,11 @@ class BenchmarkDistribution:
     @property
     def covariance(self) -> tuple[tuple[float, float], tuple[float, float]]:
         return ((1.0, self.rho), (self.rho, 1.0))
+
+    def on_distribution(self, points: np.ndarray) -> np.ndarray:
+        """Per (credit, risk) row of an ``(n, 2)`` array: whether its density
+        reaches the cutoff, as an ``(n,)`` bool mask; a NaN density does not."""
+        return gaussian_pdf(points, self) >= self.density_threshold
 
 
 def _rows(points: np.ndarray) -> np.ndarray:
@@ -201,7 +206,7 @@ class OracleModel(BlackBoxModel):
         out = np.empty((rows.shape[0], 2))
         labels = out[:, 1]
         labels[:] = approval_label(rows)
-        off = ~(gaussian_pdf(rows, self._dist) >= self._dist.density_threshold)
+        off = ~self._dist.on_distribution(rows)
         if off.any():
             labels[off] = self._coins(rows[off])
         np.subtract(1.0, labels, out=out[:, 0])

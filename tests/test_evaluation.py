@@ -8,12 +8,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.stats import t as student_t
 
 import prolime.evaluation as evaluation_module
 import prolime.samplers as samplers_module
 import prolime.simulation as simulation_module
 from prolime.core import LimeHyperparameters, LocalSurrogate, NoiseMode
 from prolime.evaluation import (
+    SAMPLER_NAMES,
     ExperimentConfig,
     coefficient_mismatch,
     draw_test_point,
@@ -298,3 +300,36 @@ def test_process_aware_mismatch_does_not_grow_with_neighborhood_size():
     for size in (1000, 5000):
         assert cells[("standard", size)].credit_mean > cells[("process-aware", size)].credit_mean
         assert cells[("standard", size)].risk_mean > cells[("process-aware", size)].risk_mean
+
+
+@pytest.mark.parametrize("seed", [24, 0])
+def test_the_default_paired_gap_stays_positive_within_its_confidence_interval(seed):
+    # Rebuild every trial of the default experiment with explain and the
+    # stream layout of run_experiment's docstring, then bound the paired
+    # difference (standard - process-aware) of per-trial mismatch, the mean
+    # of the two features' gaps, by its 95% t-interval.
+    config = ExperimentConfig(master_seed=seed)
+    report = run_experiment(config)
+    assert report.failures == ()
+    dist = config.distribution
+    model = oracle_model(dist, model_seed=seed)
+    cells = [(name, size) for name in SAMPLER_NAMES for size in config.neighborhood_sizes]
+    assert [(cell.sampler, cell.size) for cell in report.cells] == cells
+    stride = len(cells) + 1
+    mismatch = np.empty((len(cells), 2, config.trials))
+    for trial in range(config.trials):
+        test_point = draw_test_point(dist, RngStream(seed, trial * stride))
+        truth = ground_truth_for([test_point.values])[0]
+        for j, (name, size) in enumerate(cells):
+            hyper = replace(config.hyper, neighborhood_size=size)
+            spec = sampler_spec(name, config.hyper, dist)
+            request = ExplainRequest(test_point, model, hyper, spec, RngStream(seed, trial * stride + 1 + j))
+            mismatch[j, :, trial] = coefficient_mismatch(explain(request).surrogate, truth)
+    for cell, (credit, risk) in zip(report.cells, mismatch):
+        assert (cell.credit_mean, cell.risk_mean) == (credit.mean(), risk.mean())
+    per_trial = dict(zip(cells, mismatch.mean(axis=1)))
+    critical = student_t.ppf(0.975, config.trials - 1)
+    for size in config.neighborhood_sizes:
+        gap = per_trial[("standard", size)] - per_trial[("process-aware", size)]
+        half_width = critical * gap.std(ddof=1) / math.sqrt(len(gap))
+        assert gap.mean() - half_width > 0

@@ -275,6 +275,17 @@ def test_write_dataset_csv_writes_every_power_of_two_of_the_bulk_range_as_repr(t
     _assert_write_dataset_csv_matches_the_reference(features, np.arange(len(features)) % 2, tmp_path / "powers.csv")
 
 
+# Where _ascii8 gains a digit, and its ends.
+ASCII8_EDGES = sorted({0, 99_999_999, *(10**k - 1 for k in range(1, 9)), *(10**k for k in range(8))})
+
+
+@given(values=st.lists(st.integers(0, 10**8 - 1), max_size=50))
+@example(values=ASCII8_EDGES)
+def test_ascii8_writes_the_eight_zero_padded_digits_little_endian(values):
+    words = simulation._ascii8(np.array(values, dtype=np.uint64))
+    assert [int(word).to_bytes(8, "little") for word in words] == [f"{v:08d}".encode("ascii") for v in values]
+
+
 # The kernel's range [1, 8192): its low end, and the values whose rounding
 # carries into a new integer digit, each with 40 ulps on either side, and the
 # last double below 8192, which writes "8192.00".

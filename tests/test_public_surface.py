@@ -145,6 +145,28 @@ def test_only_the_samplers_module_branches_on_the_process_aware_spec():
     assert checkers == ["samplers.py"]
 
 
+def _reads_the_threshold_or_writes_digits(node: ast.AST) -> bool:
+    """An attribute read of ``density_threshold`` or a call ``ord("0")``."""
+    if isinstance(node, ast.Attribute):
+        return node.attr == "density_threshold"
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "ord"
+        and [getattr(arg, "value", None) for arg in node.args] == ["0"]
+    )
+
+
+def test_only_the_simulation_module_holds_the_threshold_rule_and_the_digit_routine():
+    # The on-distribution test is BenchmarkDistribution.on_distribution, and
+    # integers become ASCII digits in simulation._ascii8 alone.
+    owners = sorted(
+        path.name
+        for path in Path(prolime.__file__).parent.glob("*.py")
+        if any(map(_reads_the_threshold_or_writes_digits, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    )
+    assert owners == ["simulation.py"]
+
+
 def test_private_names_shared_between_modules_stay_few():
     # A private name imported by a sibling module is a decision that module
     # shares without declaring it; each one here is a deliberate exception.
@@ -164,6 +186,7 @@ def test_private_names_shared_between_modules_stay_few():
         "_require_kernel_width",
         "_require_spec",
         "_overwrite",
+        "_ascii8",
     }
 
 
