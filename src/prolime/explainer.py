@@ -18,15 +18,7 @@ from .core import (
     LimeHyperparameters,
 )
 from .samplers import RngStream, SamplerSpec, StandardSpec, _require_spec, draw_neighborhood
-from .surrogate import (
-    SingularFitError,
-    WeightedDesign,
-    _collapse_cause,
-    _squared_distances,
-    fit_weighted_ridge,
-    label_neighborhood,
-    neighborhood_weights,
-)
+from .surrogate import _squared_distances, fit_weighted_ridge, label_neighborhood, neighborhood_weights
 
 __all__ = [
     "BatchExplainError",
@@ -92,31 +84,22 @@ def explain(req: ExplainRequest) -> Explanation:
     except Exception as exc:
         raise ExplainStageError("labeling", exc) from exc
     weights = neighborhood_weights(nbhd, hyper.kernel_width)
-    points = nbhd.points
     try:
         if weights.max() == 0.0:
             # Squared distances that overflow are inf, and so is their root.
             with np.errstate(over="ignore"):
-                nearest = np.sqrt(_squared_distances(points, req.sample.values).min())
+                nearest = np.sqrt(_squared_distances(nbhd.points, req.sample.values).min())
             if np.isfinite(nearest):
                 where = f"the nearest drawn point lies {nearest:.3g} from the sample"
             else:
                 where = "the nearest drawn point's distance from the sample exceeds the float range"
             raise ValueError(f"every kernel weight is 0: {where}, too far for kernel width {hyper.kernel_width:.3g}")
-        design = WeightedDesign(points, targets, weights, req.sample.feature_names)
-        surrogate = fit_weighted_ridge(design, hyper.ridge_strength)
-        # A ridge fits a feature that never varies to a zero coefficient; that
-        # is no explanation. A column can only be constant if its last value
-        # equals its first.
-        if (points[-1] == points[0]).any() and (
-            cause := _collapse_cause(points, req.sample.feature_names)
-        ):
-            raise SingularFitError(f"the neighborhood has no spread{cause}")
+        surrogate = fit_weighted_ridge(nbhd, targets, weights, hyper.ridge_strength)
         # Where a feature's float spacing reaches its noise scale, the
         # perturbations land on a lattice of a few values and the fit
         # explains the lattice, not the model.
         scales = req.sampler.per_feature_scale
-        spacings = np.spacing(np.abs(points[0]))
+        spacings = np.spacing(np.abs(nbhd.points[0]))
         if (coarse := spacings >= scales).any():
             j = int(np.argmax(coarse))
             raise ValueError(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,7 +11,6 @@ from .samplers import Neighborhood
 
 __all__ = [
     "SingularFitError",
-    "WeightedDesign",
     "fit_weighted_ridge",
     "label_neighborhood",
     "neighborhood_weights",
@@ -20,45 +18,9 @@ __all__ = [
 
 
 class SingularFitError(RuntimeError):
-    """The normal equations could not be solved: they overflowed, or they were
-    singular, which a positive ridge strength fixes."""
-
-
-@dataclass(frozen=True)
-class WeightedDesign:
-    """Neighborhood matrix, per-point targets, and per-point proximity weights."""
-
-    features: np.ndarray
-    targets: np.ndarray
-    weights: np.ndarray
-    feature_names: tuple[str, ...]
-
-    def __post_init__(self) -> None:
-        features = np.asarray(self.features, dtype=float)
-        targets = np.asarray(self.targets, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
-        if features.ndim != 2:
-            raise ValueError("features must be a 2-d matrix")
-        n, d = features.shape
-        if n == 0:
-            raise ValueError("the design needs at least one row")
-        if targets.shape != (n,) or weights.shape != (n,):
-            raise ValueError("features, targets and weights must agree on the row count")
-        if len(self.feature_names) != d:
-            raise ValueError("feature_names must match the feature dimension")
-        finite = np.isfinite(features).all() and np.isfinite(targets).all()
-        if not (finite and np.isfinite(weights).all()):
-            raise ValueError("design entries must be finite")
-        # The weights are finite here, so their extremes decide both checks.
-        lowest, highest = weights.min(), weights.max()
-        if lowest < 0.0 or highest > 1.0:
-            raise ValueError("weights must lie in [0, 1]")
-        if not highest > 0.0:
-            raise ValueError("at least one weight must be positive")
-        object.__setattr__(self, "features", features)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "feature_names", tuple(str(n) for n in self.feature_names))
+    """The fit cannot explain the neighborhood: its normal equations
+    overflowed, or were singular (which a positive ridge strength fixes), or
+    some feature never varies across the neighborhood."""
 
 
 def _squared_distances(points: np.ndarray, origin: tuple[float, ...]) -> np.ndarray:
@@ -105,44 +67,64 @@ def label_neighborhood(model: BlackBoxModel, nbhd: Neighborhood, explained_class
     return targets
 
 
-def _collapse_cause(features: np.ndarray, feature_names: tuple[str, ...]) -> str:
+def _collapse_cause(nbhd: Neighborhood) -> str:
     """Why a fit cannot explain a neighborhood in which some feature takes one
     value in every row: the perturbations of that feature were lost to
     rounding, so the model was never probed along it. Empty if every
     feature varies."""
-    flat = (features == features[0]).all(axis=0)
+    points = nbhd.points
+    flat = (points == points[0]).all(axis=0)
     if not flat.any():
         return ""
-    spacing = float(np.spacing(np.abs(features[0, flat])).max())
+    spacing = float(np.spacing(np.abs(points[0, flat])).max())
     if flat.all():
         same, of = "are the same point", "its coordinates"
     else:
-        same = "have the same " + ", ".join(name for name, f in zip(feature_names, flat.tolist()) if f)
-        of = "its value"
+        names = (name for name, f in zip(nbhd.origin.feature_names, flat.tolist()) if f)
+        same, of = "have the same " + ", ".join(names), "its value"
     return (
-        f": all {features.shape[0]} rows {same}, so perturbations below the "
+        f": all {points.shape[0]} rows {same}, so perturbations below the "
         f"float spacing of {of} (up to {spacing:.3g}) were lost to rounding"
     )
 
 
-def fit_weighted_ridge(design: WeightedDesign, ridge_strength: float) -> LocalSurrogate:
+def fit_weighted_ridge(
+    nbhd: Neighborhood, targets: np.ndarray, weights: np.ndarray, ridge_strength: float
+) -> LocalSurrogate:
     """Fit intercept and coefficients by weighted, L2-penalized least squares.
 
     Minimizes ``sum_i w_i * (t_i - b0 - b . x_i)^2 + ridge_strength * ||b||^2``
-    with the intercept left unpenalized. Solved in closed form through the
-    normal equations of the weight-centered system: centering by the weighted
-    means eliminates the intercept, a (d x d) solve yields the coefficients,
-    and the intercept is recovered as ``tbar - b . xbar``.
+    over the neighborhood points ``x_i``, with the intercept left
+    unpenalized. Solved in closed form through the normal equations of the
+    weight-centered system: centering by the weighted means eliminates the
+    intercept, a (d x d) solve yields the coefficients, and the intercept is
+    recovered as ``tbar - b . xbar``.
+
+    Targets and weights hold one finite entry per point; the weights lie in
+    [0, 1] and at least one is positive. Raises :class:`SingularFitError`
+    when the normal equations overflow or are singular, and when some
+    feature never varies across the neighborhood: a ridge would fit it a
+    zero coefficient, which is no explanation.
     """
+    features = nbhd.points
+    n, d = features.shape
+    targets = np.asarray(targets, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    if targets.shape != (n,) or weights.shape != (n,):
+        raise ValueError("features, targets and weights must agree on the row count")
+    if not (np.isfinite(targets).all() and np.isfinite(weights).all()):
+        raise ValueError("design entries must be finite")
+    # The weights are finite here, so their extremes decide both checks.
+    lowest, highest = weights.min(), weights.max()
+    if lowest < 0.0 or highest > 1.0:
+        raise ValueError("weights must lie in [0, 1]")
+    if not highest > 0.0:
+        raise ValueError("at least one weight must be positive")
     if not (math.isfinite(ridge_strength) and ridge_strength >= 0):
         raise ValueError("ridge_strength must be nonnegative and finite")
-    features = design.features
-    targets = design.targets
-    weights = design.weights
     weight_sum = float(weights.sum())
     tbar = float(weights @ targets) / weight_sum
     centered_t = targets - tbar
-    d = features.shape[1]
     # Overflow is checked below; an overflowing weighted mean makes the Gram
     # matrix non-finite too.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -158,9 +140,11 @@ def fit_weighted_ridge(design: WeightedDesign, ridge_strength: float) -> LocalSu
     try:
         beta = np.linalg.solve(gram, moment)
     except np.linalg.LinAlgError as exc:
-        cause = advice or _collapse_cause(features, design.feature_names)
-        raise SingularFitError(f"normal equations are singular{cause}") from exc
+        raise SingularFitError(f"normal equations are singular{advice or _collapse_cause(nbhd)}") from exc
     if not np.isfinite(beta).all():
         raise SingularFitError(f"normal equations produced non-finite coefficients{advice}")
     intercept = tbar - float(beta @ xbar)
-    return LocalSurrogate(intercept, tuple(beta.tolist()), design.feature_names)
+    # A column can only be constant if its last value equals its first.
+    if (features[-1] == features[0]).any() and (cause := _collapse_cause(nbhd)):
+        raise SingularFitError(f"the neighborhood has no spread{cause}")
+    return LocalSurrogate(intercept, tuple(beta.tolist()), nbhd.origin.feature_names)

@@ -30,7 +30,7 @@ from prolime.simulation import (
     ground_truth_for,
     oracle_model,
 )
-from prolime.surrogate import WeightedDesign, fit_weighted_ridge, neighborhood_weights
+from prolime.surrogate import fit_weighted_ridge, neighborhood_weights
 
 NAMES = ("credit", "risk")
 
@@ -160,8 +160,8 @@ def test_criterion_5_weighted_ridge_matches_brute_force():
         weights = gen.uniform(0.05, 1.0, size=n)
         ridge = lambdas[instance % 4]
         names = tuple(f"f{j}" for j in range(d))
-        design = WeightedDesign(features, targets, weights, names)
-        fitted = fit_weighted_ridge(design, ridge)
+        nbhd = Neighborhood(features, FeatureVector((0.0,) * d, names))
+        fitted = fit_weighted_ridge(nbhd, targets, weights, ridge)
         intercept, coefficients = _brute_force(features, targets, weights, ridge)
         if abs(fitted.intercept - intercept) > 1e-8:
             agree = False
@@ -170,8 +170,8 @@ def test_criterion_5_weighted_ridge_matches_brute_force():
 
     features = gen.normal(size=(40, 3))
     planted = 1.0 + 2.0 * features[:, 0] - 3.0 * features[:, 1] + 0.5 * features[:, 2]
-    design = WeightedDesign(features, planted, gen.uniform(0.1, 1.0, size=40), ("a", "b", "c"))
-    exact = fit_weighted_ridge(design, 0.0)
+    nbhd = Neighborhood(features, FeatureVector((0.0, 0.0, 0.0), ("a", "b", "c")))
+    exact = fit_weighted_ridge(nbhd, planted, gen.uniform(0.1, 1.0, size=40), 0.0)
     planted_ok = (
         abs(exact.intercept - 1.0) <= 1e-8
         and abs(exact.coefficients[0] - 2.0) <= 1e-8

@@ -209,9 +209,9 @@ def test_sampler_swap_reuses_the_same_downstream_stages(monkeypatch):
     calls = []
     real_fit = explainer_module.fit_weighted_ridge
 
-    def spy(design, ridge_strength):
-        calls.append(design.features.shape)
-        return real_fit(design, ridge_strength)
+    def spy(nbhd, targets, weights, ridge_strength):
+        calls.append(nbhd.points.shape)
+        return real_fit(nbhd, targets, weights, ridge_strength)
 
     monkeypatch.setattr("prolime.explainer.fit_weighted_ridge", spy)
     model = ConstantModel((0.5, 0.5))

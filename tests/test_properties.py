@@ -44,7 +44,6 @@ from prolime.simulation import (
     write_dataset_csv,
 )
 from prolime.surrogate import (
-    WeightedDesign,
     _squared_distances,
     fit_weighted_ridge,
     label_neighborhood,
@@ -612,8 +611,9 @@ def ridge_problems(draw):
 
 
 def _fit(features, targets, weights, ridge):
-    names = tuple(f"x{j}" for j in range(features.shape[1]))
-    surrogate = fit_weighted_ridge(WeightedDesign(features, targets, weights, names), ridge)
+    d = features.shape[1]
+    nbhd = Neighborhood(features, FeatureVector((0.0,) * d, tuple(f"x{j}" for j in range(d))))
+    surrogate = fit_weighted_ridge(nbhd, targets, weights, ridge)
     return surrogate.intercept, np.array(surrogate.coefficients)
 
 

@@ -180,7 +180,6 @@ def test_private_names_shared_between_modules_stay_few():
     }
     assert shared == {
         "_gaussian_rows",
-        "_collapse_cause",
         "_squared_distances",
         "_by_column",
         "_require_kernel_width",

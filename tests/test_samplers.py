@@ -280,7 +280,7 @@ def test_latin_hypercube_noise_respects_scales():
     assert abs(rows[:, 1].var() - 4.0) < 0.4
 
 
-def test_sample_standard_validates_inputs():
+def test_draw_neighborhood_with_a_standard_spec_validates_inputs():
     origin = FeatureVector((0.0, 0.0), ("credit", "risk"))
     with pytest.raises(ValueError):
         draw_neighborhood(origin, StandardSpec(per_feature_scale=(1.0,)), 10, RngStream(0))
@@ -290,7 +290,7 @@ def test_sample_standard_validates_inputs():
         draw_neighborhood(origin, StandardSpec(), 2.5, RngStream(0))
 
 
-def test_sample_standard_is_bitwise_deterministic():
+def test_draw_neighborhood_with_a_standard_spec_is_bitwise_deterministic():
     origin = FeatureVector((0.41, -0.51), ("credit", "risk"))
     for spec in (StandardSpec(), StandardSpec(noise_mode=NoiseMode.LATIN_HYPERCUBE)):
         first = draw_neighborhood(origin, spec, 64, RngStream(6, 2))

@@ -1,4 +1,4 @@
-"""Proximity kernel, design validation, and the weighted ridge fit."""
+"""Proximity kernel, labeling, and the weighted ridge fit with its checks."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from prolime.samplers import Neighborhood, RngStream
 from prolime.simulation import BenchmarkDistribution, oracle_model
 from prolime.surrogate import (
     SingularFitError,
-    WeightedDesign,
     fit_weighted_ridge,
     label_neighborhood,
     neighborhood_weights,
@@ -33,6 +32,11 @@ def _fv(*values: float) -> FeatureVector:
 
 def _nbhd(rows) -> Neighborhood:
     return Neighborhood(np.array(rows, dtype=float), _fv(0.0, 0.0))
+
+
+def _named(features, names) -> Neighborhood:
+    """The fit reads only the points and the names, so the origin is zero."""
+    return Neighborhood(features, FeatureVector((0.0,) * len(names), names))
 
 
 def test_kernel_width_must_be_positive():
@@ -104,25 +108,29 @@ def test_neighborhood_weights_reject_empty_neighborhoods():
         neighborhood_weights(_nbhd(np.empty((0, 2))), 1.0)
 
 
-def test_weighted_design_validation():
-    features = np.zeros((3, 2))
+def test_fit_validates_targets_weights_and_ridge():
+    nbhd = _nbhd([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     targets = np.zeros(3)
     weights = np.full(3, 0.5)
-    WeightedDesign(features, targets, weights, NAMES)
-    with pytest.raises(ValueError):
-        WeightedDesign(np.zeros(3), targets, weights, NAMES)
-    with pytest.raises(ValueError):
-        WeightedDesign(features, np.zeros(2), weights, NAMES)
-    with pytest.raises(ValueError):
-        WeightedDesign(features, targets, np.full(3, 1.5), NAMES)
-    with pytest.raises(ValueError):
-        WeightedDesign(features, targets, np.zeros(3), NAMES)
-    with pytest.raises(ValueError):
-        WeightedDesign(features, targets, weights, ("credit",))
-    with pytest.raises(ValueError):
-        WeightedDesign(np.full((3, 2), np.nan), targets, weights, NAMES)
-    with pytest.raises(ValueError):
-        WeightedDesign(np.zeros((0, 2)), np.zeros(0), np.zeros(0), NAMES)
+    fit_weighted_ridge(nbhd, targets, weights, 1.0)
+    bad_inputs = [
+        (np.zeros(2), weights, "features, targets and weights must agree on the row count"),
+        (targets, np.full(4, 0.5), "features, targets and weights must agree on the row count"),
+        (np.zeros((3, 1)), weights, "features, targets and weights must agree on the row count"),
+        (targets, np.array([0.5, -0.1, 0.5]), r"weights must lie in \[0, 1\]"),
+        (targets, np.full(3, 1.5), r"weights must lie in \[0, 1\]"),
+        (targets, np.zeros(3), "at least one weight must be positive"),
+        (np.array([0.0, np.nan, 0.0]), weights, "design entries must be finite"),
+        (np.array([0.0, np.inf, 0.0]), weights, "design entries must be finite"),
+        (targets, np.array([0.5, np.nan, 0.5]), "design entries must be finite"),
+        (targets, np.array([0.5, np.inf, 0.5]), "design entries must be finite"),
+    ]
+    for bad_targets, bad_weights, message in bad_inputs:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fit_weighted_ridge(nbhd, bad_targets, bad_weights, 1.0)
+    for ridge in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="^ridge_strength must be nonnegative and finite$"):
+            fit_weighted_ridge(nbhd, targets, weights, ridge)
 
 
 class _FirstCoordinateModel(BlackBoxModel):
@@ -210,7 +218,7 @@ def test_planted_linear_targets_recovered_exactly():
     features = gen.standard_normal((40, 2))
     targets = 1.0 + 2.0 * features[:, 0] - 3.0 * features[:, 1]
     weights = np.full(40, 1.0)
-    surrogate = fit_weighted_ridge(WeightedDesign(features, targets, weights, NAMES), 0.0)
+    surrogate = fit_weighted_ridge(_named(features, NAMES), targets, weights, 0.0)
     assert abs(surrogate.intercept - 1.0) <= 1e-8
     assert abs(surrogate.coefficients[0] - 2.0) <= 1e-8
     assert abs(surrogate.coefficients[1] + 3.0) <= 1e-8
@@ -221,7 +229,7 @@ def test_huge_ridge_flattens_the_surrogate():
     features = gen.standard_normal((60, 2))
     targets = gen.standard_normal(60)
     weights = gen.uniform(0.05, 1.0, 60)
-    surrogate = fit_weighted_ridge(WeightedDesign(features, targets, weights, NAMES), 1e12)
+    surrogate = fit_weighted_ridge(_named(features, NAMES), targets, weights, 1e12)
     target_mean = float(weights @ targets) / float(weights.sum())
     assert abs(surrogate.coefficients[0]) <= 1e-6
     assert abs(surrogate.coefficients[1]) <= 1e-6
@@ -235,7 +243,7 @@ def test_fit_matches_brute_force_normal_equations():
         targets = gen.standard_normal(50)
         weights = gen.uniform(0.05, 1.0, 50)
         names = ("a", "b", "c")
-        surrogate = fit_weighted_ridge(WeightedDesign(features, targets, weights, names), lam)
+        surrogate = fit_weighted_ridge(_named(features, names), targets, weights, lam)
         intercept, coefs = _brute_force(features, targets, weights, lam)
         assert abs(surrogate.intercept - intercept) <= 1e-8
         assert np.max(np.abs(np.array(surrogate.coefficients) - coefs)) <= 1e-8
@@ -247,16 +255,14 @@ def test_weight_scaling_invariance():
     targets = gen.standard_normal(30)
     weights = gen.uniform(0.1, 1.0, 30)
 
-    baseline = fit_weighted_ridge(WeightedDesign(features, targets, weights, NAMES), 0.0)
-    halved = fit_weighted_ridge(WeightedDesign(features, targets, 0.5 * weights, NAMES), 0.0)
+    baseline = fit_weighted_ridge(_named(features, NAMES), targets, weights, 0.0)
+    halved = fit_weighted_ridge(_named(features, NAMES), targets, 0.5 * weights, 0.0)
     assert halved == baseline
 
     lam = 2.5
     scale = 0.3
-    ridge_base = fit_weighted_ridge(WeightedDesign(features, targets, weights, NAMES), lam)
-    ridge_scaled = fit_weighted_ridge(
-        WeightedDesign(features, targets, scale * weights, NAMES), scale * lam
-    )
+    ridge_base = fit_weighted_ridge(_named(features, NAMES), targets, weights, lam)
+    ridge_scaled = fit_weighted_ridge(_named(features, NAMES), targets, scale * weights, scale * lam)
     assert abs(ridge_scaled.intercept - ridge_base.intercept) <= 1e-12
     for got, expected in zip(ridge_scaled.coefficients, ridge_base.coefficients):
         assert abs(got - expected) <= 1e-12
@@ -268,10 +274,8 @@ def test_row_permutation_invariance():
     targets = gen.standard_normal(25)
     weights = gen.uniform(0.05, 1.0, 25)
     order = gen.permutation(25)
-    base = fit_weighted_ridge(WeightedDesign(features, targets, weights, NAMES), 1.0)
-    shuffled = fit_weighted_ridge(
-        WeightedDesign(features[order], targets[order], weights[order], NAMES), 1.0
-    )
+    base = fit_weighted_ridge(_named(features, NAMES), targets, weights, 1.0)
+    shuffled = fit_weighted_ridge(_named(features[order], NAMES), targets[order], weights[order], 1.0)
     assert abs(shuffled.intercept - base.intercept) <= 1e-10
     for got, expected in zip(shuffled.coefficients, base.coefficients):
         assert abs(got - expected) <= 1e-10
@@ -281,19 +285,42 @@ def test_singular_system_without_ridge_raises_advice():
     features = np.array([[1.0, 2.0]] * 3)
     targets = np.array([0.0, 1.0, 0.0])
     weights = np.full(3, 1.0)
-    design = WeightedDesign(features, targets, weights, NAMES)
+    nbhd = _named(features, NAMES)
     with pytest.raises(SingularFitError) as info:
-        fit_weighted_ridge(design, 0.0)
+        fit_weighted_ridge(nbhd, targets, weights, 0.0)
     assert "ridge_strength" in str(info.value)
-    fit_weighted_ridge(design, 1.0)
+    # A ridge solves it, to a zero coefficient for each feature that never
+    # varies; that is no explanation either.
+    with pytest.raises(SingularFitError, match="^the neighborhood has no spread: all 3 rows are the same point"):
+        fit_weighted_ridge(nbhd, targets, weights, 1.0)
+
+
+@pytest.mark.parametrize("ridge", [1e-3, 1.0])
+def test_fit_of_a_feature_that_never_varies_names_the_lost_spread(ridge):
+    targets = np.array([0.0, 1.0, 0.0])
+    weights = np.full(3, 1.0)
+    one_flat = _named(np.array([[1e17, 0.0], [1e17, 1.0], [1e17, 2.0]]), NAMES)
+    with pytest.raises(SingularFitError) as info:
+        fit_weighted_ridge(one_flat, targets, weights, ridge)
+    assert str(info.value) == (
+        "the neighborhood has no spread: all 3 rows have the same credit, so perturbations below "
+        "the float spacing of its value (up to 16) were lost to rounding"
+    )
+    both_flat = _named(np.array([[1e17, 1e17]] * 3), NAMES)
+    with pytest.raises(SingularFitError) as info:
+        fit_weighted_ridge(both_flat, targets, weights, ridge)
+    assert str(info.value) == (
+        "the neighborhood has no spread: all 3 rows are the same point, so perturbations below "
+        "the float spacing of its coordinates (up to 16) were lost to rounding"
+    )
 
 
 def test_overflowing_design_names_the_overflow_not_the_ridge():
     features = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
-    design = WeightedDesign(features, np.array([0.0, 1.0, 0.0]), np.ones(3), NAMES)
+    nbhd = _named(features, NAMES)
     for ridge in (0.0, 1.0):
         with pytest.raises(SingularFitError, match="too large to fit") as info:
-            fit_weighted_ridge(design, ridge)
+            fit_weighted_ridge(nbhd, np.array([0.0, 1.0, 0.0]), np.ones(3), ridge)
         assert "ridge_strength" not in str(info.value)
 
 
@@ -302,21 +329,18 @@ def test_degenerate_feature_column_is_singular_at_zero_ridge():
     targets = np.array([0.0, 0.5, 1.0])
     weights = np.full(3, 1.0)
     with pytest.raises(SingularFitError, match="set ridge_strength above zero"):
-        fit_weighted_ridge(WeightedDesign(features, targets, weights, NAMES), 0.0)
+        fit_weighted_ridge(_named(features, NAMES), targets, weights, 0.0)
 
 
 def test_negative_ridge_is_rejected():
-    design = WeightedDesign(np.eye(2), np.zeros(2), np.ones(2), NAMES)
     with pytest.raises(ValueError):
-        fit_weighted_ridge(design, -1.0)
+        fit_weighted_ridge(_named(np.eye(2), NAMES), np.zeros(2), np.ones(2), -1.0)
 
 
 def test_fit_returns_named_surrogate():
     gen = RngStream(28).generator()
     features = gen.standard_normal((10, 2))
     targets = gen.standard_normal(10)
-    surrogate = fit_weighted_ridge(
-        WeightedDesign(features, targets, np.ones(10), NAMES), 1.0
-    )
+    surrogate = fit_weighted_ridge(_named(features, NAMES), targets, np.ones(10), 1.0)
     assert isinstance(surrogate, LocalSurrogate)
     assert surrogate.feature_names == NAMES
