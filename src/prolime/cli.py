@@ -18,13 +18,7 @@ import sys
 from pathlib import Path
 from typing import Mapping
 
-from .core import (
-    CenterMode,
-    ConstantModel,
-    FeatureVector,
-    LimeHyperparameters,
-    NoiseMode,
-)
+from .core import ConstantModel, FeatureVector, LimeHyperparameters, NoiseMode
 from .evaluation import (
     SAMPLER_NAMES,
     ExperimentConfig,
@@ -35,7 +29,7 @@ from .evaluation import (
     summary_table,
 )
 from .explainer import ExplainRequest, ExplainStageError, explain
-from .samplers import RngStream, draw_neighborhood
+from .samplers import CenterMode, RngStream, draw_neighborhood
 from .simulation import (
     BenchmarkDistribution,
     DatasetFormatError,
@@ -168,7 +162,6 @@ def _hyperparameters(args: argparse.Namespace, **flagged) -> LimeHyperparameters
     """From the sampling flags and ``flagged``, the command's other flags; the rest keep their defaults."""
     try:
         return LimeHyperparameters(
-            center_mode=CenterMode(args.center),
             noise_mode=NoiseMode(args.noise),
             kernel_width=args.kernel_width,
             **flagged,
@@ -211,7 +204,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         sample=sample,
         model=model,
         hyper=hyper,
-        sampler=sampler_spec(args.sampler, hyper, dist),
+        sampler=sampler_spec(args.sampler, hyper, dist, CenterMode(args.center)),
         rng=RngStream(seed, 0),
     )
     text = explain(request).to_json(indent=2)
@@ -247,6 +240,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             neighborhood_sizes=args.sizes,
             hyper=hyper,
             distribution=_distribution(args.rho),
+            center_mode=CenterMode(args.center),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -285,7 +279,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
                 origin = FeatureVector((args.credit, args.risk), FEATURE_NAMES)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
-            spec = sampler_spec(args.sampler, hyper, dist)
+            spec = sampler_spec(args.sampler, hyper, dist, CenterMode(args.center))
             nbhd = draw_neighborhood(origin, spec, hyper.neighborhood_size, RngStream(seed, 0))
             svg = plot_neighborhood(nbhd, neighborhood_weights(nbhd, hyper.kernel_width))
     _overwrite(args.out, svg.encode("utf-8"))
@@ -307,7 +301,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_hyper_flags(parser: argparse.ArgumentParser, ridge: bool = True) -> None:
     parser.add_argument("--center", choices=[mode.value for mode in CenterMode],
-                        default=_DEFAULTS.center_mode.value, help="perturbation center (default %(default)s)")
+                        default=ExperimentConfig.center_mode.value, help="perturbation center (default %(default)s)")
     parser.add_argument("--noise", choices=[mode.value for mode in NoiseMode],
                         default=_DEFAULTS.noise_mode.value, help="perturbation noise (default %(default)s)")
     parser.add_argument("--kernel-width", type=float, default=_DEFAULTS.kernel_width,

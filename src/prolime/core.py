@@ -15,7 +15,6 @@ import numpy as np
 
 __all__ = [
     "BlackBoxModel",
-    "CenterMode",
     "ClassProbabilities",
     "ConstantModel",
     "Explanation",
@@ -25,13 +24,6 @@ __all__ = [
     "NoiseMode",
     "default_kernel_width",
 ]
-
-
-class CenterMode(Enum):
-    """Where a standard perturbation neighborhood is centered."""
-
-    SAMPLE = "sample"
-    MEAN = "mean"
 
 
 class NoiseMode(Enum):
@@ -165,7 +157,6 @@ class LimeHyperparameters:
     """
 
     neighborhood_size: int = 1000
-    center_mode: CenterMode = CenterMode.SAMPLE
     noise_mode: NoiseMode = NoiseMode.GAUSSIAN
     kernel_width: float = default_kernel_width(2)
     ridge_strength: float = 1.0
@@ -173,7 +164,7 @@ class LimeHyperparameters:
 
     def __post_init__(self) -> None:
         for name, cast in (("neighborhood_size", operator.index), ("explained_class", operator.index),
-                           ("kernel_width", float), ("ridge_strength", float)):
+                           ("kernel_width", float), ("ridge_strength", float), ("noise_mode", NoiseMode)):
             object.__setattr__(self, name, cast(getattr(self, name)))
         if self.neighborhood_size < 2:
             raise ValueError("neighborhood_size must be at least 2")

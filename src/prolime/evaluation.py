@@ -11,7 +11,7 @@ import numpy as np
 
 from .core import FeatureVector, LimeHyperparameters, LocalSurrogate
 from .explainer import ExplainRequest, ExplainStageError, explain
-from .samplers import RngStream, SamplerSpec, StandardSpec, _gaussian_rows
+from .samplers import CenterMode, RngStream, SamplerSpec, StandardSpec, _gaussian_rows
 from .simulation import FEATURE_NAMES, BenchmarkDistribution, ground_truth_for, oracle_model
 
 __all__ = [
@@ -45,17 +45,20 @@ def coefficient_mismatch(surrogate: LocalSurrogate, truth: np.ndarray) -> tuple[
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Deterministic description of a full sampler-comparison run."""
+    """Deterministic description of a full sampler-comparison run;
+    ``center_mode`` centers the standard sampler's neighborhoods."""
 
     master_seed: int
     trials: int = 100
     neighborhood_sizes: tuple[int, ...] = (1000, 5000)
     hyper: LimeHyperparameters = LimeHyperparameters()
     distribution: BenchmarkDistribution = BenchmarkDistribution()
+    center_mode: CenterMode = StandardSpec.center_mode
 
     def __post_init__(self) -> None:
         sizes = tuple(map(operator.index, self.neighborhood_sizes))
         object.__setattr__(self, "neighborhood_sizes", sizes)
+        object.__setattr__(self, "center_mode", CenterMode(self.center_mode))
         object.__setattr__(self, "trials", operator.index(self.trials))
         # Every stream of the run is seeded with the master seed.
         object.__setattr__(self, "master_seed", RngStream(self.master_seed).seed)
@@ -109,12 +112,15 @@ def draw_test_point(dist: BenchmarkDistribution, rng: RngStream) -> FeatureVecto
             return FeatureVector(tuple(row[0].tolist()), FEATURE_NAMES)
 
 
-def sampler_spec(name: str, hyper: LimeHyperparameters, dist: BenchmarkDistribution) -> SamplerSpec:
+def sampler_spec(
+    name: str, hyper: LimeHyperparameters, dist: BenchmarkDistribution,
+    center_mode: CenterMode = StandardSpec.center_mode,
+) -> SamplerSpec:
     """The named benchmark sampler: ``standard`` perturbs at the features'
-    unit scales under the hyperparameters' center and noise modes;
-    ``process-aware`` draws from the benchmark distribution itself."""
+    unit scales around ``center_mode``'s center, with the hyperparameters'
+    noise mode; ``process-aware`` draws from the benchmark distribution itself."""
     if name == "standard":
-        return StandardSpec(center_mode=hyper.center_mode, noise_mode=hyper.noise_mode, training_mean=dist.mean)
+        return StandardSpec(center_mode=center_mode, noise_mode=hyper.noise_mode, training_mean=dist.mean)
     if name == "process-aware":
         return dist.spec
     raise ValueError(f"unknown sampler {name!r}, expected one of {', '.join(SAMPLER_NAMES)}")
@@ -134,7 +140,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """
     dist = config.distribution
     model = oracle_model(dist, model_seed=config.master_seed)
-    specs = {name: sampler_spec(name, config.hyper, dist) for name in SAMPLER_NAMES}
+    specs = {name: sampler_spec(name, config.hyper, dist, config.center_mode) for name in SAMPLER_NAMES}
     hypers = {size: replace(config.hyper, neighborhood_size=size) for size in config.neighborhood_sizes}
     cells = [(name, size) for name in SAMPLER_NAMES for size in config.neighborhood_sizes]
     stride = len(cells) + 1
@@ -172,11 +178,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cells=tuple(stats), failures=tuple(failures), config=config)
 
 
-def _hyper_dict(hyper: LimeHyperparameters) -> dict:
+def _hyper_dict(config: ExperimentConfig) -> dict:
     # "distance" and "standardize_features" are fixed: the pipeline has no such knobs.
+    hyper = config.hyper
     return {
         "neighborhood_size": hyper.neighborhood_size,
-        "center_mode": hyper.center_mode.value,
+        "center_mode": config.center_mode.value,
         "noise_mode": hyper.noise_mode.value,
         "kernel_width": hyper.kernel_width,
         "distance": "euclidean",
@@ -192,7 +199,7 @@ def report_to_csv(report: ExperimentReport) -> str:
     lines = [
         f"# master_seed={report.config.master_seed}",
         f"# trials={report.config.trials}",
-        f"# hyperparameters={json.dumps(_hyper_dict(report.config.hyper))}",
+        f"# hyperparameters={json.dumps(_hyper_dict(report.config))}",
         "sampler,size,feature,mean,std,trials",
     ]
     for cell in report.cells:
@@ -214,7 +221,7 @@ def report_to_json(report: ExperimentReport) -> str:
     document = {
         "master_seed": config.master_seed,
         "trials": config.trials,
-        "hyperparameters": _hyper_dict(config.hyper),
+        "hyperparameters": _hyper_dict(config),
         "samplers": list(SAMPLER_NAMES),
         "neighborhood_sizes": list(config.neighborhood_sizes),
         "cells": [

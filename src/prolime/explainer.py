@@ -17,7 +17,7 @@ from .core import (
     FeatureVector,
     LimeHyperparameters,
 )
-from .samplers import RngStream, SamplerSpec, StandardSpec, _require_spec, draw_neighborhood
+from .samplers import RngStream, SamplerSpec, StandardSpec, draw_neighborhood
 from .surrogate import _squared_distances, fit_weighted_ridge, label_neighborhood, neighborhood_weights
 
 __all__ = [
@@ -51,18 +51,12 @@ class ExplainRequest:
     rng: RngStream
 
     def __post_init__(self) -> None:
-        sampler = self.sampler
-        _require_spec(sampler)
-        if len(sampler.per_feature_scale) != self.sample.dim:
-            raise ValueError("sampler dimension does not match the explained sample")
-        # The spec draws the neighborhood, and reports read the modes from hyper.
-        if isinstance(sampler, StandardSpec):
-            spec, hyper = ((knobs.center_mode.value, knobs.noise_mode.value) for knobs in (sampler, self.hyper))
-            if spec != hyper:
-                raise ValueError(
-                    f"the sampler's center and noise modes ({', '.join(spec)}) differ from the "
-                    f"hyperparameters' ({', '.join(hyper)})"
-                )
+        # The spec draws the neighborhood, and reports read the noise mode from hyper.
+        if isinstance(self.sampler, StandardSpec) and self.sampler.noise_mode is not self.hyper.noise_mode:
+            raise ValueError(
+                f"the sampler's noise mode ({self.sampler.noise_mode.value}) differs from the "
+                f"hyperparameters' ({self.hyper.noise_mode.value})"
+            )
 
 
 def explain(req: ExplainRequest) -> Explanation:

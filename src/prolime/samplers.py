@@ -13,13 +13,15 @@ import functools
 import math
 import operator
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import Sequence, Union
 
 import numpy as np
 
-from .core import CenterMode, FeatureVector, NoiseMode, _by_column
+from .core import FeatureVector, NoiseMode, _by_column
 
 __all__ = [
+    "CenterMode",
     "Neighborhood",
     "NotPositiveDefiniteError",
     "ProcessAwareSpec",
@@ -66,6 +68,13 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=key))
 
 
+class CenterMode(Enum):
+    """Where a standard perturbation neighborhood is centered."""
+
+    SAMPLE = "sample"
+    MEAN = "mean"
+
+
 @dataclass(frozen=True)
 class StandardSpec:
     """Configuration for independent per-feature perturbation.
@@ -82,6 +91,8 @@ class StandardSpec:
 
     def __post_init__(self) -> None:
         scales = tuple(float(s) for s in self.per_feature_scale)
+        object.__setattr__(self, "center_mode", CenterMode(self.center_mode))
+        object.__setattr__(self, "noise_mode", NoiseMode(self.noise_mode))
         object.__setattr__(self, "per_feature_scale", scales)
         if not scales:
             raise ValueError("per_feature_scale must not be empty")
@@ -239,12 +250,6 @@ def latin_hypercube_uniforms(n: int, n_features: int, gen: np.random.Generator) 
     return u
 
 
-def _require_spec(sampler: object) -> None:
-    """Raise the TypeError naming ``sampler``'s type unless it is a sampler spec."""
-    if not isinstance(sampler, (StandardSpec, ProcessAwareSpec)):
-        raise TypeError(f"unknown sampler spec: {type(sampler).__name__}")
-
-
 def draw_neighborhood(
     sample: FeatureVector,
     sampler: SamplerSpec,
@@ -260,7 +265,8 @@ def draw_neighborhood(
     :class:`ProcessAwareSpec` draws rows of N(mean, covariance) wherever the
     sample lies; the sample is only recorded, to anchor proximity weighting.
     """
-    _require_spec(sampler)
+    if not isinstance(sampler, (StandardSpec, ProcessAwareSpec)):
+        raise TypeError(f"unknown sampler spec: {type(sampler).__name__}")
     d = sample.dim
     if len(sampler.per_feature_scale) != d:
         raise ValueError("per_feature_scale must match the origin's dimension")

@@ -136,15 +136,15 @@ def fit_weighted_ridge(
         raise SingularFitError(
             "feature values are too large to fit: the weighted normal equations overflow"
         )
+    # A column can only be constant if its last value equals its first.
+    if (features[-1] == features[0]).any() and (cause := _collapse_cause(nbhd)):
+        raise SingularFitError(f"the neighborhood has no spread{cause}")
     advice = "; set ridge_strength above zero to regularize" if ridge_strength == 0 else ""
     try:
         beta = np.linalg.solve(gram, moment)
     except np.linalg.LinAlgError as exc:
-        raise SingularFitError(f"normal equations are singular{advice or _collapse_cause(nbhd)}") from exc
+        raise SingularFitError(f"normal equations are singular{advice}") from exc
     if not np.isfinite(beta).all():
         raise SingularFitError(f"normal equations produced non-finite coefficients{advice}")
     intercept = tbar - float(beta @ xbar)
-    # A column can only be constant if its last value equals its first.
-    if (features[-1] == features[0]).any() and (cause := _collapse_cause(nbhd)):
-        raise SingularFitError(f"the neighborhood has no spread{cause}")
     return LocalSurrogate(intercept, tuple(beta.tolist()), nbhd.origin.feature_names)

@@ -229,20 +229,18 @@ def test_explain_at_overflowing_coordinates_names_the_overflow(capsys):
 
 
 def test_explain_where_unit_perturbations_round_away_names_the_collapse(capsys):
-    # At 1e154 the float spacing is about 1.5e138, so every perturbed point
-    # rounds back to the sample and a positive ridge cannot save the fit.
-    code, stdout, stderr = _run(["explain", "1e154", "1e154"], capsys)
-    assert code == 1
-    assert stdout == ""
-    assert stderr == (
-        "error: fitting stage failed: normal equations are singular: all 1000 rows are the same "
-        "point, so perturbations below the float spacing of its coordinates (up to 1.49e+138) "
-        "were lost to rounding\n"
-    )
-    # From about 1e16 a unit perturbation rounds away too, but the ridge fit
-    # itself succeeds, with zero coefficients; that must not pass as an answer.
-    for coordinate, spacing in (("1e17", "16"), ("1e20", "1.64e+04")):
-        code, stdout, stderr = _run(["explain", coordinate, coordinate], capsys)
+    # From about 1e16 a unit perturbation rounds away, and every perturbed
+    # point rounds back to the sample. A ridge fit would succeed, with zero
+    # coefficients; that must not pass as an answer. Without a ridge, and at
+    # 1e154 where the float spacing is about 1.5e138, the solve fails too,
+    # but the cause named is the same.
+    for point, spacing in (
+        (["1e17", "1e17"], "16"),
+        (["1e17", "1e17", "--ridge", "0"], "16"),
+        (["1e20", "1e20"], "1.64e+04"),
+        (["1e154", "1e154"], "1.49e+138"),
+    ):
+        code, stdout, stderr = _run(["explain", *point], capsys)
         assert (code, stdout) == (1, "")
         assert stderr == (
             "error: fitting stage failed: the neighborhood has no spread: all 1000 rows are the same "

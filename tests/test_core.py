@@ -11,7 +11,6 @@ import pytest
 
 from prolime.core import (
     BlackBoxModel,
-    CenterMode,
     ClassProbabilities,
     ConstantModel,
     Explanation,
@@ -83,7 +82,6 @@ def test_constant_model_predicts_everywhere():
 def test_hyperparameter_defaults():
     hyper = LimeHyperparameters()
     assert hyper.neighborhood_size == 1000
-    assert hyper.center_mode is CenterMode.SAMPLE
     assert hyper.noise_mode is NoiseMode.GAUSSIAN
     assert hyper.kernel_width == 0.75 * math.sqrt(2.0)
     assert hyper.ridge_strength == 1.0
@@ -112,6 +110,11 @@ def test_hyperparameter_validation():
     hyper = LimeHyperparameters(np.int64(5), kernel_width=np.float32(1), ridge_strength=np.int8(2), explained_class=np.uint8(0))
     values = (hyper.neighborhood_size, hyper.kernel_width, hyper.ridge_strength, hyper.explained_class)
     assert [type(v) for v in values] == [int, float, float, int]
+    # The noise mode is cast through its enum.
+    assert LimeHyperparameters(noise_mode="lhs").noise_mode is NoiseMode.LATIN_HYPERCUBE
+    assert LimeHyperparameters(noise_mode="gaussian") == LimeHyperparameters()
+    with pytest.raises(ValueError, match="'uniform' is not a valid NoiseMode"):
+        LimeHyperparameters(noise_mode="uniform")
 
 
 def test_local_surrogate_lookup_and_validation():

@@ -26,7 +26,7 @@ from prolime.evaluation import (
     summary_table,
 )
 from prolime.explainer import ExplainRequest, ExplainStageError, explain
-from prolime.samplers import ProcessAwareSpec, RngStream, StandardSpec
+from prolime.samplers import CenterMode, ProcessAwareSpec, RngStream, StandardSpec
 from prolime.simulation import (
     BenchmarkDistribution,
     gaussian_pdf,
@@ -122,6 +122,11 @@ def test_experiment_config_validation():
     # numpy integers become Python ints, which the JSON report can write.
     config = ExperimentConfig(master_seed=np.uint64(3), trials=np.int64(1), neighborhood_sizes=(np.int32(50),))
     assert [type(v) for v in (config.master_seed, config.trials, *config.neighborhood_sizes)] == [int, int, int]
+    # The center mode is cast through its enum, as the spec casts it.
+    assert ExperimentConfig(master_seed=0).center_mode is CenterMode.SAMPLE
+    assert ExperimentConfig(master_seed=0, center_mode="mean").center_mode is CenterMode.MEAN
+    with pytest.raises(ValueError, match="'median' is not a valid CenterMode"):
+        ExperimentConfig(master_seed=0, center_mode="median")
 
 
 def test_experiment_config_rejects_a_repeated_size():
@@ -139,6 +144,8 @@ def test_sampler_spec_builds_each_named_sampler():
     assert dist.spec == ProcessAwareSpec(dist.mean, dist.covariance)
     with pytest.raises(ValueError, match="unknown sampler 'gridwise'"):
         sampler_spec("gridwise", hyper, dist)
+    mean_centered = sampler_spec("standard", hyper, dist, CenterMode.MEAN)
+    assert mean_centered == replace(standard, center_mode=CenterMode.MEAN)
 
 
 def test_single_trial_uses_the_documented_stream_layout():

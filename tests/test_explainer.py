@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ import prolime.explainer as explainer_module
 import prolime.surrogate as surrogate_module
 from prolime.core import (
     BlackBoxModel,
-    CenterMode,
     ConstantModel,
     Explanation,
     FeatureVector,
@@ -18,6 +19,7 @@ from prolime.core import (
 )
 from prolime.explainer import ExplainRequest, ExplainStageError, explain
 from prolime.samplers import (
+    CenterMode,
     Neighborhood,
     ProcessAwareSpec,
     RngStream,
@@ -54,15 +56,15 @@ class _RejectsLargeCredit(BlackBoxModel):
         return np.tile([0.4, 0.6], (X.shape[0], 1))
 
 
-def test_request_rejects_dimension_mismatch():
-    with pytest.raises(ValueError):
-        ExplainRequest(
-            sample=FeatureVector((1.0,), ("credit",)),
-            model=ConstantModel((0.5, 0.5)),
-            hyper=LimeHyperparameters(),
-            sampler=StandardSpec(),
-            rng=RngStream(0),
-        )
+@pytest.mark.parametrize(
+    "sampler", [StandardSpec(), ProcessAwareSpec(mean=(0.0, 0.0), covariance=BENCH_COV)], ids=["standard", "process-aware"]
+)
+def test_a_dimension_mismatch_fails_in_the_sampling_stage(sampler):
+    request = _request(ConstantModel((0.5, 0.5)), sampler, sample=FeatureVector((1.0,), ("credit",)))
+    message = "^sampling stage failed: per_feature_scale must match the origin's dimension$"
+    with pytest.raises(ExplainStageError, match=message) as info:
+        explain(request)
+    assert info.value.stage == "sampling"
 
 
 class _GridSpec:
@@ -77,9 +79,11 @@ def test_draw_neighborhood_rejects_an_unknown_spec_by_its_type_name():
 
 
 @pytest.mark.parametrize("sampler", [_GridSpec(), object()], ids=["spec-like", "object"])
-def test_request_rejects_a_sampler_that_is_not_a_spec_by_its_type_name(sampler):
-    with pytest.raises(TypeError, match=f"^unknown sampler spec: {type(sampler).__name__}$"):
-        _request(ConstantModel((0.5, 0.5)), sampler)
+def test_a_non_spec_sampler_fails_at_sampling_by_its_type_name(sampler):
+    message = f"^sampling stage failed: unknown sampler spec: {type(sampler).__name__}$"
+    with pytest.raises(ExplainStageError, match=message) as info:
+        explain(_request(ConstantModel((0.5, 0.5)), sampler))
+    assert isinstance(info.value.__cause__, TypeError)
 
 
 def test_process_aware_draw_gives_the_same_points_for_any_origin():
@@ -102,17 +106,23 @@ def _request(model, sampler, *, hyper=None, sample=None, stream=0) -> ExplainReq
 
 
 @pytest.mark.parametrize(
-    "spec, message",
+    "spec, hyper",
     [
-        (StandardSpec(center_mode=CenterMode.MEAN, training_mean=(0.0, 0.0)), r"\(mean, gaussian\)"),
-        (StandardSpec(noise_mode=NoiseMode.LATIN_HYPERCUBE), r"\(sample, lhs\)"),
+        (StandardSpec(noise_mode=NoiseMode.LATIN_HYPERCUBE), LimeHyperparameters(neighborhood_size=500)),
+        (StandardSpec(), LimeHyperparameters(neighborhood_size=500, noise_mode=NoiseMode.LATIN_HYPERCUBE)),
     ],
 )
-def test_request_rejects_sampler_modes_that_differ_from_the_hyperparameters(spec, message):
-    with pytest.raises(ValueError, match=message + r" differ from the hyperparameters' \(sample, gaussian\)"):
-        _request(ConstantModel((0.5, 0.5)), spec)
-    hyper = LimeHyperparameters(neighborhood_size=500, center_mode=spec.center_mode, noise_mode=spec.noise_mode)
-    _request(ConstantModel((0.5, 0.5)), spec, hyper=hyper)
+def test_request_rejects_sampler_modes_that_differ_from_the_hyperparameters(spec, hyper):
+    message = (
+        rf"^the sampler's noise mode \({spec.noise_mode.value}\) differs from the "
+        rf"hyperparameters' \({hyper.noise_mode.value}\)$"
+    )
+    with pytest.raises(ValueError, match=message):
+        _request(ConstantModel((0.5, 0.5)), spec, hyper=hyper)
+    _request(ConstantModel((0.5, 0.5)), spec, hyper=replace(hyper, noise_mode=spec.noise_mode))
+    # The center mode has one home, the spec, so there is nothing to compare.
+    _request(ConstantModel((0.5, 0.5)), replace(spec, center_mode=CenterMode.MEAN, training_mean=(0.0, 0.0)),
+             hyper=replace(hyper, noise_mode=spec.noise_mode))
 
 
 def test_explain_reports_the_model_prediction_at_the_sample():
@@ -196,8 +206,7 @@ def test_proximity_stays_anchored_at_the_sample_under_mean_centering(monkeypatch
     monkeypatch.setattr("prolime.explainer.neighborhood_weights", spy)
     sample = _fv(0.25, -0.25)
     sampler = StandardSpec(center_mode=CenterMode.MEAN, training_mean=(5.0, 5.0))
-    hyper = LimeHyperparameters(neighborhood_size=500, center_mode=CenterMode.MEAN)
-    explain(_request(ConstantModel((0.5, 0.5)), sampler, hyper=hyper, sample=sample))
+    explain(_request(ConstantModel((0.5, 0.5)), sampler, sample=sample))
     assert seen["origin"] == sample
 
 

@@ -42,6 +42,20 @@ EVALUATE_DIGESTS = {
     (11, "json"): "473a30144795c91ed629f73c10fa74dd8c5b10615fc611cb0f4b0cda9ac30ebe",
 }
 
+# The same three-trial run at seed 3 under the standard sampler's other
+# center and noise modes, which reach ``sampler_spec`` from the flags.
+EVALUATE_VARIANTS = {
+    "center-mean": ["--center", "mean"],
+    "noise-lhs": ["--noise", "lhs"],
+}
+
+EVALUATE_VARIANT_DIGESTS = {
+    ("center-mean", "csv"): "7020b2d3f0aa9350d296a08eb33ea76bc67ae6b6d0cfa36d6d29db063d4df477",
+    ("center-mean", "json"): "0da9be742768bdfc73d30035f01a855e7fe05b0512fc1e71cff8e7349a8cf742",
+    ("noise-lhs", "csv"): "513b3e7a49da0dfe0e66f4e5ceaf450742a3590026bc622cdaaa8d9c3e0407a3",
+    ("noise-lhs", "json"): "196374bd0683f46a8d76b1089616df087769c24038e86b0d181382e0d4ba0744",
+}
+
 PLOT_DIGESTS = {
     "model-grid": "fd8594cebc8a13be85f0532095a2c606e9efeb664838b0a5ce7e375b5df4bfc5",
     "neighborhood": "42a33bb2e35816e87ec8e3768e12d9650afcfa268aa0a25ea5aaa6015910368d",
@@ -88,6 +102,14 @@ def test_evaluate_reports_match_golden_digests(seed, tmp_path):
     _quiet(["evaluate", "--trials", "3", "--seed", str(seed), "--out", str(out)])
     assert _sha256(out.read_bytes()) == EVALUATE_DIGESTS[(seed, "csv")]
     assert _sha256(out.with_suffix(".json").read_bytes()) == EVALUATE_DIGESTS[(seed, "json")]
+
+
+@pytest.mark.parametrize("variant", sorted(EVALUATE_VARIANTS))
+def test_evaluate_variant_reports_match_golden_digests(variant, tmp_path):
+    out = tmp_path / "report.csv"
+    _quiet(["evaluate", "--trials", "3", "--seed", "3", *EVALUATE_VARIANTS[variant], "--out", str(out)])
+    assert _sha256(out.read_bytes()) == EVALUATE_VARIANT_DIGESTS[(variant, "csv")]
+    assert _sha256(out.with_suffix(".json").read_bytes()) == EVALUATE_VARIANT_DIGESTS[(variant, "json")]
 
 
 @pytest.mark.parametrize("kind", sorted(PLOT_DIGESTS))

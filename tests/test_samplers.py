@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from prolime.core import CenterMode, FeatureVector, NoiseMode
+from prolime.core import FeatureVector, NoiseMode
 from prolime.samplers import (
+    CenterMode,
     Neighborhood,
     NotPositiveDefiniteError,
     ProcessAwareSpec,
@@ -257,6 +258,22 @@ def test_mean_centered_mode_requires_a_training_mean():
         StandardSpec(center_mode=CenterMode.MEAN)
     with pytest.raises(ValueError):
         StandardSpec(center_mode=CenterMode.MEAN, training_mean=(0.0,))
+
+
+def test_standard_spec_casts_its_modes_through_their_enums():
+    origin = FeatureVector((0.41, -0.51), ("credit", "risk"))
+    by_name = StandardSpec(center_mode="mean", noise_mode="gaussian", training_mean=(5, 5))
+    assert (by_name.center_mode, by_name.noise_mode) == (CenterMode.MEAN, NoiseMode.GAUSSIAN)
+    assert by_name == StandardSpec(center_mode=CenterMode.MEAN, training_mean=(5.0, 5.0))
+    reference = draw_neighborhood(origin, StandardSpec(CenterMode.MEAN, training_mean=(5.0, 5.0)), 64, RngStream(4))
+    assert draw_neighborhood(origin, by_name, 64, RngStream(4)) == reference
+    assert StandardSpec(noise_mode="lhs").noise_mode is NoiseMode.LATIN_HYPERCUBE
+    with pytest.raises(ValueError, match="mean-centered sampling requires a training mean"):
+        StandardSpec(center_mode="mean")
+    with pytest.raises(ValueError, match="'median' is not a valid CenterMode"):
+        StandardSpec(center_mode="median")
+    with pytest.raises(ValueError, match="'uniform' is not a valid NoiseMode"):
+        StandardSpec(noise_mode="uniform")
 
 
 def test_latin_hypercube_noise_keeps_stratified_preimages():

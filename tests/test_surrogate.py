@@ -282,17 +282,19 @@ def test_row_permutation_invariance():
 
 
 def test_singular_system_without_ridge_raises_advice():
-    features = np.array([[1.0, 2.0]] * 3)
     targets = np.array([0.0, 1.0, 0.0])
     weights = np.full(3, 1.0)
-    nbhd = _named(features, NAMES)
-    with pytest.raises(SingularFitError) as info:
-        fit_weighted_ridge(nbhd, targets, weights, 0.0)
-    assert "ridge_strength" in str(info.value)
-    # A ridge solves it, to a zero coefficient for each feature that never
-    # varies; that is no explanation either.
-    with pytest.raises(SingularFitError, match="^the neighborhood has no spread: all 3 rows are the same point"):
-        fit_weighted_ridge(nbhd, targets, weights, 1.0)
+    # Columns that vary but move together: a ridge would regularize them.
+    collinear = _named(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]), NAMES)
+    with pytest.raises(SingularFitError, match="^normal equations are singular; set ridge_strength above zero"):
+        fit_weighted_ridge(collinear, targets, weights, 0.0)
+    # Rows that are all one point have no spread, with or without a ridge: a
+    # ridge fits a zero coefficient for each feature that never varies, and
+    # that is no explanation either.
+    same_point = _named(np.array([[1.0, 2.0]] * 3), NAMES)
+    for ridge in (0.0, 1.0):
+        with pytest.raises(SingularFitError, match="^the neighborhood has no spread: all 3 rows are the same point"):
+            fit_weighted_ridge(same_point, targets, weights, ridge)
 
 
 @pytest.mark.parametrize("ridge", [1e-3, 1.0])
@@ -328,7 +330,7 @@ def test_degenerate_feature_column_is_singular_at_zero_ridge():
     features = np.array([[0.0, 3.0], [1.0, 3.0], [2.0, 3.0]])
     targets = np.array([0.0, 0.5, 1.0])
     weights = np.full(3, 1.0)
-    with pytest.raises(SingularFitError, match="set ridge_strength above zero"):
+    with pytest.raises(SingularFitError, match="^the neighborhood has no spread: all 3 rows have the same risk"):
         fit_weighted_ridge(_named(features, NAMES), targets, weights, 0.0)
 
 
