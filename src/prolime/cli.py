@@ -11,6 +11,7 @@ config error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import os
 import re
@@ -151,28 +152,27 @@ def _resolve_seed(args: argparse.Namespace) -> int:
     return seed
 
 
-def _distribution(rho: float) -> BenchmarkDistribution:
+@contextlib.contextmanager
+def _rejected_values():
+    """Re-raise a ``ValueError`` from building library values out of flags as
+    a usage error with the same text. Only construction runs inside: a
+    ``ValueError`` from a run phase is a bug, not a bad flag."""
     try:
-        return BenchmarkDistribution(rho)
+        yield
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
 def _hyperparameters(args: argparse.Namespace, **flagged) -> LimeHyperparameters:
     """From the sampling flags and ``flagged``, the command's other flags; the rest keep their defaults."""
-    try:
-        return LimeHyperparameters(
-            noise_mode=NoiseMode(args.noise),
-            kernel_width=args.kernel_width,
-            **flagged,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return LimeHyperparameters(noise_mode=NoiseMode(args.noise), kernel_width=args.kernel_width, **flagged)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    dataset = generate_dataset(args.n, RngStream(seed, 0), _distribution(args.rho))
+    with _rejected_values():
+        dist = BenchmarkDistribution(args.rho)
+    dataset = generate_dataset(args.n, RngStream(seed, 0), dist)
     write_dataset_csv(dataset, args.out)
     fraction = int(dataset.labels.sum()) / args.n
     print(f"wrote {args.n} samples to {args.out}")
@@ -192,12 +192,10 @@ def _parse_constant_model(raw: str) -> ConstantModel:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    hyper = _hyperparameters(args, neighborhood_size=args.neighborhood_size, ridge_strength=args.ridge)
-    dist = _distribution(args.rho)
-    try:
+    with _rejected_values():
+        hyper = _hyperparameters(args, neighborhood_size=args.neighborhood_size, ridge_strength=args.ridge)
+        dist = BenchmarkDistribution(args.rho)
         sample = FeatureVector((args.credit, args.risk), FEATURE_NAMES)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     constant = args.constant_model
     model = _parse_constant_model(constant) if constant else oracle_model(dist, seed)
     request = ExplainRequest(
@@ -232,18 +230,16 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     if Path(out).suffix == ".json":
         raise UsageError(f"the report CSV path {out!r} must not end in .json, where the JSON report goes")
     json_path = str(Path(out).with_suffix(".json"))
-    hyper = _hyperparameters(args, ridge_strength=args.ridge)
-    try:
+    with _rejected_values():
+        hyper = _hyperparameters(args, ridge_strength=args.ridge)
         experiment = ExperimentConfig(
             master_seed=seed,
             trials=args.trials,
             neighborhood_sizes=args.sizes,
             hyper=hyper,
-            distribution=_distribution(args.rho),
+            distribution=BenchmarkDistribution(args.rho),
             center_mode=CenterMode(args.center),
         )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     report = run_experiment(experiment)
     _overwrite(out, report_to_csv(report).encode("utf-8"))
     _overwrite(json_path, report_to_json(report).encode("utf-8"))
@@ -268,17 +264,16 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         svg = plot_dataset(dataset)
     else:
         seed = _resolve_seed(args)
-        dist = _distribution(args.rho)
+        with _rejected_values():
+            dist = BenchmarkDistribution(args.rho)
         if args.kind == "model-grid":
             svg = plot_model_grid(oracle_model(dist, seed), args.resolution)
         else:
             if args.credit is None or args.risk is None:
                 raise UsageError("the neighborhood plot requires --credit and --risk")
-            hyper = _hyperparameters(args, neighborhood_size=args.neighborhood_size)
-            try:
+            with _rejected_values():
+                hyper = _hyperparameters(args, neighborhood_size=args.neighborhood_size)
                 origin = FeatureVector((args.credit, args.risk), FEATURE_NAMES)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
             spec = sampler_spec(args.sampler, hyper, dist, CenterMode(args.center))
             nbhd = draw_neighborhood(origin, spec, hyper.neighborhood_size, RngStream(seed, 0))
             svg = plot_neighborhood(nbhd, neighborhood_weights(nbhd, hyper.kernel_width))

@@ -169,6 +169,10 @@ class Neighborhood:
 def cholesky(matrix: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
     """Lower-triangular Cholesky factor of a symmetric positive definite matrix.
 
+    One pass, column by column; the first pivot that is not positive names
+    the failing minor. As in LAPACK's unblocked factor, a column is scaled
+    by the reciprocal of its pivot's root.
+
     Parameters
     ----------
     matrix : array_like
@@ -192,18 +196,17 @@ def cholesky(matrix: Sequence[Sequence[float]] | np.ndarray) -> np.ndarray:
         raise ValueError("matrix entries must be finite")
     if a.size and float(np.max(np.abs(a - a.T))) > 1e-12:
         raise ValueError("matrix must be symmetric within 1e-12")
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        pass
-    # numpy does not say which pivot failed; the first leading minor that
-    # does not factor names it.
-    for order in range(1, a.shape[0]):
-        try:
-            np.linalg.cholesky(a[:order, :order])
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefiniteError(order) from None
-    raise NotPositiveDefiniteError(a.shape[0])
+    lower = np.zeros_like(a)
+    # Only a matrix that is not positive definite overflows; a later pivot then fails.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(a.shape[0]):
+            row = lower[j, :j]
+            pivot = a[j, j] - row @ row
+            if not pivot > 0:
+                raise NotPositiveDefiniteError(j + 1)
+            lower[j, j] = math.sqrt(pivot)
+            lower[j + 1 :, j] = (a[j + 1 :, j] - lower[j + 1 :, :j] @ row) * (1.0 / lower[j, j])
+    return lower
 
 
 @functools.cache

@@ -102,9 +102,10 @@ def fit_weighted_ridge(
 
     Targets and weights hold one finite entry per point; the weights lie in
     [0, 1] and at least one is positive. Raises :class:`SingularFitError`
-    when the normal equations overflow or are singular, and when some
-    feature never varies across the neighborhood: a ridge would fit it a
-    zero coefficient, which is no explanation.
+    when some feature never varies across the neighborhood, before any
+    arithmetic: a ridge would fit it a zero coefficient, which is no
+    explanation. Raises it too when the normal equations of a design that
+    does vary overflow or are singular.
     """
     features = nbhd.points
     n, d = features.shape
@@ -122,6 +123,9 @@ def fit_weighted_ridge(
         raise ValueError("at least one weight must be positive")
     if not (math.isfinite(ridge_strength) and ridge_strength >= 0):
         raise ValueError("ridge_strength must be nonnegative and finite")
+    # A column can only be constant if its last value equals its first.
+    if (features[-1] == features[0]).any() and (cause := _collapse_cause(nbhd)):
+        raise SingularFitError(f"the neighborhood has no spread{cause}")
     weight_sum = float(weights.sum())
     tbar = float(weights @ targets) / weight_sum
     centered_t = targets - tbar
@@ -136,9 +140,6 @@ def fit_weighted_ridge(
         raise SingularFitError(
             "feature values are too large to fit: the weighted normal equations overflow"
         )
-    # A column can only be constant if its last value equals its first.
-    if (features[-1] == features[0]).any() and (cause := _collapse_cause(nbhd)):
-        raise SingularFitError(f"the neighborhood has no spread{cause}")
     advice = "; set ridge_strength above zero to regularize" if ridge_strength == 0 else ""
     try:
         beta = np.linalg.solve(gram, moment)

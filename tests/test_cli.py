@@ -61,6 +61,17 @@ def test_generate_writes_header_plus_n_rows(tmp_path, capsys):
     assert "label-1 fraction: 0." in stdout
 
 
+def test_a_value_error_from_a_run_phase_is_not_a_usage_error(tmp_path, monkeypatch):
+    # Only building library values from flags turns a ValueError into exit
+    # 2; one raised while the command runs is a bug and must surface.
+    def broken_writer(dataset, path):
+        raise ValueError("writer bug")
+
+    monkeypatch.setattr(cli, "write_dataset_csv", broken_writer)
+    with pytest.raises(ValueError, match="writer bug"):
+        main(["generate", "--n", "5", "--out", str(tmp_path / "data.csv")])
+
+
 def test_generate_rejects_nonpositive_n(tmp_path, capsys):
     code, stdout, stderr = _run(["generate", "--n", "0", "--out", str(tmp_path / "x.csv")], capsys)
     assert (code, stdout) == (2, "")
@@ -218,13 +229,22 @@ def test_explain_names_a_nearest_distance_beyond_the_float_range(capsys):
     )
 
 
-def test_explain_at_overflowing_coordinates_names_the_overflow(capsys):
+def test_explain_at_overflowing_coordinates_names_the_collapse(capsys):
+    # Perturbations are lost to rounding long before the normal equations
+    # would overflow, and the lost spread is checked before any arithmetic.
     code, stdout, stderr = _run(["explain", "1.7e308", "1.7e308"], capsys)
-    assert code == 1
-    assert stdout == ""
+    assert (code, stdout) == (1, "")
     assert stderr == (
-        "error: fitting stage failed: feature values are too large to fit: "
-        "the weighted normal equations overflow\n"
+        "error: fitting stage failed: the neighborhood has no spread: all 1000 rows are the same "
+        "point, so perturbations below the float spacing of its coordinates (up to 2e+292) "
+        "were lost to rounding\n"
+    )
+    code, stdout, stderr = _run(["explain", "1e200", "0.5"], capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == (
+        "error: fitting stage failed: the neighborhood has no spread: all 1000 rows have the same "
+        "credit, so perturbations below the float spacing of its value (up to 1.7e+184) "
+        "were lost to rounding\n"
     )
 
 

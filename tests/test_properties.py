@@ -2,8 +2,8 @@
 calls, of the oracle, the SVG renderer and the dataset CSV reader
 against per-row references, of the labeling stage's probability check, of
 the CSV round trip, of the proximity kernel, the ridge fit and the inverse
-normal CDF against numpy and scipy references, of the Latin hypercube strata
-and of the samplers' moments."""
+normal CDF against numpy and scipy references, of the Cholesky factor, of
+the Latin hypercube strata and of the samplers' moments."""
 
 from __future__ import annotations
 
@@ -25,9 +25,11 @@ from prolime.core import BlackBoxModel, FeatureVector, NoiseMode
 from prolime.plots import _fixed2, svg_scatter
 from prolime.samplers import (
     Neighborhood,
+    NotPositiveDefiniteError,
     ProcessAwareSpec,
     RngStream,
     StandardSpec,
+    cholesky,
     draw_neighborhood,
     inverse_normal_cdf,
     latin_hypercube_uniforms,
@@ -644,6 +646,49 @@ def test_unregularized_ridge_fit_recovers_a_planted_linear_target(problem, plant
     intercept, beta = planted[0], np.array(planted[1:d + 1])
     targets = intercept + features @ beta
     assert _close(_fit(features, targets, weights, 0.0), (intercept, beta))
+
+
+@given(rho=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+@example(rho=-0.9)
+@example(rho=-0.0)
+def test_cholesky_of_a_unit_correlation_matrix_is_its_closed_form_bit_for_bit(rho):
+    # Every process-aware neighborhood, dataset and test point is drawn
+    # through this factor, so the digests rest on these bits.
+    expected = np.array([[1.0, 0.0], [rho, math.sqrt(1.0 - rho * rho)]])
+    assert cholesky(((1.0, rho), (rho, 1.0))).tobytes() == expected.tobytes()
+
+
+def _symmetric(matrix: np.ndarray) -> np.ndarray:
+    return (matrix + matrix.T) / 2
+
+
+@settings(deadline=None)
+@given(d=st.integers(1, 8), data=st.data())
+def test_cholesky_recomposes_a_random_spd_matrix(d, data):
+    base = data.draw(arrays(float, (d, d + 2), elements=st.floats(-10.0, 10.0)))
+    matrix = _symmetric(base @ base.T) + np.eye(d)
+    lower = cholesky(matrix)
+    assert (np.triu(lower, k=1) == 0.0).all()
+    assert (np.diag(lower) > 0.0).all()
+    assert np.abs(lower @ lower.T - matrix).max() <= 8 * d * np.finfo(float).eps * np.abs(matrix).max()
+
+
+@settings(deadline=None)
+@given(d=st.integers(1, 8), data=st.data())
+def test_cholesky_names_the_first_leading_minor_that_is_not_positive(d, data):
+    # A = L D L^T with L unit lower triangular: the leading minor of order i
+    # is the product of D's first i entries, so the first one that is not
+    # positive has the order of D's first negative entry, k + 1.
+    k = data.draw(st.integers(0, d - 1))
+    unit = np.tril(data.draw(arrays(float, (d, d), elements=st.floats(-2.0, 2.0))), k=-1) + np.eye(d)
+    pivots = np.concatenate([
+        data.draw(arrays(float, k, elements=st.floats(0.5, 4.0))),
+        data.draw(arrays(float, 1, elements=st.floats(-4.0, -0.5))),
+        data.draw(arrays(float, d - k - 1, elements=st.floats(-4.0, 4.0))),
+    ])
+    with pytest.raises(NotPositiveDefiniteError) as info:
+        cholesky(_symmetric((unit * pivots) @ unit.T))
+    assert info.value.minor_order == k + 1
 
 
 @settings(deadline=None)

@@ -129,6 +129,18 @@ def test_only_the_samplers_module_reads_the_cholesky_factor():
     assert readers == ["samplers.py"]
 
 
+def test_only_the_surrogate_module_uses_numpy_linalg():
+    # The ridge fit solves its normal equations through LAPACK; the
+    # covariance is factored by samplers.cholesky, which finds the failing
+    # minor itself.
+    users = sorted(
+        path.name
+        for path in Path(prolime.__file__).parent.glob("*.py")
+        if _refers_to(ast.parse(path.read_text(encoding="utf-8")), "linalg")
+    )
+    assert users == ["surrogate.py"]
+
+
 def test_only_the_samplers_module_branches_on_the_process_aware_spec():
     # Code outside samplers.py reads what both specs share, such as
     # per_feature_scale, and draws through draw_neighborhood.

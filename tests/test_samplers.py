@@ -88,6 +88,14 @@ def test_cholesky_names_the_failing_minor():
     with pytest.raises(NotPositiveDefiniteError) as info:
         cholesky([[-1.0]])
     assert info.value.minor_order == 1
+    # The first column overflows to inf, and in the 3 x 3 case inf * 0 makes
+    # a nan; the failing pivot is named, without a warning.
+    with pytest.raises(NotPositiveDefiniteError) as info:
+        cholesky([[1e-300, 1e300], [1e300, 1.0]])
+    assert info.value.minor_order == 2
+    with pytest.raises(NotPositiveDefiniteError) as info:
+        cholesky([[1e-300, 0.0, 1e300], [0.0, 1.0, 0.0], [1e300, 0.0, 1.0]])
+    assert info.value.minor_order == 3
 
 
 def test_cholesky_rejects_malformed_input():
