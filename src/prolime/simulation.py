@@ -376,6 +376,17 @@ def _ascii8(x: np.ndarray) -> np.ndarray:
     return tens | ((lanes - tens * _U64(10)) << _U64(8)) | _U64(_word("0" * 8))
 
 
+def _digits8(text: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`_ascii8`: each little-endian uint64 of 8 digits,
+    the first in the low byte, each its ASCII byte or its value, as the number
+    they spell. Neighbouring digits join into bytes of 2, 16-bit lanes of 4,
+    then the 8."""
+    x = text & _U64(0x0F0F0F0F0F0F0F0F)
+    x = (x * _U64(10) + (x >> _U64(8))) & _U64(0x00FF00FF00FF00FF)
+    x = (x * _U64(100) + (x >> _U64(16))) & _U64(0x0000FFFF0000FFFF)
+    return (x * _U64(10000) + (x >> _U64(32))) & _U64(0xFFFFFFFF)
+
+
 def _format_rows(features: np.ndarray, labels: np.ndarray) -> bytes:
     """The CSV lines of the rows: ``f"{credit!r},{risk!r},{label}\\n"`` each,
     built in one numpy pass.
@@ -446,40 +457,146 @@ def _undecodable(row: list[str]) -> ValueError | None:
 _HEADER = b"credit,risk,label\n"
 # Every character of the rows write_dataset_csv writes: float reprs, 0/1 labels, commas, \n.
 _ROW_BYTES = b"0123456789+-.e,\n"
-_ROW_DTYPE = np.dtype([("credit", "f8"), ("risk", "f8"), ("label", "i8")])
+# Lines read in one numpy pass: up to the first newline past this many bytes.
+_CHUNK_BYTES = 1 << 16
+# Each field is read from the 24 bytes that end at its comma, which hold every
+# float repr; a chunk is read after 24 NULs, so that its first field has them.
+_WINDOW = 24
+
+
+def _columns(windows: list[bytes]) -> np.ndarray:
+    """Each 24-byte window as a column of its three little-endian uint64 words."""
+    return np.ascontiguousarray(np.frombuffer(b"".join(windows), "<u8").reshape(-1, 3).T)
+
+
+# Per k in [0, 24], the window whose last k bytes are 0xFF.
+_TAIL = _columns([bytes(_WINDOW - k) + b"\xff" * k for k in range(_WINDOW + 1)])
+# Per place p in [0, 23], "0"s with "." before the last p bytes, and at p = 24
+# no "."; a window XORed with a field's column holds its digits' values.
+_XOR = _columns([b"0" * (23 - p) + b"." + b"0" * p for p in range(_WINDOW)] + [b"0" * _WINDOW])
+# A field's digits d, with its point at place p read as a 0 digit, are
+# d - (d // _SCALE[p]) * _NINES[p] without that 0, for d < 10**19.
+_SCALE = np.array([10 ** min(p + 1, 19) for p in range(_WINDOW + 1)], dtype=np.uint64)
+_NINES = np.array([9 * 10**p if p < 19 else 0 for p in range(_WINDOW + 1)], dtype=np.uint64)
+_TEN = np.array([float(10**k) for k in range(23)])
+
+
+def _nearest_double(digits: np.ndarray, fraction: np.ndarray) -> np.ndarray:
+    """The bits of the double nearest each ``digits / 10**fraction``, ties to
+    even, for digits < 2**64 and fraction <= 22.
+
+    The digits, rounded to a double, are divided by 10**fraction, itself a
+    double. Up to 2**53 the digits are exact and the quotient is the nearest
+    double (Clinger, PLDI 1990). Above, the digits and so the quotient are off
+    by at most 2**-53 of the value v, and rounding is monotone, so the quotient
+    c = M * 2**e is the nearest double or a neighbour of it. Which one follows
+    from d = 4 * 5**fraction * (v - c) / 2**e = digits * 2**s - 4M * 5**fraction,
+    s = 2 - e - fraction, against the halfway points to c's neighbours, at
+    d = ±2 * 5**fraction, or -5**fraction below a power of two, M = 2**52 (as
+    in Lemire, "Number parsing at a gigabyte per second", 2021). Where s < 0,
+    the terms are scaled by 2**-s instead. |v - c| is at most 2 ulps, so |d| is
+    at most 8 * 5**fraction * 2**max(-s, 0), below 2**56, and the low uint64
+    limb of d, read as int64, is d.
+    """
+    bits = (digits.astype(np.float64) / _TEN[fraction]).view(np.uint64)
+    mantissa = (bits & _U64(2**52 - 1)) | _U64(2**52)
+    shift = 1077 - (bits >> _U64(52)).astype(np.intp) - fraction
+    unit = _POW5[fraction] << np.maximum(-shift, 0).astype(np.uint64)
+    d = ((digits << np.maximum(shift, 0).astype(np.uint64)) - (mantissa << _U64(2)) * unit).view(np.int64)
+    above = (unit << _U64(1)).view(np.int64)
+    below = -(above >> (mantissa == _U64(2**52)))
+    # A tie leaves an even mantissa and moves an odd one.
+    odd = (bits & _U64(1)).view(np.int64)
+    return np.where(digits > _U64(2**53), bits + (d + odd > above) - (d - odd < below), bits)
+
+
+def _float_fields(data: bytes, starts: np.ndarray, stops: np.ndarray) -> list[float]:
+    """``float()`` of each field ``data[start:stop]``."""
+    return [float(data[start:stop]) for start, stop in zip(starts.tolist(), stops.tolist())]
+
+
+def _read_lines(data: bytes, start: int, stop: int, limit: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """The two values and the label of each line of ``data[start:stop]``, whole
+    lines, if each line is two fields over the form's characters and a 0/1
+    label, and no field is longer than ``limit``; else None.
+
+    A field of digits with an optional sign and point, at most 22 digits after
+    it, is read in bulk where its digits and point, the point read as a 0, are
+    below 10**19: :func:`_digits8` reads them from the field's window, and
+    :func:`_nearest_double` rounds their value. Any other field, such as
+    ``1e-05``, is read with ``float()``, and a ``ValueError`` where it fails
+    is raised.
+    """
+    lines = data[start:stop]
+    if lines.translate(None, _ROW_BYTES):
+        return None
+    text = np.frombuffer(bytes(_WINDOW) + lines, dtype=np.uint8)
+    ends = np.flatnonzero(text == ord("\n"))
+    commas = np.flatnonzero(text == ord(","))
+    labels = text[ends - 1] - np.uint8(ord("0"))
+    # Two commas a line, the second before a one-digit label: no line is blank.
+    if len(commas) != 2 * len(ends) or (commas[1::2] != ends - 2).any() or (labels > 1).any():
+        return None
+    # The fields credit, risk of each line in turn, each ending at a comma.
+    starts = np.empty_like(commas)
+    starts[0], starts[2::2], starts[1::2] = _WINDOW, ends[:-1] + 1, commas[::2] + 1
+    # The csv module refuses a field longer than its limit, which float() reads.
+    if (commas - starts).max() > limit:
+        return None
+    head = text[starts]
+    negative = head == ord("-")
+    body = commas - starts - (negative | (head == ord("+")))
+    # The writer puts one point in each field, but in exponent forms such as
+    # 1e-05. A field with two keeps one among its digits, which float() refuses.
+    points = np.flatnonzero(text == ord("."))
+    pointed = slice(None)
+    if len(points) != len(commas) or not ((starts <= points) & (points < commas)).all():
+        pointed = np.searchsorted(commas, points)
+    point, fraction = np.zeros(len(commas), dtype=bool), np.zeros_like(commas)
+    point[pointed], fraction[pointed] = True, commas[pointed] - points - 1
+    place = np.where(point, np.minimum(fraction, 23), 24)
+    windows = np.ndarray((len(text) - _WINDOW + 1,), f"V{_WINDOW}", text, strides=(1,))
+    words = windows[commas - _WINDOW].view("<u8").reshape(-1, 3).T
+    digit_words = (words ^ np.take(_XOR, place, axis=1)) & np.take(_TAIL, np.minimum(body, _WINDOW), axis=1)
+    top, middle, low = _digits8(digit_words)
+    with_point = top * _U64(10**16) + middle * _U64(10**8) + low
+    value = with_point - (with_point // _SCALE[place]) * _NINES[place]
+    bits = _nearest_double(value, np.minimum(fraction, 22))
+    values = (bits | (negative.astype(np.uint64) << _U64(63))).view(np.float64)
+    bulk = (body > point) & (body <= _WINDOW) & (fraction <= 22) & (top < _U64(1000))
+    bulk &= ~(digit_words & _U64(0xF0F0F0F0F0F0F0F0)).any(axis=0)
+    slow = np.flatnonzero(~bulk)
+    if slow.size:
+        values[slow] = _float_fields(data, starts[slow] + start - _WINDOW, commas[slow] + start - _WINDOW)
+    return values, labels
 
 
 def _read_writer_form(data: bytes) -> Dataset | None:
-    """The valid dataset in ``data``, parsed in one pass of numpy's C reader,
-    if ``data`` is in :func:`write_dataset_csv`'s own form; else None.
+    """The valid dataset in ``data``, read in numpy passes over chunks of lines
+    (see :func:`_read_lines`), if ``data`` is in :func:`write_dataset_csv`'s
+    own form; else None.
 
-    Over the form's characters numpy parses each field to what ``float()`` or
+    Over the form's characters each field reads to what ``float()`` or
     ``int()`` gives, or fails where they fail. Other characters, such as
     spaces, control characters, quotes, carriage returns, underscores and
-    non-ASCII digits, are read differently by one side or the other.
+    non-ASCII digits, are left to the per-row reader.
     """
     if not data.startswith(_HEADER) or len(data) == len(_HEADER) or not data.endswith(b"\n"):
         return None
-    # numpy skips blank lines, which the per-row reader rejects, and warns
-    # when every line is blank.
-    if b"\n\n" in data or data[len(_HEADER):].translate(None, _ROW_BYTES):
-        return None
-    chars = np.frombuffer(data, dtype=np.uint8, offset=len(_HEADER))
-    ends = np.flatnonzero(chars == ord("\n"))
-    # Each label is written as one digit after a comma; numpy before 2.0
-    # reads an int field such as "1.0" through a float, where int() fails.
-    # No line is blank, so ends - 2 is at least -1, the final newline.
-    if not (np.isin(chars[ends - 1], (ord("0"), ord("1"))) & (chars[ends - 2] == ord(","))).all():
-        return None
-    # numpy parses a field that the csv module finds longer than its limit.
-    if (np.diff(ends, prepend=-1) - 1).max() > csv.field_size_limit():
-        return None
-    rows_in = io.BytesIO(data)
-    rows_in.seek(len(_HEADER))
+    limit = csv.field_size_limit()
+    chunks = []
+    start = len(_HEADER)
     try:
-        rows = np.loadtxt(rows_in, dtype=_ROW_DTYPE, delimiter=",", comments=None, ndmin=1, encoding="ascii")
+        while start < len(data):
+            stop = data.find(b"\n", start + _CHUNK_BYTES) + 1 or len(data)
+            chunk = _read_lines(data, start, stop, limit)
+            if chunk is None:
+                return None
+            chunks.append(chunk)
+            start = stop
+        values, labels = (np.concatenate(parts) for parts in zip(*chunks))
         # Dataset rejects the rows the per-row reader names.
-        return Dataset(np.column_stack((rows["credit"], rows["risk"])), rows["label"])
+        return Dataset(values.reshape(-1, 2), labels.astype(np.int64))
     except ValueError:
         return None
 
@@ -505,7 +622,7 @@ def _read_rows(data: bytes) -> Dataset:
     failure = None
     # Undecodable bytes read as lone surrogates, which no number parses, so a
     # bad byte fails on its own line and lines after a failure are never split.
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape", newline="") as fh:
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         line_number = 0  # the last line read whole
         try:

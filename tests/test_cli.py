@@ -17,7 +17,7 @@ import pytest
 
 import prolime
 import prolime.evaluation as evaluation_module
-from prolime import cli
+from prolime import cli, simulation
 from prolime.cli import main
 from prolime.explainer import ExplainStageError
 from prolime.simulation import read_dataset_csv
@@ -496,6 +496,41 @@ def test_plot_data_reads_a_pipe(tmp_path, capsys):
     assert (code, stdout) == (2, "")
     assert "line 42: expected 3 columns, got 2" in stderr
     assert not (tmp_path / "bad.svg").exists()
+
+
+def test_plot_data_reads_a_leading_byte_order_mark(tmp_path, capsys):
+    data, marked = tmp_path / "data.csv", tmp_path / "marked.csv"
+    assert _run(["generate", "--n", "40", "--seed", "2", "--out", str(data)], capsys)[0] == 0
+    marked.write_bytes(b"\xef\xbb\xbf" + data.read_bytes())
+    from_data, from_marked = tmp_path / "data.svg", tmp_path / "marked.svg"
+    assert _run(["plot", "data", "--data", str(data), "--out", str(from_data)], capsys)[0] == 0
+    assert _run(["plot", "data", "--data", str(marked), "--out", str(from_marked)], capsys) == (
+        0, f"wrote {from_marked}\n", "")
+    assert from_marked.read_bytes() == from_data.read_bytes()
+
+
+@pytest.mark.parametrize("seed", [0, 4])
+def test_plot_data_reads_a_generated_file_in_bulk_but_its_exponent_forms(seed, tmp_path, capsys, monkeypatch):
+    # Neither the per-row reader nor float() reads a generated file's fields,
+    # but those written in exponent form: seed 4 writes one, seed 0 none.
+    data = tmp_path / "data.csv"
+    assert _run(["generate", "--n", "3000", "--seed", str(seed), "--out", str(data)], capsys)[0] == 0
+    read_by_float = []
+    float_fields = simulation._float_fields
+
+    def counted_float_fields(text, starts, stops):
+        read_by_float.extend(text[start:stop] for start, stop in zip(starts, stops))
+        return float_fields(text, starts, stops)
+
+    def row_loop(text):
+        raise AssertionError("the per-row reader ran")
+
+    monkeypatch.setattr(simulation, "_float_fields", counted_float_fields)
+    monkeypatch.setattr(simulation, "_read_rows", row_loop)
+    assert _run(["plot", "data", "--data", str(data), "--out", str(tmp_path / "data.svg")], capsys)[0] == 0
+    rows = data.read_bytes().split(b"\n")[1:-1]
+    assert read_by_float == [field for row in rows for field in row.split(b",")[:2] if b"e" in field]
+    assert len(read_by_float) == (seed == 4)
 
 
 def test_plot_data_requires_dataset_flag(capsys):

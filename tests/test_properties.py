@@ -287,6 +287,74 @@ def test_ascii8_writes_the_eight_zero_padded_digits_little_endian(values):
     assert [int(word).to_bytes(8, "little") for word in words] == [f"{v:08d}".encode("ascii") for v in values]
 
 
+def test_digits8_undoes_ascii8_on_every_eight_digit_number():
+    for start in range(0, 10**8, 10**6):
+        values = np.arange(start, start + 10**6, dtype=np.uint64)
+        assert np.array_equal(simulation._digits8(simulation._ascii8(values)), values)
+
+
+def _fixed(digits: int, fraction: int) -> str:
+    """digits / 10**fraction in fixed notation, with a point."""
+    text = str(digits).rjust(fraction + 1, "0")
+    return f"{text[:len(text) - fraction]}.{text[len(text) - fraction:]}"
+
+
+@st.composite
+def rounding_edges(draw) -> str:
+    """A decimal near where its nearest double changes, as the reader's kernel
+    reads it: at most 18 significant digits, 10**-3 to 2**56.
+
+    Ties between doubles in [2**52, 2**53) (n.5), and the halfway points between
+    two doubles and the quarter-ulp ones below powers of two, cut to fewer
+    digits, so just below them, or one unit in the last digit above that.
+    """
+    sign = draw(st.sampled_from(("", "-", "+")))
+    kind = draw(st.sampled_from(("tie", "halfway", "below-a-power-of-two")))
+    if kind == "tie":
+        return f"{sign}{draw(st.integers(2**52, 2**53 - 1))}.5"
+    if kind == "halfway":
+        mantissa, exponent = math.frexp(draw(st.floats(1e-3, 2.0**56, exclude_max=True)))
+        mantissa, exponent = 2 * int(mantissa * 2**53) + 1, exponent - 54
+    else:
+        mantissa, exponent = 2**54 - 1, draw(st.integers(-9, 56)) - 54
+    # mantissa * 2**exponent as digits / 10**fraction, exactly.
+    digits, fraction = (mantissa << exponent, 0) if exponent >= 0 else (mantissa * 5**-exponent, -exponent)
+    cut = max(len(str(digits)) - draw(st.integers(1, 18)), 0)
+    digits = digits // 10**cut + draw(st.integers(0, 1))
+    if cut > fraction:
+        digits, fraction = digits * 10 ** (cut - fraction), 0
+    else:
+        fraction -= cut
+    return sign + _fixed(digits, fraction)
+
+
+# Spellings float() reads: trailing zeros, no digit on one side of the point,
+# signed zeros, and ties and quarter-ulp halfway points that need no cut.
+DECIMAL_EDGES = [
+    "0.50", "5.", ".5", "+1.5", "-0.0", "+0.", "-.0", "0", "007.25", "9007199254740993", "9007199254740993.0",
+    "4503599627370496.5", "4503599627370497.5", "18014398509481983", "18014398509481983.0", "4503599627370495.75",
+    "0.1", "0.30000000000000004", "0.9999999999999999", "123456789012345678", "0.00012345678901234567",
+]
+
+
+def _no_field_to_float(data, starts, stops):
+    raise AssertionError(f"float() read {[data[a:b] for a, b in zip(starts, stops)]}")
+
+
+@settings(deadline=None)
+@given(texts=st.lists(rounding_edges(), min_size=1, max_size=40))
+@example(texts=DECIMAL_EDGES)
+def test_read_dataset_csv_reads_decimals_in_bulk_to_the_bits_float_gives(texts, tmp_path_factory):
+    texts = texts + ["0.5"] * (len(texts) % 2)
+    path = tmp_path_factory.mktemp("csv") / "decimals.csv"
+    path.write_text("credit,risk,label\n" + "".join(f"{a},{b},1\n" for a, b in zip(texts[::2], texts[1::2])),
+                    encoding="ascii")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "_float_fields", _no_field_to_float)
+        features = read_dataset_csv(str(path)).features
+    assert features.ravel().view("<u8").tolist() == np.array([float(t) for t in texts]).view("<u8").tolist()
+
+
 # The kernel's range [1, 8192): its low end, and the values whose rounding
 # carries into a new integer digit, each with 40 ulps on either side, and the
 # last double below 8192, which writes "8192.00".

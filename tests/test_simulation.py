@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
+from prolime import simulation
 from prolime.core import FeatureVector
 from prolime.samplers import RngStream, draw_neighborhood
 from prolime.simulation import (
@@ -356,6 +357,22 @@ def test_read_dataset_csv_reads_the_writers_form_without_the_row_loop(tmp_path, 
 
     monkeypatch.setattr("prolime.simulation._read_rows", row_loop)
     assert read_dataset_csv(str(path)) == dataset
+
+
+def test_read_dataset_csv_reads_a_file_of_many_chunks(tmp_path):
+    features = generate_dataset(10_000, RngStream(13)).features.copy()
+    features[-3, 1] = 1e-05  # read with float(), in the last chunk
+    dataset = Dataset(features, np.arange(10_000) % 2)
+    path = tmp_path / "long.csv"
+    write_dataset_csv(dataset, str(path))
+    assert path.stat().st_size > 4 * simulation._CHUNK_BYTES
+    assert read_dataset_csv(str(path)) == dataset
+    # A fault in a later chunk is named on its own line.
+    lines = path.read_bytes().split(b"\n")
+    lines[8000] = b"0.1,0.2"
+    path.write_bytes(b"\n".join(lines))
+    with pytest.raises(DatasetFormatError, match="^line 8001: expected 3 columns, got 2$"):
+        read_dataset_csv(str(path))
 
 
 def test_read_dataset_csv_names_a_blank_line_without_a_warning(tmp_path):
