@@ -9,14 +9,13 @@ sampler is shared. A synthetic loan-approval benchmark with a known local
 ground truth makes the two strategies comparable.
 """
 
-from . import core, evaluation, explainer, plots, samplers, simulation, surrogate
+from . import core, evaluation, explainer, plots, samplers, simulation
 from .core import *
 from .evaluation import *
 from .explainer import *
 from .plots import *
 from .samplers import *
 from .simulation import *
-from .surrogate import *
 
 __version__ = "0.1.0"
 
@@ -27,5 +26,4 @@ __all__ = [
     *plots.__all__,
     *samplers.__all__,
     *simulation.__all__,
-    *surrogate.__all__,
 ]

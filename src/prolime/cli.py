@@ -29,7 +29,7 @@ from .evaluation import (
     sampler_spec,
     summary_table,
 )
-from .explainer import ExplainRequest, ExplainStageError, explain
+from .explainer import ExplainRequest, ExplainStageError, explain, neighborhood_weights
 from .samplers import CenterMode, RngStream, draw_neighborhood
 from .simulation import (
     BenchmarkDistribution,
@@ -41,7 +41,6 @@ from .simulation import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from .surrogate import neighborhood_weights
 from .plots import plot_dataset, plot_model_grid, plot_neighborhood
 
 __all__ = ["main"]

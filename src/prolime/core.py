@@ -160,19 +160,16 @@ class LimeHyperparameters:
     noise_mode: NoiseMode = NoiseMode.GAUSSIAN
     kernel_width: float = default_kernel_width(2)
     ridge_strength: float = 1.0
-    explained_class: int = 1
 
     def __post_init__(self) -> None:
-        for name, cast in (("neighborhood_size", operator.index), ("explained_class", operator.index),
-                           ("kernel_width", float), ("ridge_strength", float), ("noise_mode", NoiseMode)):
+        for name, cast in (("neighborhood_size", operator.index), ("kernel_width", float),
+                           ("ridge_strength", float), ("noise_mode", NoiseMode)):
             object.__setattr__(self, name, cast(getattr(self, name)))
         if self.neighborhood_size < 2:
             raise ValueError("neighborhood_size must be at least 2")
         _require_kernel_width(self.kernel_width, "kernel_width")
         if not (math.isfinite(self.ridge_strength) and self.ridge_strength >= 0):
             raise ValueError(f"ridge_strength must be nonnegative and finite, got {self.ridge_strength!r}")
-        if self.explained_class < 0:
-            raise ValueError("explained_class must be a valid class index")
 
 
 @dataclass(frozen=True)

@@ -179,7 +179,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 
 def _hyper_dict(config: ExperimentConfig) -> dict:
-    # "distance" and "standardize_features" are fixed: the pipeline has no such knobs.
+    # "distance", "explained_class" and "standardize_features" are fixed: the
+    # pipeline has no such knobs.
     hyper = config.hyper
     return {
         "neighborhood_size": hyper.neighborhood_size,
@@ -188,7 +189,7 @@ def _hyper_dict(config: ExperimentConfig) -> dict:
         "kernel_width": hyper.kernel_width,
         "distance": "euclidean",
         "ridge_strength": hyper.ridge_strength,
-        "explained_class": hyper.explained_class,
+        "explained_class": 1,
         "standardize_features": False,
     }
 

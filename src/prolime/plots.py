@@ -9,6 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import BlackBoxModel
+from .explainer import _class_probabilities
 from .samplers import Neighborhood
 from .simulation import FEATURE_NAMES, Dataset, _ascii8
 
@@ -213,7 +214,7 @@ def plot_model_grid(model: BlackBoxModel, resolution: int) -> str:
     axis = np.linspace(-_GRID_LIMIT, _GRID_LIMIT, resolution)
     credit, risk = np.meshgrid(axis, axis)
     grid = np.column_stack((credit.ravel(), risk.ravel()))
-    labels = np.argmax(model.predict_proba(grid, feature_names=FEATURE_NAMES), axis=1)
+    labels = np.argmax(_class_probabilities(model, grid, FEATURE_NAMES), axis=1)
     pad = 0.2
     span = _INNER * (2 * _GRID_LIMIT) / (2 * _GRID_LIMIT + 2 * pad)
     radius = max(1.0, 0.45 * span / (resolution - 1))

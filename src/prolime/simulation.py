@@ -135,14 +135,14 @@ def _first_invalid_row(features: np.ndarray, labels: np.ndarray) -> tuple[int, s
 class Dataset:
     """Labeled benchmark rows: a read-only, finite ``(n, 2)`` float ``features``
     array of (credit, risk) and a read-only ``(n,)`` int array of 0/1
-    ``labels``. ``n`` may be 0. Both arrays are copied and validated once."""
+    ``labels``. ``n`` may be 0. Each array is copied once and validated."""
 
     features: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self) -> None:
         features = np.array(self.features, dtype=float, order="C")
-        labels = np.array(self.labels)
+        labels = np.asarray(self.labels)
         if features.ndim != 2 or features.shape[1] != 2:
             raise ValueError(f"features must be an (n, 2) array, got shape {features.shape}")
         if labels.shape != (features.shape[0],):
@@ -596,7 +596,7 @@ def _read_writer_form(data: bytes) -> Dataset | None:
             start = stop
         values, labels = (np.concatenate(parts) for parts in zip(*chunks))
         # Dataset rejects the rows the per-row reader names.
-        return Dataset(values.reshape(-1, 2), labels.astype(np.int64))
+        return Dataset(values.reshape(-1, 2), labels)
     except ValueError:
         return None
 

@@ -30,7 +30,7 @@ from prolime.simulation import (
     ground_truth_for,
     oracle_model,
 )
-from prolime.surrogate import fit_weighted_ridge, neighborhood_weights
+from prolime.explainer import fit_weighted_ridge, neighborhood_weights
 
 NAMES = ("credit", "risk")
 

@@ -85,7 +85,6 @@ def test_hyperparameter_defaults():
     assert hyper.noise_mode is NoiseMode.GAUSSIAN
     assert hyper.kernel_width == 0.75 * math.sqrt(2.0)
     assert hyper.ridge_strength == 1.0
-    assert hyper.explained_class == 1
 
 
 def test_hyperparameter_validation():
@@ -100,16 +99,12 @@ def test_hyperparameter_validation():
             LimeHyperparameters(kernel_width=bad)
         with pytest.raises(ValueError, match="finite"):
             LimeHyperparameters(ridge_strength=bad)
-    with pytest.raises(ValueError):
-        LimeHyperparameters(explained_class=-1)
     # Counts are whole numbers, and every value is a plain Python number.
     with pytest.raises(TypeError):
         LimeHyperparameters(neighborhood_size=2.5)
-    with pytest.raises(TypeError):
-        LimeHyperparameters(explained_class=1.0)
-    hyper = LimeHyperparameters(np.int64(5), kernel_width=np.float32(1), ridge_strength=np.int8(2), explained_class=np.uint8(0))
-    values = (hyper.neighborhood_size, hyper.kernel_width, hyper.ridge_strength, hyper.explained_class)
-    assert [type(v) for v in values] == [int, float, float, int]
+    hyper = LimeHyperparameters(np.int64(5), kernel_width=np.float32(1), ridge_strength=np.int8(2))
+    values = (hyper.neighborhood_size, hyper.kernel_width, hyper.ridge_strength)
+    assert [type(v) for v in values] == [int, float, float]
     # The noise mode is cast through its enum.
     assert LimeHyperparameters(noise_mode="lhs").noise_mode is NoiseMode.LATIN_HYPERCUBE
     assert LimeHyperparameters(noise_mode="gaussian") == LimeHyperparameters()

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import prolime.explainer as explainer_module
-import prolime.surrogate as surrogate_module
 from prolime.core import (
     BlackBoxModel,
     ConstantModel,
@@ -211,10 +210,6 @@ def test_proximity_stays_anchored_at_the_sample_under_mean_centering(monkeypatch
 
 
 def test_sampler_swap_reuses_the_same_downstream_stages(monkeypatch):
-    assert explainer_module.fit_weighted_ridge is surrogate_module.fit_weighted_ridge
-    assert explainer_module.label_neighborhood is surrogate_module.label_neighborhood
-    assert explainer_module.neighborhood_weights is surrogate_module.neighborhood_weights
-
     calls = []
     real_fit = explainer_module.fit_weighted_ridge
 

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from prolime.core import ConstantModel, FeatureVector
+from prolime.core import BlackBoxModel, ConstantModel, FeatureVector
 from prolime.plots import plot_model_grid, plot_neighborhood, svg_scatter
 from prolime.samplers import Neighborhood
 
@@ -102,3 +102,24 @@ def test_a_model_grid_plot_draws_only_two_class_models(probabilities):
     # below 2 would otherwise be drawn in two colors without complaint.
     with pytest.raises(ValueError, match=f"the model has n_classes={len(probabilities)}"):
         plot_model_grid(ConstantModel(probabilities), 5)
+
+
+class _Answers(BlackBoxModel):
+    """A two-class model whose every answer is ``answer(rows)``."""
+
+    def __init__(self, answer):
+        self._answer = answer
+
+    def predict_proba(self, X, feature_names=None):
+        return self._answer(X)
+
+
+@pytest.mark.parametrize("answer, message", [
+    (lambda X: np.full((len(X), 3), 1 / 3), r"predict_proba returned shape \(9, 3\), expected \(9, 2\)"),
+    (lambda X: np.full((len(X) - 1, 2), 0.5), r"predict_proba returned shape \(8, 2\), expected \(9, 2\)"),
+    (lambda X: np.full((len(X), 2), np.nan), r"^row 0: probability of class 0 must lie in \[0, 1\], got nan$"),
+], ids=["three-columns", "short", "nan"])
+def test_model_grid_checks_the_answer_as_the_pipeline_does(answer, message):
+    with pytest.raises(ValueError, match=message) as info:
+        plot_model_grid(_Answers(answer), 3)
+    assert "style_index" not in str(info.value)

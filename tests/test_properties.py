@@ -45,7 +45,7 @@ from prolime.simulation import (
     read_dataset_csv,
     write_dataset_csv,
 )
-from prolime.surrogate import (
+from prolime.explainer import (
     _squared_distances,
     fit_weighted_ridge,
     label_neighborhood,
@@ -166,11 +166,14 @@ def test_label_neighborhood_rejects_exactly_the_targets_outside_the_unit_interva
     bad = [i for i, p in enumerate(column.tolist()) if not 0.0 <= p <= 1.0]
     model = _FixedColumn(column)
     if not bad:
-        assert label_neighborhood(model, nbhd, 1).tobytes() == column.tobytes()
+        assert label_neighborhood(model, nbhd).tobytes() == column.tobytes()
         return
     with pytest.raises(ValueError) as info:
-        label_neighborhood(model, nbhd, 1)
-    assert str(info.value).startswith(f"row {bad[0]}: probability of class 1 must lie in [0, 1]")
+        label_neighborhood(model, nbhd)
+    # Class 0 answers 1 - p, which is out of range wherever p is, unless p
+    # lies so little below 0 that 1 - p rounds to 1; it comes first in its row.
+    k = 1 if 0.0 <= 1.0 - column[bad[0]] <= 1.0 else 0
+    assert str(info.value).startswith(f"row {bad[0]}: probability of class {k} must lie in [0, 1]")
 
 
 # Signed zeros, subnormals and the ends of the float range, besides any finite float.

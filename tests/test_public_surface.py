@@ -13,7 +13,9 @@ import pytest
 
 import prolime
 
-MODULES = ("core", "evaluation", "explainer", "plots", "samplers", "simulation", "surrogate")
+PACKAGE = Path(prolime.__file__).parent
+# Every library module; the command line's one name, main, is its entry point.
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py") if not path.stem.startswith("_") and path.stem != "cli")
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 TRACING = WORKLOADS.with_name("tracing.py")
 
@@ -77,7 +79,7 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
     # A public name that neither the package nor the benchmark uses is
     # surface to keep up for no caller; its own definition and its __all__
     # entry do not count as uses.
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in Path(prolime.__file__).parent.glob("*.py")]
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")]
     imported = _benchmark_imports()
     unused = [
         name
@@ -120,7 +122,7 @@ def test_only_the_samplers_module_reads_the_cholesky_factor():
     # The benchmark's Gaussian is drawn in one place, samplers._gaussian_rows.
     readers = sorted(
         path.name
-        for path in Path(prolime.__file__).parent.glob("*.py")
+        for path in PACKAGE.glob("*.py")
         if any(
             isinstance(node, ast.Attribute) and node.attr == "_lower"
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
@@ -129,16 +131,16 @@ def test_only_the_samplers_module_reads_the_cholesky_factor():
     assert readers == ["samplers.py"]
 
 
-def test_only_the_surrogate_module_uses_numpy_linalg():
+def test_only_the_explainer_module_uses_numpy_linalg():
     # The ridge fit solves its normal equations through LAPACK; the
     # covariance is factored by samplers.cholesky, which finds the failing
     # minor itself.
     users = sorted(
         path.name
-        for path in Path(prolime.__file__).parent.glob("*.py")
+        for path in PACKAGE.glob("*.py")
         if _refers_to(ast.parse(path.read_text(encoding="utf-8")), "linalg")
     )
-    assert users == ["surrogate.py"]
+    assert users == ["explainer.py"]
 
 
 def test_only_the_samplers_module_branches_on_the_process_aware_spec():
@@ -146,7 +148,7 @@ def test_only_the_samplers_module_branches_on_the_process_aware_spec():
     # per_feature_scale, and draws through draw_neighborhood.
     checkers = sorted(
         path.name
-        for path in Path(prolime.__file__).parent.glob("*.py")
+        for path in PACKAGE.glob("*.py")
         if any(
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
@@ -174,7 +176,7 @@ def test_only_the_simulation_module_holds_the_threshold_rule_and_the_digit_routi
     # integers become ASCII digits in simulation._ascii8 alone.
     owners = sorted(
         path.name
-        for path in Path(prolime.__file__).parent.glob("*.py")
+        for path in PACKAGE.glob("*.py")
         if any(map(_reads_the_threshold_or_writes_digits, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
     )
     assert owners == ["simulation.py"]
@@ -185,7 +187,7 @@ def test_private_names_shared_between_modules_stay_few():
     # shares without declaring it; each one here is a deliberate exception.
     shared = {
         alias.name
-        for path in Path(prolime.__file__).parent.glob("*.py")
+        for path in PACKAGE.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.ImportFrom) and node.level == 1
         for alias in node.names
@@ -193,7 +195,7 @@ def test_private_names_shared_between_modules_stay_few():
     }
     assert shared == {
         "_gaussian_rows",
-        "_squared_distances",
+        "_class_probabilities",
         "_by_column",
         "_require_kernel_width",
         "_overwrite",
@@ -231,19 +233,34 @@ def _writes_a_file(node: ast.AST) -> bool:
     return any(set(mode) & set("wxa+") for mode in modes)
 
 
-def test_only_the_overwrite_helper_writes_files():
-    # Outputs are overwritten in place and cut to length, one way for every
-    # command; see simulation._overwrite.
-    writers = set()
-    for path in Path(prolime.__file__).parent.glob("*.py"):
+def _owners(matches) -> set[tuple[str, str]]:
+    """(file, innermost enclosing function or ``<module>``) of every node of
+    the package's source for which ``matches`` holds."""
+    owners = set()
+    for path in PACKAGE.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for owner in ast.walk(tree):
             for child in ast.iter_child_nodes(owner):
                 child.parent = owner
         for node in ast.walk(tree):
-            if _writes_a_file(node):
+            if matches(node):
                 owner = node
                 while not isinstance(owner, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Module)):
                     owner = owner.parent
-                writers.add((path.name, getattr(owner, "name", "<module>")))
-    assert writers == {("simulation.py", "_overwrite")}
+                owners.add((path.name, getattr(owner, "name", "<module>")))
+    return owners
+
+
+def test_only_the_overwrite_helper_writes_files():
+    # Outputs are overwritten in place and cut to length, one way for every
+    # command; see simulation._overwrite.
+    assert _owners(_writes_a_file) == {("simulation.py", "_overwrite")}
+
+
+def test_only_the_checked_model_call_asks_the_black_box():
+    # Every answer is checked for shape and range in one place; the model
+    # classes still define the method.
+    def asks(node: ast.AST) -> bool:
+        return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "predict_proba"
+
+    assert _owners(asks) == {("explainer.py", "_class_probabilities")}

@@ -329,6 +329,9 @@ def test_dataset_holds_validated_read_only_copies():
     assert dataset.labels.tolist() == [1, 0]
     assert dataset.labels.dtype == np.int64
     assert not dataset.features.flags.writeable and not dataset.labels.flags.writeable
+    # Labels already of the stored type are still copied.
+    int_labels = np.array([1, 0])
+    assert not np.shares_memory(Dataset(features, int_labels).labels, int_labels)
     assert Dataset(np.empty((0, 2)), []).features.shape == (0, 2)
     with pytest.raises(ValueError, match="row 1: feature values must be finite, got nan"):
         Dataset([[0.0, 0.0], [0.0, float("nan")]], [0, 1])

@@ -16,7 +16,7 @@ from prolime.core import (
 )
 from prolime.samplers import Neighborhood, RngStream
 from prolime.simulation import BenchmarkDistribution, oracle_model
-from prolime.surrogate import (
+from prolime.explainer import (
     SingularFitError,
     fit_weighted_ridge,
     label_neighborhood,
@@ -143,34 +143,32 @@ class _FirstCoordinateModel(BlackBoxModel):
 
 def test_label_neighborhood_preserves_point_order():
     rows = [(0.1, 0.0), (0.7, 1.0), (0.3, -1.0), (0.9, 2.0)]
-    targets = label_neighborhood(_FirstCoordinateModel(), _nbhd(rows), 1)
+    targets = label_neighborhood(_FirstCoordinateModel(), _nbhd(rows))
     assert targets.tolist() == [0.1, 0.7, 0.3, 0.9]
-    flipped = label_neighborhood(_FirstCoordinateModel(), _nbhd(rows), 0)
-    assert np.max(np.abs(flipped - (1.0 - np.array([0.1, 0.7, 0.3, 0.9])))) <= 1e-15
 
 
 def test_label_neighborhood_on_the_benchmark_oracle():
     model = oracle_model(BenchmarkDistribution(), model_seed=0)
     inside = _nbhd([(0.41, -0.51), (0.0, 0.0)])
-    assert label_neighborhood(model, inside, 1).tolist() == [1.0, 1.0]
+    assert label_neighborhood(model, inside).tolist() == [1.0, 1.0]
 
 
 def test_label_neighborhood_with_constant_model():
-    targets = label_neighborhood(ConstantModel((0.3, 0.7)), _nbhd([(0.0, 1.0)] * 5), 1)
+    targets = label_neighborhood(ConstantModel((0.3, 0.7)), _nbhd([(0.0, 1.0)] * 5))
     assert targets.tolist() == [0.7] * 5
 
 
 def test_label_neighborhood_validation_and_error_index():
     model = _FirstCoordinateModel()
     with pytest.raises(ValueError):
-        label_neighborhood(model, _nbhd(np.empty((0, 2))), 1)
-    with pytest.raises(ValueError):
-        label_neighborhood(model, _nbhd([(0.5, 0.0)]), 2)
+        label_neighborhood(model, _nbhd(np.empty((0, 2))))
+    with pytest.raises(ValueError, match=r"^the explained class 1 \(approval\) is out of range for 1 classes$"):
+        label_neighborhood(ConstantModel((1.0,)), _nbhd([(0.5, 0.0)]))
     bad = _nbhd([(0.5, 0.0), (7.0, 0.0)])
-    with pytest.raises(ValueError, match=r"^row 1: probability of class 1 must lie in \[0, 1\], got 7\.0$"):
-        label_neighborhood(model, bad, 1)
+    with pytest.raises(ValueError, match=r"^row 1: probability of class 0 must lie in \[0, 1\], got -6\.0$"):
+        label_neighborhood(model, bad)
     with pytest.raises(ValueError, match=r"returned shape \(1, 2\), expected \(2, 2\)"):
-        label_neighborhood(_FixedColumn([0.5]), _nbhd([(0.5, 0.0)] * 2), 1)
+        label_neighborhood(_FixedColumn([0.5]), _nbhd([(0.5, 0.0)] * 2))
 
 
 class _FixedColumn(BlackBoxModel):
@@ -185,10 +183,20 @@ class _FixedColumn(BlackBoxModel):
 
 @pytest.mark.parametrize("bad", [1.5, -0.1, math.nan])
 def test_label_neighborhood_names_the_first_probability_outside_the_unit_interval(bad):
+    # Class 0 answers 1 - bad, which is out of range too and comes first.
     model = _FixedColumn([0.0, 1.0, bad, 0.5, bad])
-    message = f"row 2: probability of class 1 must lie in [0, 1], got {bad!r}"
+    message = f"row 2: probability of class 0 must lie in [0, 1], got {1.0 - bad!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        label_neighborhood(model, _nbhd([(0.0, 0.0)] * 5), 1)
+        label_neighborhood(model, _nbhd([(0.0, 0.0)] * 5))
+
+
+def test_label_neighborhood_checks_every_class_not_only_the_explained_one():
+    class _Answers(BlackBoxModel):
+        def predict_proba(self, X, feature_names=None):
+            return np.array([[0.5, 0.5], [1.5, 0.5]])
+
+    with pytest.raises(ValueError, match=r"^row 1: probability of class 0 must lie in \[0, 1\], got 1\.5$"):
+        label_neighborhood(_Answers(), _nbhd([(0.0, 0.0)] * 2))
 
 
 def test_label_neighborhood_passes_the_origin_feature_names():
@@ -199,7 +207,7 @@ def test_label_neighborhood_passes_the_origin_feature_names():
             seen.append(feature_names)
             return super().predict_proba(X)
 
-    label_neighborhood(_Records((0.5, 0.5)), _nbhd([(0.0, 0.0)] * 3), 1)
+    label_neighborhood(_Records((0.5, 0.5)), _nbhd([(0.0, 0.0)] * 3))
     assert seen == [NAMES]
 
 
