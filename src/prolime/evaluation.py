@@ -166,15 +166,17 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
                 continue
             mismatch[cell_index, :, trial] = coefficient_mismatch(explanation.surrogate, truth)
     stats = []
-    for (name, size), (credit, risk) in zip(cells, mismatch):
-        done = ~np.isnan(credit)
-        if done.any():
-            credit, risk = credit[done], risk[done]
-            moments = (credit.mean(), credit.std(), risk.mean(), risk.std())
+    for (name, size), pair in zip(cells, mismatch):
+        # A boolean gather is not C-ordered, and its rows would then sum in
+        # sequence, not pairwise as the mean of one contiguous row does.
+        kept = np.ascontiguousarray(pair[:, ~np.isnan(pair[0])])
+        if kept.size:
+            credit_mean, risk_mean = kept.mean(axis=1).tolist()
+            credit_std, risk_std = kept.std(axis=1).tolist()
         else:
             # Named, not computed: the mean of an empty slice warns.
-            moments = (np.nan,) * 4
-        stats.append(CellStats(name, size, *map(float, moments), int(done.sum())))
+            credit_mean = credit_std = risk_mean = risk_std = math.nan
+        stats.append(CellStats(name, size, credit_mean, credit_std, risk_mean, risk_std, kept.shape[1]))
     return ExperimentReport(cells=tuple(stats), failures=tuple(failures), config=config)
 
 

@@ -103,9 +103,12 @@ def _circles(
     # A bytes array pads each style to the longest one with NULs.
     styles = np.array(list(map(str.encode, style_text)), dtype=np.bytes_)
     n = len(index)
-    columns = [_ascii_columns('<circle cx="', n), _fixed2(cx), _ascii_columns('" cy="', n), _fixed2(cy)]
+    coordinates = (cx, cy) if radii is None else (cx, cy, radii)
+    # One call for every column: each _fixed2 call has a fixed cost.
+    text = _fixed2(np.concatenate(coordinates)).reshape(len(coordinates), n, 7)
+    columns = [_ascii_columns('<circle cx="', n), text[0], _ascii_columns('" cy="', n), text[1]]
     if radii is not None:
-        columns += [_ascii_columns('" r="', n), _fixed2(radii)]
+        columns += [_ascii_columns('" r="', n), text[2]]
     columns += [
         _ascii_columns('" ', n),
         styles.view(np.uint8).reshape(len(styles), styles.itemsize)[index],
@@ -183,7 +186,7 @@ def svg_scatter(
         f'<text x="16" y="{_HEIGHT / 2:.1f}" text-anchor="middle" font-family="sans-serif" '
         f'font-size="13" transform="rotate(-90 16 {_HEIGHT / 2:.1f})">{FEATURE_NAMES[1]}</text>',
     ]
-    keep = (np.abs(points) <= limit).all(axis=1)
+    keep = (np.abs(points[:, 0]) <= limit) & (np.abs(points[:, 1]) <= limit)
     # Rounding is monotonic, so kept markers land in [_MARGIN, _HEIGHT - _MARGIN]
     # = [56, 584], inside the exact range that _fixed2 checks.
     cx = _MARGIN + _offsets(points[keep, 0], limit)
@@ -214,7 +217,9 @@ def plot_model_grid(model: BlackBoxModel, resolution: int) -> str:
     axis = np.linspace(-_GRID_LIMIT, _GRID_LIMIT, resolution)
     credit, risk = np.meshgrid(axis, axis)
     grid = np.column_stack((credit.ravel(), risk.ravel()))
-    labels = np.argmax(_class_probabilities(model, grid, FEATURE_NAMES), axis=1)
+    probabilities = _class_probabilities(model, grid, FEATURE_NAMES)
+    # As argmax does, a tie goes to class 0.
+    labels = (probabilities[:, 1] > probabilities[:, 0]).astype(np.intp)
     pad = 0.2
     span = _INNER * (2 * _GRID_LIMIT) / (2 * _GRID_LIMIT + 2 * pad)
     radius = max(1.0, 0.45 * span / (resolution - 1))

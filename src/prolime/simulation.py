@@ -9,6 +9,7 @@ linear boundary of the diamond edge in each point's Cartesian quadrant.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import math
@@ -54,7 +55,8 @@ class BenchmarkDistribution:
     rho: float = -0.9
     mean: ClassVar[tuple[float, float]] = (0.0, 0.0)
     density_threshold: ClassVar[float] = 0.01
-    # The distribution's process-aware sampler, built once with its Cholesky factor.
+    # The distribution's process-aware sampler with its Cholesky factor,
+    # built once per rho and shared by every distribution with that rho.
     spec: ProcessAwareSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -63,7 +65,7 @@ class BenchmarkDistribution:
             raise ValueError("correlation must be finite")
         if not abs(self.rho) < 1.0:
             raise ValueError("correlation magnitude must be below 1")
-        object.__setattr__(self, "spec", ProcessAwareSpec(self.mean, self.covariance))
+        object.__setattr__(self, "spec", _process_aware_spec(self.rho.hex(), self.covariance))
 
     @property
     def covariance(self) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -73,6 +75,14 @@ class BenchmarkDistribution:
         """Per (credit, risk) row of an ``(n, 2)`` array: whether its density
         reaches the cutoff, as an ``(n,)`` bool mask; a NaN density does not."""
         return gaussian_pdf(points, self) >= self.density_threshold
+
+
+@functools.lru_cache(maxsize=16)
+def _process_aware_spec(rho_hex: str, covariance: tuple) -> ProcessAwareSpec:
+    """:attr:`BenchmarkDistribution.spec` for the distribution with this
+    covariance. ``rho_hex``, rho's exact bits, only keys the cache: equal
+    covariances may differ in the sign of a zero, which the factor keeps."""
+    return ProcessAwareSpec(BenchmarkDistribution.mean, covariance)
 
 
 def _rows(points: np.ndarray) -> np.ndarray:
@@ -119,11 +129,13 @@ def gaussian_pdf(points: np.ndarray, dist: BenchmarkDistribution) -> np.ndarray:
 def _first_invalid_row(features: np.ndarray, labels: np.ndarray) -> tuple[int, str] | None:
     """Index of the first row with a non-finite feature or a label other than
     0/1, with the reason; the feature check comes first within a row."""
-    bad_features = ~np.isfinite(features).all(axis=1)
-    bad_labels = ~((labels == 0) | (labels == 1))
-    bad = bad_features | bad_labels
-    if not bad.any():
+    finite = np.isfinite(features)
+    good_labels = (labels == 0) | (labels == 1)
+    # A reduction along the rows' short axis is slow; only a failure pays for it.
+    if finite.all() and good_labels.all():
         return None
+    bad_features = ~finite.all(axis=1)
+    bad = bad_features | ~good_labels
     index = int(np.argmax(bad))
     if bad_features[index]:
         row = features[index]

@@ -359,8 +359,8 @@ def test_evaluate_reports_total_failure(tmp_path, capsys, monkeypatch):
     assert "standard@50" in stderr
 
 
-def test_evaluate_factors_the_covariance_once(tmp_path, capsys, monkeypatch):
-    cli._build_parser()  # building the parser constructs the default distribution
+def _counted_factorizations(monkeypatch) -> list:
+    """The matrices factored from now on, as the test's monkeypatch lasts."""
     calls = []
     original = prolime.samplers.cholesky
 
@@ -371,10 +371,26 @@ def test_evaluate_factors_the_covariance_once(tmp_path, capsys, monkeypatch):
     # Every module that could bind the factorization under its own name.
     for module in (prolime.samplers, prolime.simulation, prolime.evaluation):
         monkeypatch.setattr(module, "cholesky", counted, raising=False)
+    return calls
+
+
+def test_evaluate_factors_the_covariance_once(tmp_path, capsys, monkeypatch):
+    cli._build_parser()  # building the parser constructs the default distribution
+    # Distributions share the spec of their rho, which earlier tests may have built.
+    simulation._process_aware_spec.cache_clear()
+    calls = _counted_factorizations(monkeypatch)
     out = tmp_path / "r.csv"
     assert _run(["evaluate", "--trials", "2", "--sizes", "20", "--out", str(out)], capsys)[0] == 0
     # The distribution's, which its process-aware sampler holds.
     assert len(calls) == 1
+
+
+def test_a_second_evaluate_in_the_process_factors_nothing(tmp_path, capsys, monkeypatch):
+    argv = ["evaluate", "--trials", "1", "--sizes", "20", "--rho", "-0.75", "--out", str(tmp_path / "r.csv")]
+    assert _run(argv, capsys)[0] == 0
+    calls = _counted_factorizations(monkeypatch)
+    assert _run(argv, capsys)[0] == 0
+    assert calls == []
 
 
 def test_evaluate_rejects_a_report_path_its_json_would_overwrite(tmp_path, capsys, monkeypatch):

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -96,6 +98,8 @@ def test_a_run_factors_each_covariance_once(monkeypatch):
 
     for module in (samplers_module, simulation_module, evaluation_module):
         monkeypatch.setattr(module, "cholesky", counted, raising=False)
+    # Distributions share the spec of their rho, which earlier tests may have built.
+    simulation_module._process_aware_spec.cache_clear()
     config = ExperimentConfig(
         master_seed=3, trials=1, neighborhood_sizes=(50, 100),
         distribution=BenchmarkDistribution(-0.5),
@@ -206,6 +210,41 @@ def test_a_failed_trial_drops_out_of_its_cell_alone(monkeypatch):
     cell = report.cells[0]
     assert (cell.credit_mean, cell.credit_std) == (float(np.mean(credit)), float(np.std(credit)))
     assert (cell.risk_mean, cell.risk_std) == (float(np.mean(risk)), float(np.std(risk)))
+
+
+@pytest.mark.parametrize("trials", [1, 8, 9, 100, 129])
+def test_cell_moments_are_those_of_each_cells_kept_trials_bit_for_bit(trials, monkeypatch):
+    # Cell 1 fails every trial, cell 2 every third from trial 1 on.
+    cells = 2 * len(SAMPLER_NAMES)
+    failed = np.zeros((cells, trials), dtype=bool)
+    failed[1] = True
+    failed[2, 1::3] = True
+    gen = np.random.default_rng(trials)
+    # Gaps over six decades, so a change in summation order shows in the last bit.
+    gaps = gen.standard_normal((cells, 2, trials)) ** 2 * 10.0 ** gen.uniform(-3.0, 3.0, (cells, 2, trials))
+    # Cells are explained in order within each trial.
+    calls = np.ndindex(trials, cells)
+
+    def scripted(request):
+        trial, cell = next(calls)
+        if failed[cell, trial]:
+            raise ExplainStageError("fitting", ValueError("scripted failure"))
+        return SimpleNamespace(surrogate=tuple(gaps[cell, :, trial].tolist()))
+
+    monkeypatch.setattr(evaluation_module, "explain", scripted)
+    monkeypatch.setattr(evaluation_module, "coefficient_mismatch", lambda surrogate, truth: surrogate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_experiment(ExperimentConfig(master_seed=4, trials=trials, neighborhood_sizes=(50, 100)))
+    assert len(report.failures) == failed.sum()
+    for stats, gap, cell_failed in zip(report.cells, gaps, failed):
+        credit, risk = gap[0, ~cell_failed], gap[1, ~cell_failed]
+        assert stats.trials == len(credit)
+        moments = (stats.credit_mean, stats.credit_std, stats.risk_mean, stats.risk_std)
+        if len(credit):
+            assert moments == (credit.mean(), credit.std(), risk.mean(), risk.std())
+        else:
+            assert all(map(math.isnan, moments))
 
 
 def test_report_serialization_is_deterministic():

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from prolime import plots
 from prolime.core import BlackBoxModel, ConstantModel, FeatureVector
 from prolime.plots import plot_model_grid, plot_neighborhood, svg_scatter
 from prolime.samplers import Neighborhood
@@ -123,3 +124,29 @@ def test_model_grid_checks_the_answer_as_the_pipeline_does(answer, message):
     with pytest.raises(ValueError, match=message) as info:
         plot_model_grid(_Answers(answer), 3)
     assert "style_index" not in str(info.value)
+
+
+def _drawn_classes(model: BlackBoxModel, resolution: int, monkeypatch) -> np.ndarray:
+    """The style index ``plot_model_grid`` draws the model's grid with."""
+    drawn = []
+
+    def recorded(centers, styles, style_index, *args, **kwargs):
+        drawn.append(np.asarray(style_index))
+        return svg_scatter(centers, styles, style_index, *args, **kwargs)
+
+    monkeypatch.setattr(plots, "svg_scatter", recorded)
+    plot_model_grid(model, resolution)
+    return drawn[0]
+
+
+def test_a_tied_model_grid_is_all_class_zero(monkeypatch):
+    assert _drawn_classes(ConstantModel((0.5, 0.5)), 4, monkeypatch).tolist() == [0] * 16
+
+
+def test_a_model_grid_colors_each_point_by_its_most_probable_class(monkeypatch):
+    # Quarters of one, so ties at 0.5 come up among the points.
+    first = np.random.default_rng(5).integers(0, 5, 36) / 4
+    answer = np.column_stack((first, 1.0 - first))
+    assert (first == 0.5).any()
+    drawn = _drawn_classes(_Answers(lambda X: answer), 6, monkeypatch)
+    assert drawn.tolist() == np.argmax(answer, axis=1).tolist()

@@ -264,3 +264,23 @@ def test_only_the_checked_model_call_asks_the_black_box():
         return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "predict_proba"
 
     assert _owners(asks) == {("explainer.py", "_class_probabilities")}
+
+
+_REDUCTIONS = {"all", "any", "sum", "min", "max", "argmax", "argmin"}
+
+
+def _reduces_axis_one(node: ast.AST) -> bool:
+    """A call ``x.all(axis=1)``, ``x.all(1)``, ``np.all(x, axis=1)`` or
+    ``np.all(x, 1)`` of one of the reductions."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "attr", None) in _REDUCTIONS):
+        return False
+    # The function form takes the array first and the axis second.
+    position = 1 if getattr(node.func.value, "id", None) == "np" else 0
+    axes = [keyword.value for keyword in node.keywords if keyword.arg == "axis"] + node.args[position:position + 1]
+    return any(isinstance(axis, ast.Constant) and axis.value == 1 for axis in axes)
+
+
+def test_only_the_failure_paths_reduce_along_the_rows_short_axis():
+    # Reducing an (n, 2) array along axis 1 costs over ten times a whole-array
+    # reduction; the row checks pay for it only once a whole-array test fails.
+    assert _owners(_reduces_axis_one) == {("simulation.py", "_finite_rows"), ("simulation.py", "_first_invalid_row")}

@@ -69,6 +69,25 @@ def test_distribution_validation():
         BenchmarkDistribution(covariance=((2.0, 0.0), (0.0, 1.0)))
 
 
+def test_distributions_of_one_rho_share_one_spec():
+    assert BenchmarkDistribution(-0.9).spec is BenchmarkDistribution(-0.9).spec
+    # 0.0 == -0.0, yet each factor keeps the sign of its zero.
+    zero, negative_zero = BenchmarkDistribution(0.0).spec, BenchmarkDistribution(-0.0).spec
+    assert zero is not negative_zero
+    assert [math.copysign(1.0, spec.covariance[0][1]) for spec in (zero, negative_zero)] == [1.0, -1.0]
+
+
+def test_the_spec_cache_is_bounded():
+    limit = simulation._process_aware_spec.cache_info().maxsize
+    rhos = [0.25 + k * 2.0**-20 for k in range(limit + 1)]
+    first = BenchmarkDistribution(rhos[0]).spec
+    for rho in rhos[1:]:
+        BenchmarkDistribution(rho)
+    assert simulation._process_aware_spec.cache_info().currsize == limit
+    # The least recently used spec is gone, so its rho is factored again.
+    assert BenchmarkDistribution(rhos[0]).spec is not first
+
+
 def test_density_threshold_must_lie_below_the_peak_density():
     # At or above the peak no point would clear the threshold, and the
     # rejection loop of draw_test_point would never return. The peak
@@ -335,6 +354,13 @@ def test_dataset_holds_validated_read_only_copies():
     assert Dataset(np.empty((0, 2)), []).features.shape == (0, 2)
     with pytest.raises(ValueError, match="row 1: feature values must be finite, got nan"):
         Dataset([[0.0, 0.0], [0.0, float("nan")]], [0, 1])
+    # The first bad row is named, whichever fault comes first; within a row, the feature's.
+    with pytest.raises(ValueError, match="^row 1: label must be 0 or 1, got 2$"):
+        Dataset([[0.0, 0.0], [0.0, 0.0], [float("inf"), 0.0]], [0, 2, 1])
+    with pytest.raises(ValueError, match="^row 1: feature values must be finite, got inf$"):
+        Dataset([[0.0, 0.0], [float("inf"), 0.0], [0.0, 0.0]], [0, 1, 2])
+    with pytest.raises(ValueError, match="^row 0: feature values must be finite, got -inf$"):
+        Dataset([[0.0, -math.inf]], [3])
     with pytest.raises(ValueError, match="shape"):
         Dataset(np.zeros((2, 3)), [0, 1])
     with pytest.raises(ValueError, match="shape"):
