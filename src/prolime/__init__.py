@@ -9,8 +9,9 @@ sampler is shared. A synthetic loan-approval benchmark with a known local
 ground truth makes the two strategies comparable.
 """
 
-from . import core, evaluation, explainer, plots, samplers, simulation
+from . import core, datasets, evaluation, explainer, plots, samplers, simulation
 from .core import *
+from .datasets import *
 from .evaluation import *
 from .explainer import *
 from .plots import *
@@ -21,6 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     *core.__all__,
+    *datasets.__all__,
     *evaluation.__all__,
     *explainer.__all__,
     *plots.__all__,

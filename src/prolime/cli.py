@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import Mapping
 
 from .core import ConstantModel, FeatureVector, LimeHyperparameters, NoiseMode
+from .datasets import DatasetFormatError, _overwrite, read_dataset_csv, write_dataset_csv
 from .evaluation import (
     SAMPLER_NAMES,
     ExperimentConfig,
@@ -31,16 +32,7 @@ from .evaluation import (
 )
 from .explainer import ExplainRequest, ExplainStageError, explain, neighborhood_weights
 from .samplers import CenterMode, RngStream, draw_neighborhood
-from .simulation import (
-    BenchmarkDistribution,
-    DatasetFormatError,
-    FEATURE_NAMES,
-    _overwrite,
-    generate_dataset,
-    oracle_model,
-    read_dataset_csv,
-    write_dataset_csv,
-)
+from .simulation import BenchmarkDistribution, FEATURE_NAMES, generate_dataset, oracle_model
 from .plots import plot_dataset, plot_model_grid, plot_neighborhood
 
 __all__ = ["main"]
@@ -92,7 +84,7 @@ def _file_path(raw: str) -> str:
 
 def _load_config(path: str) -> dict[str, str]:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
     config: dict[str, str] = {}
@@ -103,7 +95,12 @@ def _load_config(path: str) -> dict[str, str]:
         if "=" not in stripped:
             raise UsageError(f"config line {line_number} is not key=value: {line!r}")
         key, _, value = stripped.partition("=")
-        config[key.strip()] = value.strip()
+        key = key.rstrip()
+        if not key:
+            raise UsageError(f"config line {line_number} has no key: {line!r}")
+        if key in config:
+            raise UsageError(f"config line {line_number} sets {key!r} again: {line!r}")
+        config[key] = value.lstrip()
     return config
 
 

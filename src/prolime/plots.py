@@ -9,9 +9,10 @@ from typing import Sequence
 import numpy as np
 
 from .core import BlackBoxModel
+from .datasets import Dataset, _ascii8
 from .explainer import _class_probabilities
 from .samplers import Neighborhood
-from .simulation import FEATURE_NAMES, Dataset, _ascii8
+from .simulation import FEATURE_NAMES
 
 __all__ = [
     "plot_dataset",

@@ -17,10 +17,10 @@ import pytest
 
 import prolime
 import prolime.evaluation as evaluation_module
-from prolime import cli, simulation
+from prolime import cli, datasets, simulation
 from prolime.cli import main
 from prolime.explainer import ExplainStageError
-from prolime.simulation import read_dataset_csv
+from prolime.datasets import read_dataset_csv
 
 
 def _run(argv, capsys):
@@ -532,7 +532,7 @@ def test_plot_data_reads_a_generated_file_in_bulk_but_its_exponent_forms(seed, t
     data = tmp_path / "data.csv"
     assert _run(["generate", "--n", "3000", "--seed", str(seed), "--out", str(data)], capsys)[0] == 0
     read_by_float = []
-    float_fields = simulation._float_fields
+    float_fields = datasets._float_fields
 
     def counted_float_fields(text, starts, stops):
         read_by_float.extend(text[start:stop] for start, stop in zip(starts, stops))
@@ -541,8 +541,8 @@ def test_plot_data_reads_a_generated_file_in_bulk_but_its_exponent_forms(seed, t
     def row_loop(text):
         raise AssertionError("the per-row reader ran")
 
-    monkeypatch.setattr(simulation, "_float_fields", counted_float_fields)
-    monkeypatch.setattr(simulation, "_read_rows", row_loop)
+    monkeypatch.setattr(datasets, "_float_fields", counted_float_fields)
+    monkeypatch.setattr(datasets, "_read_rows", row_loop)
     assert _run(["plot", "data", "--data", str(data), "--out", str(tmp_path / "data.svg")], capsys)[0] == 0
     rows = data.read_bytes().split(b"\n")[1:-1]
     assert read_by_float == [field for row in rows for field in row.split(b",")[:2] if b"e" in field]

@@ -136,3 +136,32 @@ def test_flag_overrides_its_config_key(tmp_path, capsys):
     assert overridden == capsys.readouterr().out
     assert main([*base, "--seed", "4", "--sampler", "process-aware"]) == 0
     assert overridden != capsys.readouterr().out
+
+
+def test_a_config_file_with_a_byte_order_mark_reads_as_without_it(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("PROLIME_SEED", raising=False)
+    config = tmp_path / "bom.cfg"
+    config.write_bytes(b"\xef\xbb\xbfseed=3\n")
+    base = ["generate", "--n", "20"]
+    assert main([*base, "--config", str(config), "--out", str(tmp_path / "config.csv")]) == 0
+    assert main([*base, "--seed", "3", "--out", str(tmp_path / "flag.csv")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "config.csv").read_bytes() == (tmp_path / "flag.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# seeds\n=3\n", "config line 2 has no key: '=3'"),
+        ("seed=3\n n = 20\nseed=4\n", "config line 3 sets 'seed' again: 'seed=4'"),
+        ("seed=3\nseed = 3\n", "config line 2 sets 'seed' again: 'seed = 3'"),
+    ],
+    ids=["empty-key", "repeated-key", "repeated-equal-value"],
+)
+def test_an_empty_or_repeated_config_key_names_its_line(text, message, tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_text(text, encoding="utf-8")
+    out = tmp_path / "data.csv"
+    assert main(["generate", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()

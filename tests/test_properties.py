@@ -20,8 +20,9 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import lstsq
 from scipy.special import ndtri
 
-from prolime import simulation
-from prolime.core import BlackBoxModel, FeatureVector, NoiseMode
+from prolime import datasets
+from prolime.core import BlackBoxModel, FeatureVector, LocalSurrogate, NoiseMode
+from prolime.evaluation import coefficient_mismatch
 from prolime.plots import _fixed2, svg_scatter
 from prolime.samplers import (
     Neighborhood,
@@ -34,16 +35,13 @@ from prolime.samplers import (
     inverse_normal_cdf,
     latin_hypercube_uniforms,
 )
+from prolime.datasets import Dataset, DatasetFormatError, read_dataset_csv, write_dataset_csv
 from prolime.simulation import (
     BenchmarkDistribution,
-    Dataset,
-    DatasetFormatError,
     OracleModel,
     approval_label,
     gaussian_pdf,
     ground_truth_for,
-    read_dataset_csv,
-    write_dataset_csv,
 )
 from prolime.explainer import (
     _squared_distances,
@@ -145,6 +143,21 @@ def test_oracle_names_the_first_non_finite_row(rows, data):
     message = f"row {first}: feature values must be finite"
     with pytest.raises(ValueError, match=f"^{message}$"):
         OracleModel(BenchmarkDistribution(), 5).predict_proba(rows)
+
+
+@settings(deadline=None)
+@given(
+    beta=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    point=st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 2),
+    intercept=st.floats(-10.0, 10.0),
+)
+def test_mismatch_of_coefficients_within_one_is_one_minus_the_signed_slope(beta, point, intercept):
+    # The truth is +-1 per feature, so wherever |beta_i| <= 1 the headline
+    # metric rewards a steeper slope toward the truth as much as its sign.
+    truth = ground_truth_for(np.array([point]))[0]
+    surrogate = LocalSurrogate(intercept, beta, ("credit", "risk"))
+    expected = tuple(1.0 - b * t for b, t in zip(beta, truth.tolist()))
+    assert coefficient_mismatch(surrogate, truth) == expected
 
 
 class _FixedColumn(BlackBoxModel):
@@ -267,7 +280,7 @@ def test_write_dataset_csv_writes_the_bytes_of_the_per_row_repr_writer(rows, bey
     features = np.array([row[:2] for row in rows], dtype=float).reshape(-1, 2)
     labels = np.array([row[2] for row in rows], dtype=np.int64)
     if beyond_a_chunk and rows:
-        count = simulation._CHUNK_ROWS + 2 * len(rows) + 1
+        count = datasets._CHUNK_ROWS + 2 * len(rows) + 1
         features, labels = np.resize(features, (count, 2)), np.resize(labels, count)
     _assert_write_dataset_csv_matches_the_reference(features, labels, tmp_path_factory.mktemp("csv") / "dataset.csv")
 
@@ -286,14 +299,14 @@ ASCII8_EDGES = sorted({0, 99_999_999, *(10**k - 1 for k in range(1, 9)), *(10**k
 @given(values=st.lists(st.integers(0, 10**8 - 1), max_size=50))
 @example(values=ASCII8_EDGES)
 def test_ascii8_writes_the_eight_zero_padded_digits_little_endian(values):
-    words = simulation._ascii8(np.array(values, dtype=np.uint64))
+    words = datasets._ascii8(np.array(values, dtype=np.uint64))
     assert [int(word).to_bytes(8, "little") for word in words] == [f"{v:08d}".encode("ascii") for v in values]
 
 
 def test_digits8_undoes_ascii8_on_every_eight_digit_number():
     for start in range(0, 10**8, 10**6):
         values = np.arange(start, start + 10**6, dtype=np.uint64)
-        assert np.array_equal(simulation._digits8(simulation._ascii8(values)), values)
+        assert np.array_equal(datasets._digits8(datasets._ascii8(values)), values)
 
 
 def _fixed(digits: int, fraction: int) -> str:
@@ -353,7 +366,7 @@ def test_read_dataset_csv_reads_decimals_in_bulk_to_the_bits_float_gives(texts, 
     path.write_text("credit,risk,label\n" + "".join(f"{a},{b},1\n" for a, b in zip(texts[::2], texts[1::2])),
                     encoding="ascii")
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simulation, "_float_fields", _no_field_to_float)
+        patch.setattr(datasets, "_float_fields", _no_field_to_float)
         features = read_dataset_csv(str(path)).features
     assert features.ravel().view("<u8").tolist() == np.array([float(t) for t in texts]).view("<u8").tolist()
 

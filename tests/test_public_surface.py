@@ -6,6 +6,9 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -160,26 +163,55 @@ def test_only_the_samplers_module_branches_on_the_process_aware_spec():
     assert checkers == ["samplers.py"]
 
 
-def _reads_the_threshold_or_writes_digits(node: ast.AST) -> bool:
-    """An attribute read of ``density_threshold`` or a call ``ord("0")``."""
-    if isinstance(node, ast.Attribute):
-        return node.attr == "density_threshold"
-    return (
-        isinstance(node, ast.Call)
-        and getattr(node.func, "id", None) == "ord"
-        and [getattr(arg, "value", None) for arg in node.args] == ["0"]
-    )
-
-
-def test_only_the_simulation_module_holds_the_threshold_rule_and_the_digit_routine():
-    # The on-distribution test is BenchmarkDistribution.on_distribution, and
-    # integers become ASCII digits in simulation._ascii8 alone.
-    owners = sorted(
+def _files_where(matches) -> list[str]:
+    """The package's source files with a node for which ``matches`` holds."""
+    return sorted(
         path.name
         for path in PACKAGE.glob("*.py")
-        if any(map(_reads_the_threshold_or_writes_digits, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+        if any(map(matches, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
     )
-    assert owners == ["simulation.py"]
+
+
+def test_only_the_simulation_module_reads_the_density_threshold():
+    # The on-distribution test is BenchmarkDistribution.on_distribution.
+    def reads(node: ast.AST) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == "density_threshold"
+
+    assert _files_where(reads) == ["simulation.py"]
+
+
+def test_only_the_datasets_module_turns_integers_into_digits():
+    # Numbers and ASCII digits convert into each other in the dataset file's
+    # writer and reader alone; plots.py formats through datasets._ascii8.
+    def calls_ord_zero(node: ast.AST) -> bool:
+        return (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "ord"
+            and [getattr(arg, "value", None) for arg in node.args] == ["0"]
+        )
+
+    assert _files_where(calls_ord_zero) == ["datasets.py"]
+
+
+def test_the_datasets_module_imports_no_sibling():
+    # The dataset file is a leaf that imports numpy and the standard library
+    # only: simulation.py, plots.py and cli.py import it, never the reverse.
+    tree = ast.parse((PACKAGE / "datasets.py").read_text(encoding="utf-8"))
+    imported = [
+        "." * node.level + (node.module or "") for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+    ] + [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    assert "numpy" in imported
+    assert [name for name in imported if name.startswith((".", "prolime"))] == []
+
+
+@pytest.mark.parametrize("module", ["prolime.datasets", "prolime.simulation", "prolime.plots", "prolime.cli"])
+def test_each_split_module_imports_first_in_a_fresh_interpreter(module):
+    # This suite has imported the package already, which would hide an
+    # import cycle that only one import order reaches.
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    run = subprocess.run([sys.executable, "-c", f"import {module}"], env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
 
 
 def test_private_names_shared_between_modules_stay_few():
@@ -253,8 +285,8 @@ def _owners(matches) -> set[tuple[str, str]]:
 
 def test_only_the_overwrite_helper_writes_files():
     # Outputs are overwritten in place and cut to length, one way for every
-    # command; see simulation._overwrite.
-    assert _owners(_writes_a_file) == {("simulation.py", "_overwrite")}
+    # command; see datasets._overwrite.
+    assert _owners(_writes_a_file) == {("datasets.py", "_overwrite")}
 
 
 def test_only_the_checked_model_call_asks_the_black_box():
@@ -283,4 +315,4 @@ def _reduces_axis_one(node: ast.AST) -> bool:
 def test_only_the_failure_paths_reduce_along_the_rows_short_axis():
     # Reducing an (n, 2) array along axis 1 costs over ten times a whole-array
     # reduction; the row checks pay for it only once a whole-array test fails.
-    assert _owners(_reduces_axis_one) == {("simulation.py", "_finite_rows"), ("simulation.py", "_first_invalid_row")}
+    assert _owners(_reduces_axis_one) == {("simulation.py", "_finite_rows"), ("datasets.py", "_first_invalid_row")}

@@ -12,21 +12,18 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from prolime import simulation
+from prolime import datasets, simulation
 from prolime.core import FeatureVector
 from prolime.samplers import RngStream, draw_neighborhood
+from prolime.datasets import Dataset, DatasetFormatError, read_dataset_csv, write_dataset_csv
 from prolime.simulation import (
     BenchmarkDistribution,
-    Dataset,
-    DatasetFormatError,
     OracleModel,
     approval_label,
     gaussian_pdf,
     generate_dataset,
     ground_truth_for,
     oracle_model,
-    read_dataset_csv,
-    write_dataset_csv,
 )
 
 NAMES = ("credit", "risk")
@@ -384,7 +381,7 @@ def test_read_dataset_csv_reads_the_writers_form_without_the_row_loop(tmp_path, 
     def row_loop(data):
         raise AssertionError("the per-row reader ran")
 
-    monkeypatch.setattr("prolime.simulation._read_rows", row_loop)
+    monkeypatch.setattr("prolime.datasets._read_rows", row_loop)
     assert read_dataset_csv(str(path)) == dataset
 
 
@@ -394,7 +391,7 @@ def test_read_dataset_csv_reads_a_file_of_many_chunks(tmp_path):
     dataset = Dataset(features, np.arange(10_000) % 2)
     path = tmp_path / "long.csv"
     write_dataset_csv(dataset, str(path))
-    assert path.stat().st_size > 4 * simulation._CHUNK_BYTES
+    assert path.stat().st_size > 4 * datasets._CHUNK_BYTES
     assert read_dataset_csv(str(path)) == dataset
     # A fault in a later chunk is named on its own line.
     lines = path.read_bytes().split(b"\n")
