@@ -101,8 +101,6 @@ def _overwrite(path: str, data: bytes) -> None:
 _U64 = np.uint64
 # Rows formatted in one numpy pass; bounds the writer's temporaries at a few MB.
 _CHUNK_ROWS = 4096
-# Biased exponents of the doubles in [2**-14, 2**53), which the kernel formats.
-_BULK_EXPONENTS = (1023 - 14, 1023 + 53)
 _POW5 = np.array([5**q for q in range(24)], dtype=np.uint64)
 _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)
 
@@ -145,6 +143,34 @@ _PREFIX = np.array(
 _SEPARATOR = np.array([0, ord(",")], dtype=np.uint64)
 
 
+def _bounds(bits: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, ...]:
+    """vr, whether vr is exact, vm and vp of :func:`_shortest_digits` for the doubles with these bits."""
+    shift = (1077 - (bits >> _U64(52)).astype(np.intp) - q).astype(np.uint64)
+    five = _POW5[q]
+    # 4m * 5**q as two uint64 limbs, hi and lo, from 32-bit halves; hi starts as 4m.
+    hi = ((bits & _U64(2**52 - 1)) | _U64(2**52)) << _U64(2)
+    low32 = _U64(2**32 - 1)
+    lo = (hi & low32) * (five & low32)
+    cross = (hi >> _U64(32)) * (five & low32) + (hi & low32) * (five >> _U64(32))
+    hi = (hi >> _U64(32)) * (five >> _U64(32)) + (cross >> _U64(32))
+    cross <<= _U64(32)
+    lo += cross
+    hi += lo < cross
+    # At s = 0, hi << 64 is 0 in numpy, and hi is 0 anyway.
+    up = _U64(64) - shift
+    vr = (hi << up) | (lo >> shift)
+    vr_exact = (lo & ((_U64(1) << shift) - _U64(1))) == 0
+    # The lower neighbour subtracts 5**q below a power of two, else 2 * 5**q.
+    np.subtract(lo, five << ((bits & _U64(2**52 - 1)) != 0).astype(np.uint64), out=cross)
+    vm = ((hi - (cross > lo)) << up) | (cross >> shift)
+    five <<= _U64(1)
+    lo += five
+    hi += lo < five
+    hi <<= up
+    hi |= lo >> shift
+    return vr, vr_exact, vm, hi
+
+
 def _shortest_digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The digits and decimal exponent of ``repr`` of each positive double in
     [2**-14, 2**53), given as its uint64 bits: ``repr(x)`` reads as
@@ -166,25 +192,8 @@ def _shortest_digits(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the lower neighbour needs it nearer than the upper one, so x a power of
     two, and a test writes every power of two in this range.
     """
-    mantissa = bits & _U64(2**52 - 1)
     q = 17 - np.floor(np.log10(bits.view(np.float64))).astype(np.intp)
-    shift = (1077 - (bits >> _U64(52)).astype(np.intp) - q).astype(np.uint64)
-    five = _POW5[q]
-    four_m = (mantissa | _U64(2**52)) << _U64(2)
-    low32 = _U64(2**32 - 1)
-    m_lo, m_hi, f_lo, f_hi = four_m & low32, four_m >> _U64(32), five & low32, five >> _U64(32)
-    product = m_lo * f_lo
-    cross = m_hi * f_lo + m_lo * f_hi
-    lo = product + (cross << _U64(32))
-    hi = m_hi * f_hi + (cross >> _U64(32)) + (lo < product)
-    # At s = 0, hi << 64 is 0 in numpy, and hi is 0 anyway.
-    up = _U64(64) - shift
-    vr = (hi << up) | (lo >> shift)
-    vr_exact = (lo & ((_U64(1) << shift) - _U64(1))) == 0
-    lo_p = lo + (five << _U64(1))
-    vp = ((hi + (lo_p < lo)) << up) | (lo_p >> shift)
-    lo_m = lo - (five << (mantissa != 0).astype(np.uint64))
-    vm = ((hi - (lo_m > lo)) << up) | (lo_m >> shift)
+    vr, vr_exact, vm, vp = _bounds(bits, q)
     # The most digits k that can go: a multiple of 10**k lies in (vm, vp]. The
     # test only turns false as k grows, so every value divides every round.
     removed = np.zeros(len(bits), dtype=np.intp)
@@ -206,8 +215,8 @@ def _ascii8(x: np.ndarray) -> np.ndarray:
     """Each x < 10**8 as its 8 zero-padded digits in a little-endian uint64
     of ASCII, the first digit in the low byte: split into 32-bit lanes of 4
     digits, 16-bit lanes of 2, then bytes, dividing by multiply and shift."""
-    hi = x // _U64(10000)
-    lanes = hi | ((x - hi * _U64(10000)) << _U64(32))
+    tens = x // _U64(10000)
+    lanes = tens | ((x - tens * _U64(10000)) << _U64(32))
     tens = ((lanes * _U64(5243)) >> _U64(19)) & _U64(0x0000007F0000007F)
     lanes = tens | ((lanes - tens * _U64(100)) << _U64(16))
     tens = ((lanes * _U64(103)) >> _U64(10)) & _U64(0x000F000F000F000F)
@@ -220,52 +229,62 @@ def _digits8(text: np.ndarray) -> np.ndarray:
     they spell. Neighbouring digits join into bytes of 2, 16-bit lanes of 4,
     then the 8."""
     x = text & _U64(0x0F0F0F0F0F0F0F0F)
-    x = (x * _U64(10) + (x >> _U64(8))) & _U64(0x00FF00FF00FF00FF)
-    x = (x * _U64(100) + (x >> _U64(16))) & _U64(0x0000FFFF0000FFFF)
-    return (x * _U64(10000) + (x >> _U64(32))) & _U64(0xFFFFFFFF)
+    lanes = np.empty_like(x)
+    for digits, mask in ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0xFFFFFFFF)):
+        np.right_shift(x, _U64(8 * digits), out=lanes)
+        x *= _U64(10**digits)
+        x += lanes
+        x &= _U64(mask)
+    return x
 
 
-def _format_rows(features: np.ndarray, labels: np.ndarray) -> bytes:
-    """The CSV lines of the rows: ``f"{credit!r},{risk!r},{label}\\n"`` each,
-    built in one numpy pass.
+def _format_rows(features: np.ndarray, labels: np.ndarray, head: bytes = b"") -> bytearray:
+    """``head``, then the CSV lines of the rows, ``f"{credit!r},{risk!r},{label}\\n"``
+    each, built in one numpy pass as NUL-padded ASCII in one buffer: deleting
+    the NULs gives the lines.
 
-    Each row is 9 uint64 words of NUL-padded ASCII, and the NULs are deleted at
-    the end: per value a head word (comma, sign, "0.000" prefix) and three
-    words of digits with the point, then a word with the comma, the label and
-    the newline. Values outside [1e-4, 2**53), and those whose ``repr`` is
-    scientific, are written with ``repr``, which never exceeds 24 bytes.
+    ``head`` fills whole uint64 words, then each row takes 9: per value a head
+    word (comma, sign, "0.000" prefix) and three words of digits with the
+    point, then a word with the comma, the label and the newline. Values
+    outside [1e-4, 2**53), and those whose ``repr`` is scientific, are
+    written with ``repr``, which never exceeds 24 bytes.
     """
     rows = len(labels)
-    bits = features.view(np.uint64)
-    exponent = (bits >> _U64(52)) & _U64(0x7FF)
-    bulk = (exponent >= _U64(_BULK_EXPONENTS[0])) & (exponent < _U64(_BULK_EXPONENTS[1]))
+    bulk = (np.abs(features) >= 2.0**-14) & (np.abs(features) < 2.0**53)
     # Every other value is formatted as 1.0 here and then overwritten.
-    magnitude = np.where(bulk, bits & _U64(2**63 - 1), np.float64(1.0).view(np.uint64))
-    digits, exponent10 = (column.reshape(rows, 2) for column in _shortest_digits(magnitude.ravel()))
+    digits, point = _shortest_digits(np.where(bulk, np.abs(features), 1.0).view(np.uint64).ravel())
+    digits, point = digits.reshape(rows, 2), point.reshape(rows, 2)
     n = np.searchsorted(_POW10, digits, side="right")
-    point = n + exponent10  # repr is 0.d1...dn * 10**point
+    point += n  # repr is 0.d1...dn * 10**point
     bulk &= point >= -3
-    # The 17 digits d1..dn0..0 as three words of 8, 8 and 1 ASCII bytes, and
-    # the same moved one byte up for the digits after the point.
-    left = digits * _POW10[17 - n]
-    first = left // _U64(10**9)
-    rest = left - first * _U64(10**9)
-    second = rest // _U64(10)
-    text = (_ascii8(first), _ascii8(second), rest - second * _U64(10) + _U64(ord("0")))
-    moved = [text[0] << _U64(8)] + [(text[w] << _U64(8)) | (text[w - 1] >> _U64(56)) for w in (1, 2)]
-    zone = (point + 4) * 18 + n
-    words = np.empty((rows, 9), dtype="<u8")
+    # The 17 digits d1..dn0..0 as three words of 8, 8 and 1 ASCII bytes.
+    digits *= _POW10[17 - n]
+    high = digits // _U64(10**9)
+    digits -= high * _U64(10**9)
+    middle = digits // _U64(10)
+    digits -= middle * _U64(10) - _U64(ord("0"))
+    high, middle = _ascii8(high), _ascii8(middle)
+    text = (high, middle, digits)
+    n += (point + 4) * 18  # now the zone
+    buffer = bytearray(-(-len(head) // 8) * 8 + 72 * rows)
+    buffer[:len(head)] = head
+    words = np.frombuffer(buffer, "<u8")[len(buffer) // 8 - 9 * rows:].reshape(rows, 9)
     cells = words[:, :8].reshape(rows, 2, 4).transpose(2, 0, 1)
-    cells[0] = _PREFIX[point + 4] | ((bits >> _U64(63)) * _U64(ord("-") << 8)) | _SEPARATOR
+    cells[0] = _PREFIX[point + 4] | ((features.view(np.uint64) >> _U64(63)) * _U64(ord("-") << 8)) | _SEPARATOR
     for w in range(3):
-        cells[1 + w] = (text[w] & _DIGIT_MASK[w][zone]) | (moved[w] & _MOVED_MASK[w][zone]) | _DOT[w][zone]
+        # The digits after the point come from the digits moved one byte up.
+        moved = (text[w] << _U64(8)) | (text[w - 1] >> _U64(56)) if w else text[0] << _U64(8)
+        moved &= _MOVED_MASK[w][n]
+        moved |= _DOT[w][n]
+        np.bitwise_and(text[w], _DIGIT_MASK[w][n], out=cells[1 + w])
+        cells[1 + w] |= moved
     words[:, 8] = (labels.astype(np.uint64) << _U64(8)) | _U64(_word(",0\n"))
     fallback = np.nonzero(~bulk)
     if fallback[0].size:
         reprs = "".join([f"{value!r:\0<24}" for value in features[fallback].tolist()]).encode("ascii")
         cells[0][fallback] = _SEPARATOR[fallback[1]]
         cells[1:, fallback[0], fallback[1]] = np.frombuffer(reprs, dtype="<u8").reshape(-1, 3).T
-    return words.tobytes().translate(None, b"\0")
+    return buffer
 
 
 def write_dataset_csv(dataset: Dataset, path: str) -> None:
@@ -279,9 +298,13 @@ def write_dataset_csv(dataset: Dataset, path: str) -> None:
     ``repr`` itself.
     """
     features, labels = dataset.features, dataset.labels
-    chunks = [_format_rows(features[start:start + _CHUNK_ROWS], labels[start:start + _CHUNK_ROWS])
-              for start in range(0, len(labels), _CHUNK_ROWS)]
-    _overwrite(path, b"".join([_HEADER, *chunks]))
+    chunks = [slice(start, start + _CHUNK_ROWS) for start in range(0, max(len(labels), 1), _CHUNK_ROWS)]
+    # The header goes in the first chunk, which an empty dataset has too, and
+    # each later chunk is appended as it is made, so the file is held about once.
+    data = _format_rows(features[chunks[0]], labels[chunks[0]], _HEADER).translate(None, b"\0")
+    for rows in chunks[1:]:
+        data += _format_rows(features[rows], labels[rows]).translate(None, b"\0")
+    _overwrite(path, data)
 
 
 def _undecodable(row: list[str]) -> ValueError | None:
@@ -341,11 +364,13 @@ def _nearest_double(digits: np.ndarray, fraction: np.ndarray) -> np.ndarray:
     shift = 1077 - (bits >> _U64(52)).astype(np.intp) - fraction
     unit = _POW5[fraction] << np.maximum(-shift, 0).astype(np.uint64)
     d = ((digits << np.maximum(shift, 0).astype(np.uint64)) - (mantissa << _U64(2)) * unit).view(np.int64)
-    above = (unit << _U64(1)).view(np.int64)
+    above = np.left_shift(unit, _U64(1), out=unit).view(np.int64)
     below = -(above >> (mantissa == _U64(2**52)))
-    # A tie leaves an even mantissa and moves an odd one.
+    # A tie leaves an even mantissa and moves an odd one. Digits up to 2**53 are exact.
     odd = (bits & _U64(1)).view(np.int64)
-    return np.where(digits > _U64(2**53), bits + (d + odd > above) - (d - odd < below), bits)
+    bits += (digits > _U64(2**53)) & (d + odd > above)
+    bits -= (digits > _U64(2**53)) & (d - odd < below)
+    return bits
 
 
 def _float_fields(data: bytes, starts: np.ndarray, stops: np.ndarray) -> list[float]:
@@ -355,7 +380,7 @@ def _float_fields(data: bytes, starts: np.ndarray, stops: np.ndarray) -> list[fl
 
 def _read_lines(data: bytes, start: int, stop: int, limit: int) -> tuple[np.ndarray, np.ndarray] | None:
     """The two values and the label of each line of ``data[start:stop]``, whole
-    lines, if each line is two fields over the form's characters and a 0/1
+    lines over the form's characters, if each line is two fields and a 0/1
     label, and no field is longer than ``limit``; else None.
 
     A field of digits with an optional sign and point, at most 22 digits after
@@ -365,10 +390,8 @@ def _read_lines(data: bytes, start: int, stop: int, limit: int) -> tuple[np.ndar
     ``1e-05``, is read with ``float()``, and a ``ValueError`` where it fails
     is raised.
     """
-    lines = data[start:stop]
-    if lines.translate(None, _ROW_BYTES):
-        return None
-    text = np.frombuffer(bytes(_WINDOW) + lines, dtype=np.uint8)
+    text = np.zeros(_WINDOW + stop - start, dtype=np.uint8)
+    text[_WINDOW:] = np.frombuffer(data, np.uint8, stop - start, start)
     ends = np.flatnonzero(text == ord("\n"))
     commas = np.flatnonzero(text == ord(","))
     labels = text[ends - 1] - np.uint8(ord("0"))
@@ -393,16 +416,20 @@ def _read_lines(data: bytes, start: int, stop: int, limit: int) -> tuple[np.ndar
     point, fraction = np.zeros(len(commas), dtype=bool), np.zeros_like(commas)
     point[pointed], fraction[pointed] = True, commas[pointed] - points - 1
     place = np.where(point, np.minimum(fraction, 23), 24)
-    windows = np.ndarray((len(text) - _WINDOW + 1,), f"V{_WINDOW}", text, strides=(1,))
-    words = windows[commas - _WINDOW].view("<u8").reshape(-1, 3).T
-    digit_words = (words ^ np.take(_XOR, place, axis=1)) & np.take(_TAIL, np.minimum(body, _WINDOW), axis=1)
-    top, middle, low = _digits8(digit_words)
-    with_point = top * _U64(10**16) + middle * _U64(10**8) + low
-    value = with_point - (with_point // _SCALE[place]) * _NINES[place]
-    bits = _nearest_double(value, np.minimum(fraction, 22))
+    # The 24 bytes that end at each comma, as three words; the text is done with.
+    words = np.ndarray((len(text) - _WINDOW + 1,), f"V{_WINDOW}", text, strides=(1,))[commas - _WINDOW]
+    del text
+    words = words.view("<u8").reshape(-1, 3).T
+    words ^= np.take(_XOR, place, axis=1)
+    words &= np.take(_TAIL, np.minimum(body, _WINDOW), axis=1)
+    bulk = (body > point) & (body <= _WINDOW) & (fraction <= 22) & ~(words & _U64(0xF0F0F0F0F0F0F0F0)).any(axis=0)
+    words = _digits8(words)
+    bulk &= words[0] < _U64(1000)
+    # The field's digits, and then without its point.
+    words = words[0] * _U64(10**16) + words[1] * _U64(10**8) + words[2]
+    words -= (words // _SCALE[place]) * _NINES[place]
+    bits = _nearest_double(words, np.minimum(fraction, 22))
     values = (bits | (negative.astype(np.uint64) << _U64(63))).view(np.float64)
-    bulk = (body > point) & (body <= _WINDOW) & (fraction <= 22) & (top < _U64(1000))
-    bulk &= ~(digit_words & _U64(0xF0F0F0F0F0F0F0F0)).any(axis=0)
     slow = np.flatnonzero(~bulk)
     if slow.size:
         values[slow] = _float_fields(data, starts[slow] + start - _WINDOW, commas[slow] + start - _WINDOW)
@@ -421,6 +448,8 @@ def _read_writer_form(data: bytes) -> Dataset | None:
     """
     if not data.startswith(_HEADER) or len(data) == len(_HEADER) or not data.endswith(b"\n"):
         return None
+    if data.translate(None, _ROW_BYTES) != _HEADER.translate(None, _ROW_BYTES):
+        return None
     limit = csv.field_size_limit()
     chunks = []
     start = len(_HEADER)
@@ -432,7 +461,7 @@ def _read_writer_form(data: bytes) -> Dataset | None:
                 return None
             chunks.append(chunk)
             start = stop
-        values, labels = (np.concatenate(parts) for parts in zip(*chunks))
+        values, labels = (np.concatenate(parts) if len(parts) > 1 else parts[0] for parts in zip(*chunks))
         # Dataset rejects the rows the per-row reader names.
         return Dataset(values.reshape(-1, 2), labels)
     except ValueError:

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .core import BlackBoxModel
-from .datasets import Dataset, _ascii8
+from .datasets import _CHUNK_ROWS, Dataset, _ascii8
 from .explainer import _class_probabilities
 from .samplers import Neighborhood
 from .simulation import FEATURE_NAMES
@@ -64,14 +64,13 @@ def _fixed2(values: np.ndarray) -> np.ndarray:
         raise ValueError(f"fixed-point formatting is exact only in [{_FIXED2_LO}, {_FIXED2_HI})")
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
     shift = np.uint64(1075) - (bits >> np.uint64(52))
-    scaled = ((bits & np.uint64(2**52 - 1)) | np.uint64(2**52)) * np.uint64(100)
-    quotient = scaled >> shift
-    remainder = scaled & ((np.uint64(1) << shift) - np.uint64(1))
-    half = np.uint64(1) << (shift - np.uint64(1))
-    round_up = (remainder > half) | ((remainder == half) & (quotient & np.uint64(1) == 1))
-    cents = quotient + round_up
-    digits = _ascii8(cents) >> np.uint64(16)
-    words = (digits & np.uint64(0xFFFFFFFF)) | np.uint64(ord(".") << 32) | ((digits >> np.uint64(32)) << np.uint64(40))
+    cents = ((bits & np.uint64(2**52 - 1)) | np.uint64(2**52)) * np.uint64(100)
+    remainder = cents & ((np.uint64(1) << shift) - np.uint64(1))
+    cents >>= shift
+    shift = np.uint64(1) << (shift - np.uint64(1))  # half the divisor
+    cents += (remainder > shift) | ((remainder == shift) & (cents & np.uint64(1) == 1))
+    words = _ascii8(cents) >> np.uint64(16)
+    words = (words & np.uint64(0xFFFFFFFF)) | np.uint64(ord(".") << 32) | ((words >> np.uint64(32)) << np.uint64(40))
     words &= _LEADING_ZEROS[np.searchsorted(_CENTS_DIGITS, cents, side="right")]
     return words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)[:, :7]
 
@@ -91,31 +90,49 @@ def _ascii_columns(text: str, rows: int) -> np.ndarray:
 
 
 def _circles(
-    cx: np.ndarray, cy: np.ndarray, radii: np.ndarray | None, style_text: list[str], index: np.ndarray
-) -> str:
-    """One ``<circle .../>`` line per marker, each ending in a newline; the
-    radius is a column of its own when ``radii`` is given.
-
-    Rows are laid out as a NUL-padded byte matrix, so the NULs are stripped
-    in one pass instead of formatting each marker apart.
-    """
-    if "\0" in "".join(style_text):
-        raise ValueError("fill must not contain NUL characters")
+    head: str, points: np.ndarray, keep: np.ndarray, radii: np.ndarray | None, style_text: list[str],
+    index: np.ndarray, limit: float,
+) -> Iterator[str]:
+    """``head``, one ``<circle .../>`` line per kept marker, each ending in a
+    newline, and the closing tag, in chunks of up to ``_CHUNK_ROWS`` markers;
+    the radius is a column of its own when ``radii`` is given."""
+    if "\0" in head + "".join(style_text):
+        raise ValueError("the title and fills must not contain NUL characters")
     # A bytes array pads each style to the longest one with NULs.
     styles = np.array(list(map(str.encode, style_text)), dtype=np.bytes_)
+    styles = styles.view(np.uint8).reshape(len(styles), styles.itemsize)
+    for start in range(0, max(len(index), 1), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        text = (head if start == 0 else "", "</svg>\n" if start + _CHUNK_ROWS >= len(index) else "")
+        # The chunk's arrays die with the call, before the NULs are stripped.
+        yield _circle_rows(text, points[rows], None if radii is None else radii[rows], keep[rows], styles,
+                           index[rows], limit).replace(b"\0", b"").decode("utf-8")
+
+
+def _circle_rows(
+    text: tuple[str, str], centers: np.ndarray, radii: np.ndarray | None, keep: np.ndarray, styles: np.ndarray,
+    index: np.ndarray, limit: float,
+) -> bytearray:
+    """The two ``text`` around the lines of :func:`_circles` for the kept
+    markers, laid out as the rows of a NUL-padded byte matrix, so that the
+    NULs are stripped in one pass instead of formatting each marker apart."""
+    index = index[keep]
     n = len(index)
-    coordinates = (cx, cy) if radii is None else (cx, cy, radii)
-    # One call for every column: each _fixed2 call has a fixed cost.
-    text = _fixed2(np.concatenate(coordinates)).reshape(len(coordinates), n, 7)
-    columns = [_ascii_columns('<circle cx="', n), text[0], _ascii_columns('" cy="', n), text[1]]
-    if radii is not None:
-        columns += [_ascii_columns('" r="', n), text[2]]
-    columns += [
-        _ascii_columns('" ', n),
-        styles.view(np.uint8).reshape(len(styles), styles.itemsize)[index],
-        _ascii_columns("\n", n),
-    ]
-    return np.hstack(columns).tobytes().replace(b"\0", b"").decode("utf-8")
+    # Rounding is monotonic, so kept markers land in [_MARGIN, _HEIGHT - _MARGIN]
+    # = [56, 584], inside the exact range that _fixed2 checks.
+    numbers = [_MARGIN + _offsets(centers[keep, 0], limit), _HEIGHT - _MARGIN - _offsets(centers[keep, 1], limit)]
+    numbers += [] if radii is None else [radii[keep]]
+    # Their text in one call for every column: each _fixed2 call has a fixed cost.
+    numbers = _fixed2(np.concatenate(numbers)).reshape(len(numbers), n, 7)
+    names = ('<circle cx="', '" cy="', '" r="')
+    columns = [column for name, number in zip(names, numbers) for column in (_ascii_columns(name, n), number)]
+    width = sum(column.shape[1] for column in columns) + 2 + styles.shape[1] + 1
+    head, tail = (part.encode("utf-8") for part in text)
+    rows = bytearray(len(head) + n * width + len(tail))
+    rows[:len(head)], rows[len(rows) - len(tail):] = head, tail
+    columns += [_ascii_columns('" ', n), styles[index], _ascii_columns("\n", n)]
+    np.concatenate(columns, axis=1, out=np.frombuffer(rows, np.uint8, n * width, len(head)).reshape(n, width))
+    return rows
 
 
 def svg_scatter(
@@ -134,7 +151,8 @@ def svg_scatter(
     giving each marker's style. ``radii``, when given, is an ``(n,)`` array of
     per-marker radii in [1, 8192) that replaces the radii of the styles.
     Markers outside the box are omitted; later markers are drawn on top.
-    Returns a complete standalone SVG document.
+    Returns a complete standalone SVG document. The title and the fills must
+    not contain NUL characters.
     """
     points = np.asarray(centers, dtype=float)
     index = np.asarray(style_index)
@@ -188,17 +206,12 @@ def svg_scatter(
         f'font-size="13" transform="rotate(-90 16 {_HEIGHT / 2:.1f})">{FEATURE_NAMES[1]}</text>',
     ]
     keep = (np.abs(points[:, 0]) <= limit) & (np.abs(points[:, 1]) <= limit)
-    # Rounding is monotonic, so kept markers land in [_MARGIN, _HEIGHT - _MARGIN]
-    # = [56, 584], inside the exact range that _fixed2 checks.
-    cx = _MARGIN + _offsets(points[keep, 0], limit)
-    cy = _HEIGHT - _MARGIN - _offsets(points[keep, 1], limit)
     if radii is None:
         style_text = list(itertools.starmap('r="{:.2f}" fill="{}" fill-opacity="{:.2f}"/>'.format, styles))
     else:
         style_text = [f'fill="{fill}" fill-opacity="{opacity:.2f}"/>' for _, fill, opacity in styles]
-        radii = radii[keep]
-    circles = _circles(cx, cy, radii, style_text, index[keep])
-    return "\n".join(parts) + "\n" + circles + "</svg>\n"
+    # Up to _CHUNK_ROWS markers, the one chunk is the document itself.
+    return "".join(_circles("\n".join(parts) + "\n", points, keep, radii, style_text, index, limit))
 
 
 def plot_dataset(dataset: Dataset) -> str:
@@ -216,11 +229,11 @@ def plot_model_grid(model: BlackBoxModel, resolution: int) -> str:
             f"a model-grid plot colors {len(_LABEL_COLORS)} classes, the model has n_classes={model.n_classes}"
         )
     axis = np.linspace(-_GRID_LIMIT, _GRID_LIMIT, resolution)
-    credit, risk = np.meshgrid(axis, axis)
-    grid = np.column_stack((credit.ravel(), risk.ravel()))
-    probabilities = _class_probabilities(model, grid, FEATURE_NAMES)
-    # As argmax does, a tie goes to class 0.
-    labels = (probabilities[:, 1] > probabilities[:, 0]).astype(np.intp)
+    # Rows of (credit, risk), credit varying fastest.
+    grid = np.stack(np.meshgrid(axis, axis, copy=False), axis=-1).reshape(-1, 2)
+    labels = _class_probabilities(model, grid, FEATURE_NAMES)
+    # The likelier class; as argmax does, a tie goes to class 0.
+    labels = (labels[:, 1] > labels[:, 0]).astype(np.intp)
     pad = 0.2
     span = _INNER * (2 * _GRID_LIMIT) / (2 * _GRID_LIMIT + 2 * pad)
     radius = max(1.0, 0.45 * span / (resolution - 1))

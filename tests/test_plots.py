@@ -74,6 +74,12 @@ def test_fill_must_not_contain_nul():
         svg_scatter(np.zeros((1, 2)), [(2.0, "#11\0", 0.5)], np.array([0]), 4.0, "t")
 
 
+def test_title_must_not_contain_nul():
+    # The title is written into the first chunk's rows, whose NULs are stripped.
+    with pytest.raises(ValueError, match="NUL"):
+        svg_scatter(np.zeros((1, 2)), [(2.0, "#111111", 0.5)], np.array([0]), 4.0, "t\0")
+
+
 @pytest.mark.parametrize("radii", [np.array([1.0, 0.5]), np.array([1.0, np.nan]), np.array([8192.0, 1.0]),
                                    np.array([1.0])])
 def test_radii_must_match_the_markers_and_lie_in_the_exact_range(radii):

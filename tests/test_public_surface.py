@@ -232,6 +232,7 @@ def test_private_names_shared_between_modules_stay_few():
         "_require_kernel_width",
         "_overwrite",
         "_ascii8",
+        "_CHUNK_ROWS",
     }
 
 
