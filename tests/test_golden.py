@@ -104,6 +104,45 @@ def test_evaluate_reports_match_golden_digests(seed, tmp_path):
     assert _sha256(out.with_suffix(".json").read_bytes()) == EVALUATE_DIGESTS[(seed, "json")]
 
 
+# ``evaluate``'s stdout holds the summary table, and its last line names the
+# report paths, so these runs write to a relative path in a fresh directory.
+EVALUATE_STDOUT_DIGESTS = {
+    3: "95bb022f964807415300960e7bcba645bd804ce531ce1f746c46ceead263569e",
+    11: "f5aec027611d1eb02b9664d4021d5394c0a24680b07c0bda818190e92cf1b46e",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EVALUATE_STDOUT_DIGESTS))
+def test_evaluate_summary_table_matches_golden_digest(seed, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    stdout = _quiet(["evaluate", "--trials", "3", "--seed", str(seed), "--out", "report.csv"])
+    assert _sha256(stdout.encode("utf-8")) == EVALUATE_STDOUT_DIGESTS[seed]
+
+
+# At this kernel width all three trials of each 1000-point cell and two of
+# each 5000-point cell fail: the reports hold ten failures and two empty
+# cells, whose statistics read nan in the CSV and the table and null in JSON.
+FAILING_EVALUATE = ["evaluate", "--trials", "3", "--seed", "3", "--kernel-width", "0.0005", "--out", "report.csv"]
+
+FAILING_EVALUATE_DIGESTS = {
+    "csv": "3539959525a55be88e39179919205b2a0e8078b34232d41329fd95bab4d01af5",
+    "json": "fd925d8cfbd0ccf1e0b7e920d447fd0b0debd1a2c8ba1f59eb77a3b7b2e2b391",
+    "stdout": "f121bb5abcb612dbff0f76b00af7a218618995f218d76c964c5816fc9b84e65f",
+    "stderr": "8f75eacc1907f51198081c67a58d562dea1d473f6668b17d6a938f1ff640a899",
+}
+
+
+def test_evaluate_with_failing_cells_matches_golden_digests(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(FAILING_EVALUATE) == 1
+    assert _sha256((tmp_path / "report.csv").read_bytes()) == FAILING_EVALUATE_DIGESTS["csv"]
+    assert _sha256((tmp_path / "report.json").read_bytes()) == FAILING_EVALUATE_DIGESTS["json"]
+    assert _sha256(out.getvalue().encode("utf-8")) == FAILING_EVALUATE_DIGESTS["stdout"]
+    assert _sha256(err.getvalue().encode("utf-8")) == FAILING_EVALUATE_DIGESTS["stderr"]
+
+
 @pytest.mark.parametrize("variant", sorted(EVALUATE_VARIANTS))
 def test_evaluate_variant_reports_match_golden_digests(variant, tmp_path):
     out = tmp_path / "report.csv"
