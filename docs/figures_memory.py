@@ -28,7 +28,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from prolime import cli, datasets, plots  # noqa: E402
 from prolime.samplers import RngStream  # noqa: E402
-from prolime.simulation import BenchmarkDistribution, generate_dataset, oracle_model  # noqa: E402
+from prolime.simulation import BenchmarkDistribution, OracleModel, generate_dataset  # noqa: E402
 
 _COMMANDS = ("generate", "plot data", "plot model-grid")
 
@@ -78,7 +78,7 @@ def stage_peaks(workdir: Path) -> dict[str, int]:
     path = str(workdir / "stage.csv")
     datasets.write_dataset_csv(dataset, path)
     data = Path(path).read_bytes()
-    model = oracle_model(BenchmarkDistribution(), 0)
+    model = OracleModel(BenchmarkDistribution(), 0)
     return {
         "_format_rows": traced_peak(lambda: datasets._format_rows(dataset.features, dataset.labels)),
         "_read_writer_form": traced_peak(lambda: datasets._read_writer_form(data)),

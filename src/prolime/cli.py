@@ -32,7 +32,7 @@ from .evaluation import (
 )
 from .explainer import ExplainRequest, ExplainStageError, explain, neighborhood_weights
 from .samplers import CenterMode, RngStream, draw_neighborhood
-from .simulation import BenchmarkDistribution, FEATURE_NAMES, generate_dataset, oracle_model
+from .simulation import BenchmarkDistribution, FEATURE_NAMES, OracleModel, generate_dataset
 from .plots import plot_dataset, plot_model_grid, plot_neighborhood
 
 __all__ = ["main"]
@@ -193,7 +193,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         dist = BenchmarkDistribution(args.rho)
         sample = FeatureVector((args.credit, args.risk), FEATURE_NAMES)
     constant = args.constant_model
-    model = _parse_constant_model(constant) if constant else oracle_model(dist, seed)
+    model = _parse_constant_model(constant) if constant else OracleModel(dist, seed)
     request = ExplainRequest(
         sample=sample,
         model=model,
@@ -263,7 +263,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         with _rejected_values():
             dist = BenchmarkDistribution(args.rho)
         if args.kind == "model-grid":
-            svg = plot_model_grid(oracle_model(dist, seed), args.resolution)
+            svg = plot_model_grid(OracleModel(dist, seed), args.resolution)
         else:
             if args.credit is None or args.risk is None:
                 raise UsageError("the neighborhood plot requires --credit and --risk")

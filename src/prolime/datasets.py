@@ -495,8 +495,9 @@ def _read_rows(data: bytes) -> Dataset:
         try:
             header = next(reader, None)
             line_number = 1
-            if header is not None and header != ["credit", "risk", "label"]:
-                raise DatasetFormatError(1, "expected header credit,risk,label")
+            columns = _HEADER.decode("ascii").rstrip("\n")
+            if header is not None and header != columns.split(","):
+                raise DatasetFormatError(1, f"expected header {columns}")
             for line_number, row in enumerate(reader, start=2):
                 try:
                     if len(row) != 3:

@@ -5,14 +5,14 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .core import FeatureVector, LimeHyperparameters, LocalSurrogate
 from .explainer import ExplainRequest, ExplainStageError, explain
 from .samplers import CenterMode, RngStream, SamplerSpec, StandardSpec, _gaussian_rows
-from .simulation import FEATURE_NAMES, BenchmarkDistribution, ground_truth_for, oracle_model
+from .simulation import FEATURE_NAMES, BenchmarkDistribution, OracleModel, ground_truth_for
 
 __all__ = [
     "SAMPLER_NAMES",
@@ -29,18 +29,16 @@ __all__ = [
 SAMPLER_NAMES = ("standard", "process-aware")
 
 
-def coefficient_mismatch(surrogate: LocalSurrogate, truth: np.ndarray) -> tuple[float, float]:
-    """Absolute (credit, risk) gaps between the surrogate's coefficients and
-    ``truth``, one ``(2,)`` row of :func:`ground_truth_for`; the intercept is
-    ignored."""
-    missing = [name for name in FEATURE_NAMES if name not in surrogate.feature_names]
-    if missing:
-        raise ValueError(f"surrogate lacks coefficients for {missing}")
+def coefficient_mismatch(surrogate: LocalSurrogate, truth: np.ndarray) -> tuple[float, ...]:
+    """Absolute gaps between the surrogate's coefficients and ``truth``, one
+    row of :func:`ground_truth_for`, one gap per name in ``FEATURE_NAMES``;
+    the intercept is ignored."""
     truth = np.asarray(truth, dtype=float)
-    if truth.shape != (2,):
-        raise ValueError(f"truth must be one (credit, risk) row of shape (2,), got shape {truth.shape}")
-    credit, risk = truth.tolist()
-    return abs(surrogate.coefficient("credit") - credit), abs(surrogate.coefficient("risk") - risk)
+    shape = (len(FEATURE_NAMES),)
+    if truth.shape != shape:
+        row = ", ".join(FEATURE_NAMES)
+        raise ValueError(f"truth must be one ({row}) row of shape {shape}, got shape {truth.shape}")
+    return tuple(abs(surrogate.coefficient(name) - value) for name, value in zip(FEATURE_NAMES, truth.tolist()))
 
 
 @dataclass(frozen=True)
@@ -75,14 +73,14 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class CellStats:
-    """Aggregated mismatch for one sampler at one neighborhood size."""
+    """Aggregated mismatch for one sampler at one neighborhood size: per
+    feature, in ``FEATURE_NAMES`` order, the mean and population standard
+    deviation over the cell's successful trials."""
 
     sampler: str
     size: int
-    credit_mean: float
-    credit_std: float
-    risk_mean: float
-    risk_std: float
+    means: tuple[float, ...]
+    stds: tuple[float, ...]
     trials: int
 
 
@@ -139,13 +137,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     successful trials of each cell in trial order.
     """
     dist = config.distribution
-    model = oracle_model(dist, model_seed=config.master_seed)
+    model = OracleModel(dist, config.master_seed)
     specs = {name: sampler_spec(name, config.hyper, dist, config.center_mode) for name in SAMPLER_NAMES}
     hypers = {size: replace(config.hyper, neighborhood_size=size) for size in config.neighborhood_sizes}
     cells = [(name, size) for name in SAMPLER_NAMES for size in config.neighborhood_sizes]
     stride = len(cells) + 1
-    # Credit and risk mismatch by cell and trial; NaN where the explanation failed.
-    mismatch = np.full((len(cells), 2, config.trials), np.nan)
+    # Each feature's mismatch by cell and trial; NaN where the explanation failed.
+    mismatch = np.full((len(cells), len(FEATURE_NAMES), config.trials), np.nan)
     failures: list[CellFailure] = []
     for trial in range(config.trials):
         test_point = draw_test_point(dist, RngStream(config.master_seed, trial * stride))
@@ -171,12 +169,12 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
         # sequence, not pairwise as the mean of one contiguous row does.
         kept = np.ascontiguousarray(pair[:, ~np.isnan(pair[0])])
         if kept.size:
-            credit_mean, risk_mean = kept.mean(axis=1).tolist()
-            credit_std, risk_std = kept.std(axis=1).tolist()
+            means = tuple(kept.mean(axis=1).tolist())
+            stds = tuple(kept.std(axis=1).tolist())
         else:
             # Named, not computed: the mean of an empty slice warns.
-            credit_mean = credit_std = risk_mean = risk_std = math.nan
-        stats.append(CellStats(name, size, credit_mean, credit_std, risk_mean, risk_std, kept.shape[1]))
+            means = stds = (math.nan,) * len(FEATURE_NAMES)
+        stats.append(CellStats(name, size, means, stds, kept.shape[1]))
     return ExperimentReport(cells=tuple(stats), failures=tuple(failures), config=config)
 
 
@@ -206,12 +204,8 @@ def report_to_csv(report: ExperimentReport) -> str:
         "sampler,size,feature,mean,std,trials",
     ]
     for cell in report.cells:
-        lines.append(
-            f"{cell.sampler},{cell.size},credit,{cell.credit_mean!r},{cell.credit_std!r},{cell.trials}"
-        )
-        lines.append(
-            f"{cell.sampler},{cell.size},risk,{cell.risk_mean!r},{cell.risk_std!r},{cell.trials}"
-        )
+        for feature, mean, std in zip(FEATURE_NAMES, cell.means, cell.stds):
+            lines.append(f"{cell.sampler},{cell.size},{feature},{mean!r},{std!r},{cell.trials}")
     return "\n".join(lines) + "\n"
 
 
@@ -221,42 +215,34 @@ def _json_number(value: float) -> float | None:
 
 def report_to_json(report: ExperimentReport) -> str:
     config = report.config
+    cells = []
+    for cell in report.cells:
+        entry = {"sampler": cell.sampler, "size": cell.size}
+        for feature, mean, std in zip(FEATURE_NAMES, cell.means, cell.stds):
+            entry[feature] = {"mean": _json_number(mean), "std": _json_number(std)}
+        entry["trials"] = cell.trials
+        cells.append(entry)
     document = {
         "master_seed": config.master_seed,
         "trials": config.trials,
         "hyperparameters": _hyper_dict(config),
         "samplers": list(SAMPLER_NAMES),
         "neighborhood_sizes": list(config.neighborhood_sizes),
-        "cells": [
-            {
-                "sampler": cell.sampler,
-                "size": cell.size,
-                "credit": {"mean": _json_number(cell.credit_mean), "std": _json_number(cell.credit_std)},
-                "risk": {"mean": _json_number(cell.risk_mean), "std": _json_number(cell.risk_std)},
-                "trials": cell.trials,
-            }
-            for cell in report.cells
-        ],
-        "failures": [
-            {
-                "sampler": failure.sampler,
-                "size": failure.size,
-                "trial": failure.trial,
-                "stage": failure.stage,
-                "message": failure.message,
-            }
-            for failure in report.failures
-        ],
+        "cells": cells,
+        # The fields' order is the keys' order.
+        "failures": [asdict(failure) for failure in report.failures],
     }
     return json.dumps(document, indent=2) + "\n"
 
 
 def summary_table(report: ExperimentReport) -> str:
     """Fixed-width text summary, one row per (sampler, size) cell."""
-    header = f"{'sampler':<15}{'size':>6}  {'credit (mean +/- std)':<24}{'risk (mean +/- std)':<24}{'trials':>6}"
-    lines = [header]
+    rows = [("sampler", "size", [f"{feature} (mean +/- std)" for feature in FEATURE_NAMES], "trials")]
     for cell in report.cells:
-        credit = f"{cell.credit_mean:.4f} +/- {cell.credit_std:.4f}"
-        risk = f"{cell.risk_mean:.4f} +/- {cell.risk_std:.4f}"
-        lines.append(f"{cell.sampler:<15}{cell.size:>6}  {credit:<24}{risk:<24}{cell.trials:>6}")
-    return "\n".join(lines)
+        stats = [f"{mean:.4f} +/- {std:.4f}" for mean, std in zip(cell.means, cell.stds)]
+        rows.append((cell.sampler, cell.size, stats, cell.trials))
+    # The header and the cells share one layout.
+    return "\n".join(
+        f"{sampler:<15}{size:>6}  {''.join(stat.ljust(24) for stat in stats)}{trials:>6}"
+        for sampler, size, stats, trials in rows
+    )

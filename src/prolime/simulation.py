@@ -12,7 +12,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
-import struct
 from dataclasses import dataclass, field
 from typing import ClassVar, Sequence
 
@@ -146,7 +145,7 @@ class OracleModel(BlackBoxModel):
     def __init__(self, dist: BenchmarkDistribution, model_seed: int):
         self._dist = dist
         # A model seed obeys the rule of a stream seed.
-        self._seed_bytes = struct.pack("<Q", RngStream(model_seed).seed)
+        self._seed_bytes = RngStream(model_seed).seed.to_bytes(8, "little")
 
     def _coins(self, rows: np.ndarray) -> np.ndarray:
         """Per row: low bit of the first byte of blake2b(seed bytes + the row as two "<f8")."""
@@ -172,7 +171,8 @@ class OracleModel(BlackBoxModel):
 
 
 def oracle_model(dist: BenchmarkDistribution, model_seed: int) -> BlackBoxModel:
-    """The benchmark's black box; see :class:`OracleModel`."""
+    """``OracleModel(dist, model_seed)``. Unused by the package; kept only
+    because ``perfbench/workloads.py`` imports it."""
     return OracleModel(dist, model_seed)
 
 

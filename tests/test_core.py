@@ -122,6 +122,8 @@ def test_local_surrogate_lookup_and_validation():
         LocalSurrogate(0.0, (1.0,), ("a", "b"))
     with pytest.raises(ValueError):
         LocalSurrogate(float("nan"), (1.0,), ("a",))
+    with pytest.raises(ValueError, match="^a surrogate needs at least one coefficient$"):
+        LocalSurrogate(0.5, (), ())
 
 
 def _ranked(surrogate: LocalSurrogate) -> tuple[tuple[str, float], ...]:

@@ -70,10 +70,12 @@ def test_coefficient_mismatch_ignores_the_intercept():
 
 def test_coefficient_mismatch_requires_both_benchmark_features():
     (truth,) = ground_truth_for([(0.41, -0.51)])
+    # The surrogate names the first benchmark feature it lacks.
     stranger = LocalSurrogate(0.0, (1.0, 2.0), ("credit", "duration"))
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(ValueError, match=r"^unknown feature 'risk'$"):
         coefficient_mismatch(stranger, truth)
-    assert "risk" in str(info.value)
+    with pytest.raises(ValueError, match=r"^unknown feature 'credit'$"):
+        coefficient_mismatch(LocalSurrogate(0.0, (1.0,), ("duration",)), truth)
     # The truth is one row of ground_truth_for, not the whole array.
     with pytest.raises(ValueError, match=r"truth must be one \(credit, risk\) row of shape \(2,\), got shape \(1, 2\)"):
         coefficient_mismatch(_surrogate(-0.66, 0.69), ground_truth_for([(0.41, -0.51)]))
@@ -161,8 +163,7 @@ def test_single_trial_uses_the_documented_stream_layout():
     ]
     for cell in report.cells:
         assert cell.trials == 1
-        assert cell.credit_std == 0.0
-        assert cell.risk_std == 0.0
+        assert cell.stds == (0.0, 0.0)
 
     dist = config.distribution
     test_point = draw_test_point(dist, RngStream(41, 0))
@@ -177,7 +178,7 @@ def test_single_trial_uses_the_documented_stream_layout():
         explanation = explain(
             ExplainRequest(test_point, model, hyper, samplers[stream], RngStream(41, stream))
         )
-        assert (cell.credit_mean, cell.risk_mean) == coefficient_mismatch(explanation.surrogate, truth)
+        assert cell.means == coefficient_mismatch(explanation.surrogate, truth)
 
 
 def test_a_failed_trial_drops_out_of_its_cell_alone(monkeypatch):
@@ -208,8 +209,8 @@ def test_a_failed_trial_drops_out_of_its_cell_alone(monkeypatch):
         credit.append(credit_gap)
         risk.append(risk_gap)
     cell = report.cells[0]
-    assert (cell.credit_mean, cell.credit_std) == (float(np.mean(credit)), float(np.std(credit)))
-    assert (cell.risk_mean, cell.risk_std) == (float(np.mean(risk)), float(np.std(risk)))
+    assert cell.means == (float(np.mean(credit)), float(np.mean(risk)))
+    assert cell.stds == (float(np.std(credit)), float(np.std(risk)))
 
 
 @pytest.mark.parametrize("trials", [1, 8, 9, 100, 129])
@@ -240,9 +241,10 @@ def test_cell_moments_are_those_of_each_cells_kept_trials_bit_for_bit(trials, mo
     for stats, gap, cell_failed in zip(report.cells, gaps, failed):
         credit, risk = gap[0, ~cell_failed], gap[1, ~cell_failed]
         assert stats.trials == len(credit)
-        moments = (stats.credit_mean, stats.credit_std, stats.risk_mean, stats.risk_std)
+        moments = (*stats.means, *stats.stds)
+        assert len(moments) == 2 * len(NAMES)
         if len(credit):
-            assert moments == (credit.mean(), credit.std(), risk.mean(), risk.std())
+            assert moments == (credit.mean(), risk.mean(), credit.std(), risk.std())
         else:
             assert all(map(math.isnan, moments))
 
@@ -270,16 +272,9 @@ def test_report_csv_format_round_trips():
         sampler, size, feature, mean, std, trials = line.split(",")
         by_key[(sampler, int(size), feature)] = (float(mean), float(std), int(trials))
     for cell in report.cells:
-        assert by_key[(cell.sampler, cell.size, "credit")] == (
-            cell.credit_mean,
-            cell.credit_std,
-            cell.trials,
-        )
-        assert by_key[(cell.sampler, cell.size, "risk")] == (
-            cell.risk_mean,
-            cell.risk_std,
-            cell.trials,
-        )
+        assert len(cell.means) == len(cell.stds) == len(NAMES)
+        for feature, mean, std in zip(NAMES, cell.means, cell.stds):
+            assert by_key[(cell.sampler, cell.size, feature)] == (mean, std, cell.trials)
 
 
 def test_report_json_structure():
@@ -292,7 +287,7 @@ def test_report_json_structure():
     assert document["neighborhood_sizes"] == [100]
     assert document["hyperparameters"]["kernel_width"] == 0.75 * math.sqrt(2.0)
     assert len(document["cells"]) == 2
-    assert document["cells"][0]["credit"]["mean"] == report.cells[0].credit_mean
+    assert document["cells"][0]["credit"]["mean"] == report.cells[0].means[0]
     assert document["failures"] == []
 
 
@@ -319,7 +314,7 @@ def test_failures_are_recorded_and_empty_cells_serialize_as_missing(monkeypatch)
     standard = next(c for c in report.cells if c.sampler == "standard")
     process = next(c for c in report.cells if c.sampler == "process-aware")
     assert standard.trials == 0
-    assert math.isnan(standard.credit_mean) and math.isnan(standard.risk_std)
+    assert math.isnan(standard.means[0]) and math.isnan(standard.stds[1])
     assert process.trials == 2
     assert len(report.failures) == 2
     assert {f.stage for f in report.failures} == {"sampling"}
@@ -341,11 +336,10 @@ def test_process_aware_mismatch_does_not_grow_with_neighborhood_size():
     assert report.failures == ()
     small = cells[("process-aware", 1000)]
     large = cells[("process-aware", 5000)]
-    assert large.credit_mean <= small.credit_mean
-    assert large.risk_mean <= small.risk_mean
-    for size in (1000, 5000):
-        assert cells[("standard", size)].credit_mean > cells[("process-aware", size)].credit_mean
-        assert cells[("standard", size)].risk_mean > cells[("process-aware", size)].risk_mean
+    for feature in range(len(NAMES)):
+        assert large.means[feature] <= small.means[feature]
+        for size in (1000, 5000):
+            assert cells[("standard", size)].means[feature] > cells[("process-aware", size)].means[feature]
 
 
 @pytest.mark.parametrize("seed", [24, 0])
@@ -372,7 +366,7 @@ def test_the_default_paired_gap_stays_positive_within_its_confidence_interval(se
             request = ExplainRequest(test_point, model, hyper, spec, RngStream(seed, trial * stride + 1 + j))
             mismatch[j, :, trial] = coefficient_mismatch(explain(request).surrogate, truth)
     for cell, (credit, risk) in zip(report.cells, mismatch):
-        assert (cell.credit_mean, cell.risk_mean) == (credit.mean(), risk.mean())
+        assert cell.means == (credit.mean(), risk.mean())
     per_trial = dict(zip(cells, mismatch.mean(axis=1)))
     critical = student_t.ppf(0.975, config.trials - 1)
     for size in config.neighborhood_sizes:

@@ -87,6 +87,40 @@ def test_radii_must_match_the_markers_and_lie_in_the_exact_range(radii):
         svg_scatter(np.zeros((2, 2)), [(2.0, "#111111", 0.5)], np.array([0, 0]), 4.0, "t", radii=radii)
 
 
+@pytest.mark.parametrize("centers", [np.zeros(2), np.zeros((2, 3)), np.zeros((1, 2, 2))])
+def test_centers_must_be_an_array_of_two_column_rows(centers):
+    message = f"centers must be an (n, 2) array, got shape {centers.shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        svg_scatter(centers, [(2.0, "#111111", 0.5)], np.array([0, 0]), 4.0, "t")
+
+
+@pytest.mark.parametrize("index", [np.array([0]), np.array([0, 0, 0]), np.array([[0, 0]])])
+def test_style_index_must_give_each_marker_one_style(index):
+    message = f"style_index must have shape (2,), got {index.shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        svg_scatter(np.zeros((2, 2)), [(2.0, "#111111", 0.5)], index, 4.0, "t")
+
+
+@pytest.mark.parametrize("index", [np.array([0.0, 1.0]), np.array([0, 2]), np.array([-1, 0]), np.array([True, False])])
+def test_style_index_entries_must_be_integers_naming_a_style(index):
+    styles = [(2.0, "#111111", 0.5), (3.0, "#222222", 0.5)]
+    with pytest.raises(ValueError, match=r"^style_index entries must be integers in \[0, 2\)$"):
+        svg_scatter(np.zeros((2, 2)), styles, index, 4.0, "t")
+
+
+@pytest.mark.parametrize("resolution", [1, 0, -3])
+def test_a_model_grid_needs_two_points_a_side(resolution):
+    with pytest.raises(ValueError, match="^resolution must be at least 2$"):
+        plot_model_grid(ConstantModel((0.5, 0.5)), resolution)
+
+
+@pytest.mark.parametrize("weights", [np.ones(1), np.ones(3), np.ones((2, 1))])
+def test_neighborhood_weights_must_match_the_points(weights):
+    nbhd = Neighborhood(np.zeros((2, 2)), FeatureVector((0.0, 0.0), ("credit", "risk")))
+    with pytest.raises(ValueError, match="^weights must match the neighborhood size$"):
+        plot_neighborhood(nbhd, weights)
+
+
 @pytest.mark.parametrize("bad", [-0.5, 1.5, np.nan])
 def test_neighborhood_weights_must_lie_in_the_unit_interval(bad):
     origin = FeatureVector((0.0, 0.0), ("credit", "risk"))

@@ -223,6 +223,9 @@ def test_neighborhood_holds_a_validated_read_only_copy():
         nbhd.points[0, 0] = 1.0
     assert nbhd == Neighborhood(nbhd.points, origin)
     assert nbhd != Neighborhood(nbhd.points + 1.0, origin)
+    # Another type is left to its own comparison.
+    assert nbhd.__eq__((nbhd.points, origin)) is NotImplemented
+    assert nbhd != (nbhd.points, origin)
 
 
 def test_sample_centered_perturbation_statistics():

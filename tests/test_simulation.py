@@ -335,6 +335,13 @@ def test_dataset_requires_binary_labels():
         Dataset(features, [-1])
 
 
+def test_a_dataset_leaves_another_type_to_its_own_comparison():
+    dataset = Dataset(np.zeros((1, 2)), [0])
+    assert dataset == Dataset(np.zeros((1, 2)), [0])
+    assert dataset.__eq__((dataset.features, dataset.labels)) is NotImplemented
+    assert dataset != (dataset.features, dataset.labels)
+
+
 def test_dataset_holds_validated_read_only_copies():
     features = np.array([[0.1, 0.2], [0.3, 0.4]])
     labels = np.array([True, False])
@@ -442,10 +449,11 @@ def test_write_dataset_csv_cut_short_by_a_failed_write_holds_only_the_new_prefix
 
 def test_dataset_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad_header.csv"
-    path.write_text("credit,risk\n0.1,0.2\n", encoding="utf-8")
-    with pytest.raises(DatasetFormatError) as info:
-        read_dataset_csv(str(path))
-    assert info.value.line_number == 1
+    for header in ("credit,risk", '"credit,risk",label', "credit, risk,label"):
+        path.write_text(f"{header}\n0.1,0.2,1\n", encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match="^line 1: expected header credit,risk,label$") as info:
+            read_dataset_csv(str(path))
+        assert info.value.line_number == 1
 
 
 def test_dataset_csv_reports_the_failing_line(tmp_path):
