@@ -53,7 +53,7 @@ class BatchExplainError(RuntimeError):
 class SingularFitError(RuntimeError):
     """The fit cannot explain the neighborhood: its normal equations
     overflowed, or were singular (which a positive ridge strength fixes), or
-    some feature never varies across the neighborhood."""
+    some feature never varies across the neighborhood or its weighted rows."""
 
 
 def _class_probabilities(model: BlackBoxModel, points: np.ndarray, feature_names: Sequence[str]) -> np.ndarray:
@@ -139,11 +139,11 @@ def fit_weighted_ridge(
     recovered as ``tbar - b . xbar``.
 
     Targets and weights hold one finite entry per point; the weights lie in
-    [0, 1] and at least one is positive. Raises :class:`SingularFitError`
-    when some feature never varies across the neighborhood, before any
-    arithmetic: a ridge would fit it a zero coefficient, which is no
-    explanation. Raises it too when the normal equations of a design that
-    does vary overflow or are singular.
+    [0, 1] and at least one is positive. Raises :class:`SingularFitError`,
+    before any arithmetic, when some feature never varies across the
+    neighborhood or across its rows of positive weight: a ridge would fit it
+    a zero coefficient, which is no explanation. Raises it too when the
+    normal equations of a design that does vary overflow or are singular.
     """
     features = nbhd.points
     n, d = features.shape
@@ -164,6 +164,11 @@ def fit_weighted_ridge(
     # A column can only be constant if its last value equals its first.
     if (features[-1] == features[0]).any() and (cause := _collapse_cause(nbhd)):
         raise SingularFitError(f"the neighborhood has no spread{cause}")
+    # A row of zero weight drops out of the sums, so the rows left must vary.
+    if lowest == 0.0 and (flat := (features[weights > 0.0] == features[np.argmax(weights)]).all(axis=0)).any():
+        names = ", ".join(name for name, f in zip(nbhd.origin.feature_names, flat.tolist()) if f)
+        raise SingularFitError(f"the weighted neighborhood has no spread: the {np.count_nonzero(weights)} of {n} rows"
+                               f" of positive weight do not vary in {names}")
     weight_sum = float(weights.sum())
     tbar = float(weights @ targets) / weight_sum
     centered_t = targets - tbar

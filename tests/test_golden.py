@@ -119,16 +119,17 @@ def test_evaluate_summary_table_matches_golden_digest(seed, tmp_path, monkeypatc
     assert _sha256(stdout.encode("utf-8")) == EVALUATE_STDOUT_DIGESTS[seed]
 
 
-# At this kernel width all three trials of each 1000-point cell and two of
-# each 5000-point cell fail: the reports hold ten failures and two empty
+# At this kernel width every trial of every cell fails: ten leave every
+# kernel weight 0, and two give one point positive weight, so the weighted
+# rows have no spread. The reports hold twelve failures and four empty
 # cells, whose statistics read nan in the CSV and the table and null in JSON.
 FAILING_EVALUATE = ["evaluate", "--trials", "3", "--seed", "3", "--kernel-width", "0.0005", "--out", "report.csv"]
 
 FAILING_EVALUATE_DIGESTS = {
-    "csv": "3539959525a55be88e39179919205b2a0e8078b34232d41329fd95bab4d01af5",
-    "json": "fd925d8cfbd0ccf1e0b7e920d447fd0b0debd1a2c8ba1f59eb77a3b7b2e2b391",
-    "stdout": "f121bb5abcb612dbff0f76b00af7a218618995f218d76c964c5816fc9b84e65f",
-    "stderr": "8f75eacc1907f51198081c67a58d562dea1d473f6668b17d6a938f1ff640a899",
+    "csv": "3efe0d26702fa1c7768dc2ee687c252c813840f17031d7809469dc0c777a94a5",
+    "json": "b1ce6abda9c5967ef1a5df76f9a6f2612735041d85f141ba2fae16dc9f4e145a",
+    "stdout": "129939a797acbf217c5a03bab8b31878880eb50888279ea902ba9e7c0136cf1e",
+    "stderr": "e6126cdbbf39da28fd61c2742983c1b4b3f07705092504610916d1ed31e0613d",
 }
 
 

@@ -325,6 +325,32 @@ def test_fit_of_a_feature_that_never_varies_names_the_lost_spread(ridge):
     )
 
 
+@pytest.mark.parametrize("ridge", [0.0, 1.0])
+def test_fit_needs_spread_among_the_rows_of_positive_weight(ridge):
+    # Zero-weight rows drop out of the sums: one row of positive weight
+    # centers to zeros, and a ridge alone would fit every coefficient 0.
+    features = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 5.0]])
+    targets = np.array([0.0, 1.0, 0.0])
+    with pytest.raises(SingularFitError) as info:
+        fit_weighted_ridge(_named(features, NAMES), targets, np.array([1.0, 0.0, 0.0]), ridge)
+    assert str(info.value) == (
+        "the weighted neighborhood has no spread: the 1 of 3 rows of positive weight do not vary in credit, risk"
+    )
+    # Two rows of positive weight that vary only in credit.
+    features[1, 1] = 0.0
+    with pytest.raises(SingularFitError) as info:
+        fit_weighted_ridge(_named(features, NAMES), targets, np.array([1.0, 1.0, 0.0]), ridge)
+    assert str(info.value).endswith(": the 2 of 3 rows of positive weight do not vary in risk")
+
+
+def test_fit_of_two_weighted_rows_that_differ_in_every_feature_succeeds():
+    features = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 5.0]])
+    targets, weights = np.array([0.0, 1.0, 0.0]), np.array([1.0, 1.0, 0.0])
+    surrogate = fit_weighted_ridge(_named(features, NAMES), targets, weights, 1.0)
+    assert all(math.isfinite(value) for value in (surrogate.intercept, *surrogate.coefficients))
+    assert surrogate.coefficients != (0.0, 0.0)
+
+
 def test_overflowing_design_names_the_overflow_not_the_ridge():
     features = np.array([[1.7e308, 1.7e308], [1.7e308, -1.7e308], [-1.7e308, 1.7e308]])
     nbhd = _named(features, NAMES)
