@@ -5,7 +5,9 @@ Runs the three commands of perfbench's ``figures`` op (``generate --n 3000``,
 30 warm-up ops, then 300 timed ones. Per command it prints the minor page
 faults (``ru_minflt``), the system and the wall milliseconds per op. Then it
 prints the ``tracemalloc`` peak, above what was traced before the call, of
-each stage those commands run, on the same 3,000 rows and resolution 50.
+each stage those commands run, on the same 3,000 rows and resolution 50,
+and last the resident peak of ``generate --n 1000000`` in a fresh
+interpreter.
 
 Run from the root of a checkout, so that its own ``src`` is imported:
 
@@ -17,14 +19,17 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import os
 import resource
+import subprocess
 import sys
 import tempfile
 import time
 import tracemalloc
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, _SRC)
 
 from prolime import cli, datasets, plots  # noqa: E402
 from prolime.samplers import RngStream  # noqa: E402
@@ -87,6 +92,26 @@ def stage_peaks(workdir: Path) -> dict[str, int]:
     }
 
 
+def generate_peak_kb(workdir: Path) -> int:
+    """Peak resident KB of ``generate --n 1000000`` run in a fresh interpreter,
+    the ``ru_maxrss`` a shell reads for it. Read as VmHWM, the peak of the
+    child's own address space: Linux starts a spawned child's ``ru_maxrss``
+    at the peak of the process it replaced, here this one's."""
+    script = (
+        "import sys\n"
+        "from prolime import cli\n"
+        "code = cli.main(['generate', '--n', '1000000', '--out', sys.argv[1]])\n"
+        "with open('/proc/self/status') as status:\n"
+        "    print(code, next(line.split()[1] for line in status if line.startswith('VmHWM:')))\n"
+    )
+    run = subprocess.run([sys.executable, "-c", script, str(workdir / "million.csv")],
+                         env={**os.environ, "PYTHONPATH": _SRC}, capture_output=True, text=True, check=True)
+    code, peak_kb = map(int, run.stdout.split()[-2:])
+    if code != 0:
+        raise SystemExit(f"prolime generate --n 1000000 exited with {code}")
+    return peak_kb
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--ops", type=int, default=300)
@@ -95,6 +120,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         costs = command_costs(Path(tmp), args.ops, args.warmup)
         peaks = stage_peaks(Path(tmp))
+        million_kb = generate_peak_kb(Path(tmp))
     print(f"{'command':<16}{'faults/op':>10}{'sys ms/op':>11}{'wall ms/op':>12}")
     for name, (faults, stime, wall) in costs.items():
         print(f"{name:<16}{faults:>10.1f}{stime:>11.3f}{wall:>12.3f}")
@@ -103,6 +129,7 @@ def main() -> None:
     print(f"\n{'stage':<20}{'traced peak KB':>15}")
     for name, peak in peaks.items():
         print(f"{name:<20}{peak / 1024:>15.0f}")
+    print(f"\ngenerate --n 1000000 resident peak: {million_kb / 1024:.1f} MB")
 
 
 if __name__ == "__main__":

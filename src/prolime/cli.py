@@ -204,7 +204,7 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     text = explain(request).to_json(indent=2)
     print(text)
     if args.out:
-        _overwrite(args.out, (text + "\n").encode("utf-8"))
+        _overwrite(args.out, ((text + "\n").encode("utf-8"),))
     return 0
 
 
@@ -237,8 +237,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             center_mode=CenterMode(args.center),
         )
     report = run_experiment(experiment)
-    _overwrite(out, report_to_csv(report).encode("utf-8"))
-    _overwrite(json_path, report_to_json(report).encode("utf-8"))
+    _overwrite(out, (report_to_csv(report).encode("utf-8"),))
+    _overwrite(json_path, (report_to_json(report).encode("utf-8"),))
     print(summary_table(report))
     print(f"wrote {out} and {json_path}")
     empty_cells = [cell for cell in report.cells if cell.trials == 0]
@@ -273,7 +273,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
             spec = sampler_spec(args.sampler, hyper, dist, CenterMode(args.center))
             nbhd = draw_neighborhood(origin, spec, hyper.neighborhood_size, RngStream(seed, 0))
             svg = plot_neighborhood(nbhd, neighborhood_weights(nbhd, hyper.kernel_width))
-    _overwrite(args.out, svg.encode("utf-8"))
+    _overwrite(args.out, (svg.encode("utf-8"),))
     print(f"wrote {args.out}")
     return 0
 

@@ -7,9 +7,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import os
 import stat
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -72,28 +74,28 @@ class DatasetFormatError(ValueError):
         self.line_number = line_number
 
 
-def _overwrite(path: str, data: bytes) -> None:
-    """Write ``data`` to ``path``, created if missing, in place: a
-    regular file is overwritten from its start and then cut to the bytes
-    written, also when a write fails, and any other target, such as
-    ``/dev/null``, is written through.
+def _overwrite(path: str, chunks: Iterable[bytes]) -> None:
+    """Write the byte pieces ``chunks`` in order to ``path``, created if
+    missing, in place: a regular file is overwritten from its start and then
+    cut at the file offset, the bytes written, also when a write or making a
+    piece fails; any other target, such as ``/dev/null``, is written through.
 
     Not ``open(path, "w")``: ext4 (its ``auto_da_alloc`` heuristic) flushes a
     non-empty file truncated to zero and rewritten when it is closed. Neither
-    way is atomic. A failed write leaves a prefix of the new data; after a
-    crash, a file overwritten in place may hold old and new blocks mixed,
-    where that flush made the new data or an empty file more likely.
+    way is atomic. A failure leaves a prefix of the new data; after a crash,
+    a file overwritten in place may hold old and new blocks mixed, where that
+    flush made the new data or an empty file more likely.
     """
-    view = memoryview(data)
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    written = 0
     try:
-        while written < len(view):
-            written += os.write(fd, view[written:])
+        for chunk in chunks:
+            view = memoryview(chunk)
+            while view:
+                view = view[os.write(fd, view):]
     finally:
         try:
             if stat.S_ISREG(os.fstat(fd).st_mode):
-                os.ftruncate(fd, written)
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
         finally:
             os.close(fd)
 
@@ -238,16 +240,16 @@ def _digits8(text: np.ndarray) -> np.ndarray:
     return x
 
 
-def _format_rows(features: np.ndarray, labels: np.ndarray, head: bytes = b"") -> bytearray:
-    """``head``, then the CSV lines of the rows, ``f"{credit!r},{risk!r},{label}\\n"``
-    each, built in one numpy pass as NUL-padded ASCII in one buffer: deleting
-    the NULs gives the lines.
+def _format_rows(features: np.ndarray, labels: np.ndarray) -> bytearray:
+    """The CSV lines of the rows, ``f"{credit!r},{risk!r},{label}\\n"`` each,
+    built in one numpy pass as NUL-padded ASCII in one buffer: deleting the
+    NULs gives the lines.
 
-    ``head`` fills whole uint64 words, then each row takes 9: per value a head
-    word (comma, sign, "0.000" prefix) and three words of digits with the
-    point, then a word with the comma, the label and the newline. Values
-    outside [1e-4, 2**53), and those whose ``repr`` is scientific, are
-    written with ``repr``, which never exceeds 24 bytes.
+    Each row takes 9 uint64 words: per value a head word (comma, sign,
+    "0.000" prefix) and three words of digits with the point, then a word
+    with the comma, the label and the newline. Values outside [1e-4, 2**53),
+    and those whose ``repr`` is scientific, are written with ``repr``, which
+    never exceeds 24 bytes.
     """
     rows = len(labels)
     bulk = (np.abs(features) >= 2.0**-14) & (np.abs(features) < 2.0**53)
@@ -266,9 +268,8 @@ def _format_rows(features: np.ndarray, labels: np.ndarray, head: bytes = b"") ->
     high, middle = _ascii8(high), _ascii8(middle)
     text = (high, middle, digits)
     n += (point + 4) * 18  # now the zone
-    buffer = bytearray(-(-len(head) // 8) * 8 + 72 * rows)
-    buffer[:len(head)] = head
-    words = np.frombuffer(buffer, "<u8")[len(buffer) // 8 - 9 * rows:].reshape(rows, 9)
+    buffer = bytearray(72 * rows)
+    words = np.frombuffer(buffer, "<u8").reshape(rows, 9)
     cells = words[:, :8].reshape(rows, 2, 4).transpose(2, 0, 1)
     cells[0] = _PREFIX[point + 4] | ((features.view(np.uint64) >> _U64(63)) * _U64(ord("-") << 8)) | _SEPARATOR
     for w in range(3):
@@ -298,13 +299,10 @@ def write_dataset_csv(dataset: Dataset, path: str) -> None:
     ``repr`` itself.
     """
     features, labels = dataset.features, dataset.labels
-    chunks = [slice(start, start + _CHUNK_ROWS) for start in range(0, max(len(labels), 1), _CHUNK_ROWS)]
-    # The header goes in the first chunk, which an empty dataset has too, and
-    # each later chunk is appended as it is made, so the file is held about once.
-    data = _format_rows(features[chunks[0]], labels[chunks[0]], _HEADER).translate(None, b"\0")
-    for rows in chunks[1:]:
-        data += _format_rows(features[rows], labels[rows]).translate(None, b"\0")
-    _overwrite(path, data)
+    # Each chunk is written as it is made, so the file is never held whole.
+    rows = (slice(start, start + _CHUNK_ROWS) for start in range(0, len(labels), _CHUNK_ROWS))
+    chunks = (_format_rows(features[chunk], labels[chunk]).translate(None, b"\0") for chunk in rows)
+    _overwrite(path, itertools.chain((_HEADER,), chunks))
 
 
 def _undecodable(row: list[str]) -> ValueError | None:

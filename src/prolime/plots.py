@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -89,33 +89,14 @@ def _ascii_columns(text: str, rows: int) -> np.ndarray:
     return np.broadcast_to(np.frombuffer(text.encode("ascii"), dtype=np.uint8), (rows, len(text)))
 
 
-def _circles(
-    head: str, points: np.ndarray, keep: np.ndarray, radii: np.ndarray | None, style_text: list[str],
-    index: np.ndarray, limit: float,
-) -> Iterator[str]:
-    """``head``, one ``<circle .../>`` line per kept marker, each ending in a
-    newline, and the closing tag, in chunks of up to ``_CHUNK_ROWS`` markers;
-    the radius is a column of its own when ``radii`` is given."""
-    if "\0" in head + "".join(style_text):
-        raise ValueError("the title and fills must not contain NUL characters")
-    # A bytes array pads each style to the longest one with NULs.
-    styles = np.array(list(map(str.encode, style_text)), dtype=np.bytes_)
-    styles = styles.view(np.uint8).reshape(len(styles), styles.itemsize)
-    for start in range(0, max(len(index), 1), _CHUNK_ROWS):
-        rows = slice(start, start + _CHUNK_ROWS)
-        text = (head if start == 0 else "", "</svg>\n" if start + _CHUNK_ROWS >= len(index) else "")
-        # The chunk's arrays die with the call, before the NULs are stripped.
-        yield _circle_rows(text, points[rows], None if radii is None else radii[rows], keep[rows], styles,
-                           index[rows], limit).replace(b"\0", b"").decode("utf-8")
-
-
 def _circle_rows(
     text: tuple[str, str], centers: np.ndarray, radii: np.ndarray | None, keep: np.ndarray, styles: np.ndarray,
     index: np.ndarray, limit: float,
 ) -> bytearray:
-    """The two ``text`` around the lines of :func:`_circles` for the kept
-    markers, laid out as the rows of a NUL-padded byte matrix, so that the
-    NULs are stripped in one pass instead of formatting each marker apart."""
+    """The two ``text`` around one ``<circle .../>`` line per kept marker,
+    laid out as the rows of a NUL-padded byte matrix, so that the NULs are
+    stripped in one pass instead of formatting each marker apart; ``radii``,
+    when given, is a column of its own."""
     index = index[keep]
     n = len(index)
     # Rounding is monotonic, so kept markers land in [_MARGIN, _HEIGHT - _MARGIN]
@@ -210,8 +191,21 @@ def svg_scatter(
         style_text = list(itertools.starmap('r="{:.2f}" fill="{}" fill-opacity="{:.2f}"/>'.format, styles))
     else:
         style_text = [f'fill="{fill}" fill-opacity="{opacity:.2f}"/>' for _, fill, opacity in styles]
+    head = "\n".join(parts) + "\n"
+    if "\0" in head + "".join(style_text):
+        raise ValueError("the title and fills must not contain NUL characters")
+    # The styles' text as byte rows: a bytes array pads each to the longest with NULs.
+    styles = np.array(list(map(str.encode, style_text)), dtype=np.bytes_)
+    styles = styles.view(np.uint8).reshape(len(styles), styles.itemsize)
+    chunks = []
+    for start in range(0, max(len(index), 1), _CHUNK_ROWS):
+        rows = slice(start, start + _CHUNK_ROWS)
+        text = (head if start == 0 else "", "</svg>\n" if start + _CHUNK_ROWS >= len(index) else "")
+        # The chunk's arrays die with the call, before the NULs are stripped.
+        chunks.append(_circle_rows(text, points[rows], None if radii is None else radii[rows], keep[rows], styles,
+                                   index[rows], limit).replace(b"\0", b"").decode("utf-8"))
     # Up to _CHUNK_ROWS markers, the one chunk is the document itself.
-    return "".join(_circles("\n".join(parts) + "\n", points, keep, radii, style_text, index, limit))
+    return "".join(chunks)
 
 
 def plot_dataset(dataset: Dataset) -> str:

@@ -15,6 +15,8 @@ from pathlib import Path
 import pytest
 
 import prolime
+from prolime import datasets
+from prolime.simulation import FEATURE_NAMES
 
 PACKAGE = Path(prolime.__file__).parent
 # Every library module; the command line's one name, main, is its entry point.
@@ -187,6 +189,12 @@ def test_only_the_simulation_and_cli_modules_name_a_feature():
         return isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in ("credit", "risk")
 
     assert _files_where(names_a_feature) == ["cli.py", "simulation.py"]
+
+
+def test_the_dataset_header_spells_the_feature_names():
+    # datasets.py imports no package module and spells its header as bytes,
+    # which the guard above cannot see.
+    assert datasets._HEADER == (",".join(FEATURE_NAMES) + ",label\n").encode("ascii")
 
 
 def test_only_the_simulation_module_names_the_oracle_model_alias():

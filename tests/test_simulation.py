@@ -432,13 +432,15 @@ def test_write_dataset_csv_cut_short_by_a_failed_write_holds_only_the_new_prefix
     write_dataset_csv(dataset, str(fresh))
     reused.write_bytes(b"9" * 100_000)
     real_write = os.write
-    calls = []
+    # The header is a piece of its own, 18 bytes, so the 100 span two pieces.
+    budget = [100]
 
     def write_then_fail(fd, data):
-        calls.append(len(data))
-        if len(calls) > 1:
+        if not budget[0]:
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-        return real_write(fd, bytes(data[:100]))
+        count = real_write(fd, bytes(data[:budget[0]]))
+        budget[0] -= count
+        return count
 
     monkeypatch.setattr(os, "write", write_then_fail)
     with pytest.raises(OSError, match="No space left on device"):
