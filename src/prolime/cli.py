@@ -382,10 +382,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, commands
 
 
-def _reject_leading_option(parser: argparse.ArgumentParser, argv: list[str]) -> None:
+def _reject_leading_option(parser: argparse.ArgumentParser, words: list[str]) -> None:
     """Exit 2 naming an option placed before the command or the plot kind:
     argparse would skip it and take its value for the command word."""
-    words = argv[:2] if argv[:1] == ["plot"] else argv[:1]
     for where, word in zip(("command", "plot kind"), words):
         if word.startswith("-") and word not in ("-h", "--help") and not _NEGATIVE_NUMBER.match(word):
             parser.error(f"option {word} comes before the {where}; options follow the {where}")
@@ -394,16 +393,23 @@ def _reject_leading_option(parser: argparse.ArgumentParser, argv: list[str]) -> 
 def main(argv: list[str] | None = None) -> int:
     parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else argv
+    # Only the innermost parsers have options, so the command words lead argv.
+    words = argv[:2] if argv[:1] == ["plot"] else argv[:1]
+    command, rest = commands.get(" ".join(words)), argv[len(words):]
     try:
-        _reject_leading_option(parser, argv)
-        args = parser.parse_args(argv)
+        _reject_leading_option(parser, words)
+        if command is None:
+            # No command, an unknown one, or help before the command: the
+            # top-level parser prints its usage or its help and exits.
+            parser.parse_args(argv)
+        args, extra = command.parse_known_args(rest)
+        if extra:
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return 0 if exc.code is None else int(exc.code)
     try:
         if args.config is not None:
-            # Only the innermost parsers have options, so the command words lead argv.
-            name = f"plot {args.kind}" if args.command == "plot" else args.command
-            args = _parse_with_config(commands[name], argv[len(name.split()):], _load_config(args.config))
+            args = _parse_with_config(command, rest, _load_config(args.config))
         return args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

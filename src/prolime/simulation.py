@@ -129,6 +129,10 @@ def generate_dataset(
     return Dataset(rows, approval_label(rows))
 
 
+# Rows whose coin keys are listed at once by ``OracleModel._coins``.
+_COIN_BLOCK_ROWS = 512
+
+
 class OracleModel(BlackBoxModel):
     """Exact on-distribution, a per-point deterministic coin off-distribution.
 
@@ -149,13 +153,16 @@ class OracleModel(BlackBoxModel):
 
     def _coins(self, rows: np.ndarray) -> np.ndarray:
         """Per row: low bit of the first byte of blake2b(seed bytes + the row as two "<f8")."""
-        data = np.asarray(rows, dtype="<f8").tobytes()
+        # One 16-byte key per row. A void view keeps trailing NUL bytes, which
+        # a bytes ("S16") view would strip; blocks bound the keys held at once.
+        keys = np.ascontiguousarray(rows, dtype="<f8").view("V16").ravel()
         seeded = hashlib.blake2b(self._seed_bytes, digest_size=8)
         first_bytes = []
-        for start in range(0, len(data), 16):
-            h = seeded.copy()
-            h.update(data[start:start + 16])
-            first_bytes.append(h.digest()[0])
+        for start in range(0, len(keys), _COIN_BLOCK_ROWS):
+            for key in keys[start:start + _COIN_BLOCK_ROWS].tolist():
+                h = seeded.copy()
+                h.update(key)
+                first_bytes.append(h.digest()[0])
         return np.frombuffer(bytes(first_bytes), dtype=np.uint8) & 1
 
     def predict_proba(self, X: np.ndarray, feature_names: Sequence[str] | None = None) -> np.ndarray:

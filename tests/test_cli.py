@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import json
 import os
 import signal
@@ -1050,6 +1051,61 @@ def test_every_option_is_read_by_its_handler(name, tmp_path, capsys, monkeypatch
         if any(option.startswith("--") for option in action.option_strings)
     }
     assert options - {"help", "config"} - read == set()
+
+
+_TOP_USAGE = "usage: prolime [-h] {generate,explain,evaluate,plot} ...\n"
+_PLOT_USAGE = "usage: prolime plot [-h] {data,model-grid,neighborhood} ...\n"
+_STRAY = _TOP_USAGE + "prolime: error: unrecognized arguments: stray\n"
+
+# (exit code, stdout, stderr) of argvs whose parse might differ between the
+# top-level parser and the parser of the command alone, recorded at 80
+# columns while every argv went through the top-level parser. A non-empty
+# stdout is given by its sha256 digest.
+PARSES = [
+    (["generate", "stray"], 2, "", _STRAY),
+    (["explain", "0", "0", "stray"], 2, "", _STRAY),
+    (["evaluate", "stray"], 2, "", _STRAY),
+    (["plot", "data", "stray"], 2, "", _STRAY),
+    (["plot", "model-grid", "stray"], 2, "", _STRAY),
+    (["plot", "neighborhood", "stray"], 2, "", _STRAY),
+    ([], 2, "", _TOP_USAGE + "prolime: error: the following arguments are required: command\n"),
+    (["nope"], 2, "", _TOP_USAGE + "prolime: error: argument command: invalid choice: 'nope' "
+     "(choose from 'generate', 'explain', 'evaluate', 'plot')\n"),
+    (["plot"], 2, "", _PLOT_USAGE + "prolime plot: error: the following arguments are required: kind\n"),
+    (["plot", "nope"], 2, "", _PLOT_USAGE + "prolime plot: error: argument kind: invalid choice: 'nope' "
+     "(choose from 'data', 'model-grid', 'neighborhood')\n"),
+    (["-h"], 0, "8e135cde4cc6aea30add4f8bf3e903bafb80f0ffe4ddc090b0ab0a9d62042085", ""),
+    (["plot", "-h"], 0, "ae32a9bee0a5bcff47852466599c9eb433bebc84191a0c06b96fa4a526a7d525", ""),
+    (["evaluate", "-h"], 0, "2dfdfee490ee57001e5072b20abcfb85bbdfc22224286762c21eb2416a9bf227", ""),
+    (["evaluate", "--tri", "1", "--sizes", "20", "--out", "r.csv"], 0,
+     "9b681e9a6da25f716690e0eb7afb14b37a89742f587af9c538e8ea6422fb02f7", ""),
+    (["explain", "--", "-1", "2"], 0, "9f40b1cad24629135d6f63b33aa7b35c1876d8a8cac70b1808b42b6dcf5329b7", ""),
+    # The config sets seed 4 and the process-aware sampler; the flag's seed wins.
+    (["explain", "0.3", "-0.2", "--config", "cfg.txt", "--seed", "5"], 0,
+     "dbe2f7e62a58b25b9f93babfa215879f63db7d57c84ac4a1bb09579c0b866b6c", ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout, stderr", PARSES, ids=[" ".join(case[0]) or "(none)" for case in PARSES])
+def test_each_command_parses_as_through_the_top_level_parser(argv, code, stdout, stderr, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.delenv("PROLIME_SEED", raising=False)
+    monkeypatch.chdir(tmp_path)
+    Path("cfg.txt").write_text("seed=4\nsampler=process-aware\n", encoding="utf-8")
+    got_code, got_stdout, got_stderr = _run(argv, capsys)
+    stdout_digest = got_stdout and hashlib.sha256(got_stdout.encode("utf-8")).hexdigest()
+    assert (got_code, stdout_digest, got_stderr) == (code, stdout, stderr)
+
+
+@pytest.mark.parametrize("name", _TINY_RUNS)
+def test_a_valid_command_is_not_parsed_by_the_top_level_parser(name, tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the top-level parser parsed a valid command")
+
+    monkeypatch.setattr(cli._build_parser()[0], "parse_known_args", refuse)
+    monkeypatch.chdir(tmp_path)
+    Path("dataset.csv").write_text("credit,risk,label\n0.1,0.2,1\n", encoding="utf-8")
+    assert _run([*name.split(), *_TINY_RUNS[name]], capsys)[0] == 0
 
 
 # One small run of each command that writes a file, by the path it writes.

@@ -20,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import lstsq
 from scipy.special import ndtri
 
-from prolime import datasets
+from prolime import datasets, simulation
 from prolime.core import BlackBoxModel, FeatureVector, LocalSurrogate, NoiseMode
 from prolime.evaluation import coefficient_mismatch
 from prolime.plots import _fixed2, svg_scatter
@@ -125,6 +125,28 @@ def test_oracle_predict_proba_equals_the_per_row_reference(rows, model_seed, rho
     # Rows are labeled independently: any subset labels the same.
     half = rows[::2]
     assert model.predict_proba(half).tobytes() == expected[::2].tobytes()
+
+
+# Far rows whose 16-byte coin keys end in zero bytes: +0.0 and -0.0 risk, a
+# subnormal risk, and a -0.0 credit.
+ZERO_TAILED_ROWS = [(7.0, 0.0), (-0.0, 9.0), (8.0, 5e-324), (-6.0, -0.0)]
+_BLOCK = simulation._COIN_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("off", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+def test_oracle_coins_equal_the_per_row_reference_across_key_blocks(off):
+    rng = np.random.default_rng(off)
+    far = rng.uniform(5.0, 50.0, size=(off, 2)) * rng.choice((-1.0, 1.0), size=(off, 2))
+    far = np.concatenate([ZERO_TAILED_ROWS, far])[:off]
+    near = rng.uniform(-0.5, 0.5, size=(7, 2))
+    rows = np.concatenate([near, far])[rng.permutation(off + 7)]
+    dist = BenchmarkDistribution()
+    assert int((~dist.on_distribution(rows)).sum()) == off
+    for model_seed in (0, 11):
+        got = OracleModel(dist, model_seed).predict_proba(rows)
+        expected = _reference_oracle(dist, model_seed, rows)
+        assert got.shape == expected.shape == (off + 7, 2)
+        assert [row.tobytes() for row in got] == [row.tobytes() for row in expected]
 
 
 @settings(deadline=None)

@@ -206,6 +206,30 @@ def test_only_the_simulation_module_names_the_oracle_model_alias():
     assert _files_where(names_the_alias) == ["simulation.py"]
 
 
+def _scopes_naming(node: ast.AST, name: str, scope: str = "") -> list[str]:
+    """The dotted class and function scopes in which ``name`` is referred to."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}" if scope else node.name
+    named = name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
+    here = [scope] if named and not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else []
+    return here + [found for child in ast.iter_child_nodes(node) for found in _scopes_naming(child, name, scope)]
+
+
+def test_the_oracle_coin_alone_hashes():
+    # Replacing the off-distribution coin (ROADMAP item 4) edits one function.
+    def imports_hashlib(node: ast.AST) -> bool:
+        return (isinstance(node, ast.Import) and any(alias.name == "hashlib" for alias in node.names)) or (
+            isinstance(node, ast.ImportFrom) and node.module == "hashlib"
+        )
+
+    assert _files_where(imports_hashlib) == ["simulation.py"]
+    scopes = {
+        path.name: _scopes_naming(ast.parse(path.read_text(encoding="utf-8")), "blake2b")
+        for path in PACKAGE.glob("*.py")
+    }
+    assert {name: found for name, found in scopes.items() if found} == {"simulation.py": ["OracleModel._coins"]}
+
+
 def test_only_the_datasets_module_turns_integers_into_digits():
     # Numbers and ASCII digits convert into each other in the dataset file's
     # writer and reader alone; plots.py formats through datasets._ascii8.
