@@ -207,11 +207,13 @@ def test_only_the_simulation_module_names_the_oracle_model_alias():
 
 
 def _scopes_naming(node: ast.AST, name: str, scope: str = "") -> list[str]:
-    """The dotted class and function scopes in which ``name`` is referred to."""
+    """The dotted class and function scopes in which ``name`` is used as a
+    name, an attribute or an import."""
+    here = []
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         scope = f"{scope}.{node.name}" if scope else node.name
-    named = name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))
-    here = [scope] if named and not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else []
+    elif name in (getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)):
+        here = [scope]
     return here + [found for child in ast.iter_child_nodes(node) for found in _scopes_naming(child, name, scope)]
 
 
