@@ -120,14 +120,20 @@ def invocations(draw) -> tuple[list[str], bytes | None, str | None]:
 def test_every_invocation_exits_0_1_or_2(invocation, tmp_path):
     argv, config, env_seed = invocation
     (tmp_path / "garbage.csv").write_bytes(b"credit,risk,label\n0.1,\xff,1\n")
-    with contextlib.chdir(tmp_path), mock.patch.dict(os.environ), contextlib.redirect_stdout(
-        io.StringIO()
-    ), contextlib.redirect_stderr(io.StringIO()):
-        os.environ.pop("PROLIME_SEED", None)
-        if env_seed is not None:
-            os.environ["PROLIME_SEED"] = env_seed
-        if config is not None:
-            (tmp_path / "run.cfg").write_bytes(config)
-        if not (tmp_path / "dataset.csv").exists():
-            assert main(["generate", "--n=20", "--seed=1", "--out=dataset.csv"]) == 0
-        assert main(argv) in (0, 1, 2)
+    # A saved cwd, not contextlib.chdir, which is new in Python 3.11.
+    cwd = os.getcwd()
+    os.chdir(tmp_path)
+    try:
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            os.environ.pop("PROLIME_SEED", None)
+            if env_seed is not None:
+                os.environ["PROLIME_SEED"] = env_seed
+            if config is not None:
+                (tmp_path / "run.cfg").write_bytes(config)
+            if not (tmp_path / "dataset.csv").exists():
+                assert main(["generate", "--n=20", "--seed=1", "--out=dataset.csv"]) == 0
+            assert main(argv) in (0, 1, 2)
+    finally:
+        os.chdir(cwd)

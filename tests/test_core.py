@@ -52,6 +52,17 @@ def test_class_probabilities_accepts_tolerant_sum():
         ClassProbabilities(())
 
 
+def test_constant_model_checks_its_probabilities():
+    assert ConstantModel((0.25, 0.75)).predict_proba(np.zeros((1, 2))).tolist() == [[0.25, 0.75]]
+    ConstantModel((0.5, 0.5 + 5e-10))
+    with pytest.raises(ValueError, match=r"^probabilities must sum to 1, got 1\.00000001$"):
+        ConstantModel((0.5, 0.5 + 1e-8))
+    with pytest.raises(ValueError, match=r"^probability out of range: -0\.1$"):
+        ConstantModel((-0.1, 1.1))
+    with pytest.raises(ValueError, match="^at least one class probability is required$"):
+        ConstantModel(())
+
+
 def test_default_kernel_width_scales_with_dimension():
     assert default_kernel_width(2) == 0.75 * math.sqrt(2.0)
     assert default_kernel_width(4) == 1.5

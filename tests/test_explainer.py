@@ -183,6 +183,17 @@ def test_labeling_failure_is_stage_labeled():
     assert info.value.stage == "labeling"
 
 
+def test_an_answer_at_the_sample_that_does_not_sum_to_1_fails_the_labeling_stage():
+    class Unnormalized(BlackBoxModel):
+        def predict_proba(self, X, feature_names=None):
+            return np.full((len(X), 2), 0.3)
+
+    with pytest.raises(ExplainStageError) as info:
+        explain(_request(Unnormalized(), StandardSpec()))
+    assert info.value.stage == "labeling"
+    assert str(info.value) == "labeling stage failed: probabilities must sum to 1, got 0.6"
+
+
 def test_fitting_failure_is_stage_labeled(monkeypatch):
     def degenerate(origin, spec, n, rng):
         return Neighborhood(np.tile([0.1, 0.2], (4, 1)), origin)
