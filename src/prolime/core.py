@@ -15,14 +15,12 @@ import numpy as np
 
 __all__ = [
     "BlackBoxModel",
-    "ClassProbabilities",
     "ConstantModel",
     "Explanation",
     "FeatureVector",
     "LimeHyperparameters",
     "LocalSurrogate",
     "NoiseMode",
-    "default_kernel_width",
 ]
 
 
@@ -31,13 +29,6 @@ class NoiseMode(Enum):
 
     GAUSSIAN = "gaussian"
     LATIN_HYPERCUBE = "lhs"
-
-
-def default_kernel_width(n_features: int) -> float:
-    """Default proximity-kernel width, 0.75 * sqrt(n_features)."""
-    if n_features < 1:
-        raise ValueError("n_features must be positive")
-    return 0.75 * math.sqrt(n_features)
 
 
 # The smallest width whose square is a normal float. The kernel divides by
@@ -75,6 +66,20 @@ def _require_finite(values: Iterable[float], what: str) -> None:
             raise ValueError(f"{what} must be finite, got {value!r}")
 
 
+def _probability_row(values: Iterable[float]) -> tuple[float, ...]:
+    """One model answer as floats: at least one class, each in [0, 1], summing to 1 within 1e-9."""
+    row = tuple(map(float, values))
+    if not row:
+        raise ValueError("at least one class probability is required")
+    for value in row:
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"probability out of range: {value!r}")
+    total = math.fsum(row)
+    if abs(total - 1.0) > 1e-9:
+        raise ValueError(f"probabilities must sum to 1, got {total!r}")
+    return row
+
+
 @dataclass(frozen=True)
 class FeatureVector:
     """An ordered, named point in feature space."""
@@ -99,24 +104,6 @@ class FeatureVector:
         return np.asarray(self.values, dtype=float)
 
 
-@dataclass(frozen=True)
-class ClassProbabilities:
-    """Per-class probabilities; entries lie in [0, 1] and sum to 1."""
-
-    p: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
-        if not self.p:
-            raise ValueError("at least one class probability is required")
-        for value in self.p:
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"probability out of range: {value!r}")
-        total = math.fsum(self.p)
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"probabilities must sum to 1, got {total!r}")
-
-
 class BlackBoxModel(abc.ABC):
     """Opaque classifier contract: feature rows in, class probabilities out.
 
@@ -137,7 +124,7 @@ class ConstantModel(BlackBoxModel):
     """Returns the same probabilities everywhere; useful as a null reference."""
 
     def __init__(self, probabilities: Sequence[float]):
-        self._output = np.array(ClassProbabilities(tuple(probabilities)).p)
+        self._output = np.array(_probability_row(probabilities))
         self.n_classes = len(self._output)
 
     def predict_proba(self, X: np.ndarray, feature_names: Sequence[str] | None = None) -> np.ndarray:
@@ -151,14 +138,13 @@ class ConstantModel(BlackBoxModel):
 class LimeHyperparameters:
     """Knobs of the explanation pipeline.
 
-    ``kernel_width`` defaults to the two-feature value of
-    :func:`default_kernel_width`; pass an explicit width for other
-    dimensionalities.
+    ``kernel_width`` defaults to LIME's ``0.75 * sqrt(d)`` at the benchmark's
+    d = 2 features; pass an explicit width for other dimensionalities.
     """
 
     neighborhood_size: int = 1000
     noise_mode: NoiseMode = NoiseMode.GAUSSIAN
-    kernel_width: float = default_kernel_width(2)
+    kernel_width: float = 0.75 * math.sqrt(2)
     ridge_strength: float = 1.0
 
     def __post_init__(self) -> None:
@@ -199,10 +185,10 @@ class LocalSurrogate:
 
 @dataclass(frozen=True)
 class Explanation:
-    """The packaged result: explained sample, model output, ranked coefficients."""
+    """The packaged result: explained sample, model output per class, ranked coefficients."""
 
     sample: FeatureVector
-    predicted: ClassProbabilities
+    predicted: tuple[float, ...]
     surrogate: LocalSurrogate
 
     @property
@@ -215,7 +201,7 @@ class Explanation:
     def to_dict(self) -> dict:
         return {
             "sample": dict(zip(self.sample.feature_names, self.sample.values)),
-            "predicted": list(self.predicted.p),
+            "predicted": list(self.predicted),
             "coefficients": dict(zip(self.surrogate.feature_names, self.surrogate.coefficients)),
             "ranked": [[name, value] for name, value in self.ranked_features],
         }

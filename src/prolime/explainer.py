@@ -16,12 +16,12 @@ import numpy as np
 
 from .core import (
     BlackBoxModel,
-    ClassProbabilities,
     Explanation,
     FeatureVector,
     LimeHyperparameters,
     LocalSurrogate,
     _by_column,
+    _probability_row,
     _require_kernel_width,
 )
 from .samplers import Neighborhood, RngStream, SamplerSpec, StandardSpec, draw_neighborhood
@@ -227,7 +227,7 @@ def explain(req: ExplainRequest) -> Explanation:
         raise ExplainStageError("sampling", exc) from exc
     try:
         row = _class_probabilities(req.model, req.sample.as_array()[None, :], req.sample.feature_names)[0]
-        predicted = ClassProbabilities(row)
+        predicted = _probability_row(row.tolist())
         targets = label_neighborhood(req.model, nbhd)
     except Exception as exc:
         raise ExplainStageError("labeling", exc) from exc

@@ -11,14 +11,12 @@ import pytest
 
 from prolime.core import (
     BlackBoxModel,
-    ClassProbabilities,
     ConstantModel,
     Explanation,
     FeatureVector,
     LimeHyperparameters,
     LocalSurrogate,
     NoiseMode,
-    default_kernel_width,
 )
 
 
@@ -41,17 +39,6 @@ def test_feature_vector_rejects_bad_shapes_and_values():
         FeatureVector((float("inf"), 0.0), ("a", "b"))
 
 
-def test_class_probabilities_accepts_tolerant_sum():
-    assert ClassProbabilities((0.25, 0.75)).p == (0.25, 0.75)
-    ClassProbabilities((0.5, 0.5 + 5e-10))
-    with pytest.raises(ValueError):
-        ClassProbabilities((0.5, 0.5 + 1e-8))
-    with pytest.raises(ValueError):
-        ClassProbabilities((-0.1, 1.1))
-    with pytest.raises(ValueError):
-        ClassProbabilities(())
-
-
 def test_constant_model_checks_its_probabilities():
     assert ConstantModel((0.25, 0.75)).predict_proba(np.zeros((1, 2))).tolist() == [[0.25, 0.75]]
     ConstantModel((0.5, 0.5 + 5e-10))
@@ -61,13 +48,6 @@ def test_constant_model_checks_its_probabilities():
         ConstantModel((-0.1, 1.1))
     with pytest.raises(ValueError, match="^at least one class probability is required$"):
         ConstantModel(())
-
-
-def test_default_kernel_width_scales_with_dimension():
-    assert default_kernel_width(2) == 0.75 * math.sqrt(2.0)
-    assert default_kernel_width(4) == 1.5
-    with pytest.raises(ValueError):
-        default_kernel_width(0)
 
 
 def test_black_box_model_requires_predict_proba():
@@ -139,7 +119,7 @@ def test_local_surrogate_lookup_and_validation():
 
 def _ranked(surrogate: LocalSurrogate) -> tuple[tuple[str, float], ...]:
     sample = FeatureVector((0.0,) * len(surrogate.coefficients), surrogate.feature_names)
-    return Explanation(sample, ClassProbabilities((0.5, 0.5)), surrogate).ranked_features
+    return Explanation(sample, (0.5, 0.5), surrogate).ranked_features
 
 
 def test_rank_orders_by_absolute_magnitude():
@@ -164,7 +144,7 @@ def test_ranking_preserves_coefficient_values():
 
 def _explanation() -> Explanation:
     sample = FeatureVector((0.41, -0.51), ("credit", "risk"))
-    predicted = ClassProbabilities((0.0, 1.0))
+    predicted = (0.0, 1.0)
     surrogate = LocalSurrogate(0.5, (-0.66, 0.69), ("credit", "risk"))
     return Explanation(sample, predicted, surrogate)
 
@@ -190,7 +170,7 @@ def test_explanation_serialization_field_order():
 
 def test_serialized_reals_keep_full_precision():
     sample = FeatureVector((1.0 / 3.0, -2.0 / 7.0), ("credit", "risk"))
-    predicted = ClassProbabilities((0.0, 1.0))
+    predicted = (0.0, 1.0)
     surrogate = LocalSurrogate(0.1234567890123456, (1.0 / 3.0, -0.51), ("credit", "risk"))
     document = json.loads(Explanation(sample, predicted, surrogate).to_json())
     assert document["sample"]["credit"] == 1.0 / 3.0

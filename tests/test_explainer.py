@@ -127,7 +127,8 @@ def test_request_rejects_sampler_modes_that_differ_from_the_hyperparameters(spec
 def test_explain_reports_the_model_prediction_at_the_sample():
     explanation = explain(_request(ConstantModel((0.3, 0.7)), StandardSpec()))
     assert isinstance(explanation, Explanation)
-    assert explanation.predicted.p == (0.3, 0.7)
+    assert explanation.predicted == (0.3, 0.7)
+    assert [type(p) for p in explanation.predicted] == [float, float]
     assert explanation.surrogate.feature_names == NAMES
 
 
@@ -158,7 +159,7 @@ def test_benchmark_explanation_sign_pattern():
         rng=RngStream(0, 0),
     )
     explanation = explain(request)
-    assert explanation.predicted.p == (0.0, 1.0)
+    assert explanation.predicted == (0.0, 1.0)
     assert explanation.surrogate.coefficient("credit") < 0.0
     assert explanation.surrogate.coefficient("risk") > 0.0
     assert explanation.ranked_features[0][1] == max(

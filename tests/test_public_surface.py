@@ -281,6 +281,7 @@ def test_private_names_shared_between_modules_stay_few():
         "_gaussian_rows",
         "_class_probabilities",
         "_by_column",
+        "_probability_row",
         "_require_kernel_width",
         "_overwrite",
         "_ascii8",
@@ -349,6 +350,15 @@ def test_only_the_checked_model_call_asks_the_black_box():
         return isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "predict_proba"
 
     assert _owners(asks) == {("explainer.py", "_class_probabilities")}
+
+
+def test_only_the_probability_row_check_states_the_sum_rule():
+    # The rule for one answer (ConstantModel's output, the model at the
+    # sample) has one owner: core._probability_row.
+    def states_the_rule(node: ast.AST) -> bool:
+        return isinstance(node, ast.Constant) and isinstance(node.value, str) and "must sum to 1" in node.value
+
+    assert _owners(states_the_rule) == {("core.py", "_probability_row")}
 
 
 _REDUCTIONS = {"all", "any", "sum", "min", "max", "argmax", "argmin"}
