@@ -202,9 +202,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         rng=RngStream(seed, 0),
     )
     text = explain(request).to_json(indent=2)
-    print(text)
     if args.out:
         _overwrite(args.out, ((text + "\n").encode("utf-8"),))
+    print(text)
     return 0
 
 
@@ -410,7 +410,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.config is not None:
             args = _parse_with_config(command, rest, _load_config(args.config))
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout and sys.stdout.flush()  # a failed write to stdout fails here, not at exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -421,5 +423,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
+        try:
+            sys.stdout and sys.stdout.flush()
+        except OSError:
+            # The flush at exit must not fail again; see "Note on SIGPIPE" in the signal docs.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 1

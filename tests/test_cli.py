@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import hashlib
 import json
 import os
@@ -1184,6 +1185,44 @@ def test_an_output_to_dev_null_is_written_through(command, tmp_path, capsys):
     code, _, stderr = _run(WRITERS[command](str(out)), capsys)
     assert (code, stderr) == (0, "")
     assert Path(os.devnull).is_char_device()
+
+
+def _unwritable_stdout(target: str) -> int:
+    """A file descriptor to which every write fails: /dev/full, or a pipe whose read end is closed."""
+    if target == "/dev/full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full here")
+        return os.open("/dev/full", os.O_WRONLY)
+    read, write = os.pipe()
+    os.close(read)
+    return write
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+@pytest.mark.parametrize("target", ["/dev/full", "closed pipe"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_failed_write_to_stdout_exits_1_after_writing_every_output(command, target, unbuffered, tmp_path, capsys):
+    # Buffered, the write fails only when stdout is flushed; the interpreter
+    # must not flush it again at exit, which would print a second error and
+    # exit 120. Unbuffered, it fails at the first print, which must come after
+    # the output files are written.
+    normal, failed = tmp_path / "normal", tmp_path / "failed"
+    normal.mkdir()
+    failed.mkdir()
+    name = _out_name(command)
+    assert _run(WRITERS[command](str(normal / name)), capsys)[0] == 0
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env.update(PYTHONPATH=str(Path(prolime.__file__).parents[1]), **({"PYTHONUNBUFFERED": "1"} if unbuffered else {}))
+    stdout = _unwritable_stdout(target)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "prolime", *WRITERS[command](str(failed / name))],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    finally:
+        os.close(stdout)
+    code = errno.ENOSPC if target == "/dev/full" else errno.EPIPE
+    assert (proc.returncode, proc.stderr) == (1, f"error: [Errno {code}] {os.strerror(code)}\n")
+    for new, old in zip(_outputs(command, failed / name), _outputs(command, normal / name)):
+        assert new.read_bytes() == old.read_bytes()
 
 
 @pytest.mark.parametrize("command", sorted(WRITERS))

@@ -339,8 +339,9 @@ def _owners(matches) -> set[tuple[str, str]]:
 
 def test_only_the_overwrite_helper_writes_files():
     # Outputs are overwritten in place and cut to length, one way for every
-    # command; see datasets._overwrite.
-    assert _owners(_writes_a_file) == {("datasets.py", "_overwrite")}
+    # command; see datasets._overwrite. cli.main opens os.devnull alone, to
+    # point a stdout that cannot be written at it.
+    assert _owners(_writes_a_file) == {("datasets.py", "_overwrite"), ("cli.py", "main")}
 
 
 def test_only_the_checked_model_call_asks_the_black_box():
