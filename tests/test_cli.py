@@ -160,9 +160,6 @@ def test_explain_rejects_bad_constant_model(capsys):
     code, _, stderr = _run(["explain", "0.0", "0.0", "--constant-model", "1"], capsys)
     assert code == 2
     assert "at least two class probabilities" in stderr
-
-
-def test_explain_rejects_a_constant_model_that_does_not_sum_to_1(capsys):
     code, stdout, stderr = _run(["explain", "0", "0", "--constant-model", "0.2,0.9"], capsys)
     assert (code, stdout) == (2, "")
     assert stderr == "error: bad constant model probabilities '0.2,0.9': probabilities must sum to 1, got 1.1\n"
