@@ -419,14 +419,12 @@ def main(argv: list[str] | None = None) -> int:
     except DatasetFormatError as exc:
         print(f"error: malformed dataset CSV: {exc}", file=sys.stderr)
         return 2
-    except ExplainStageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ExplainStageError, OSError) as exc:
         try:
             sys.stdout and sys.stdout.flush()
-        except OSError:
-            # The flush at exit must not fail again; see "Note on SIGPIPE" in the signal docs.
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        except OSError:  # the flush at exit must not fail again ("Note on SIGPIPE", signal docs)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: {exc}", file=sys.stderr)
         return 1
